@@ -13,6 +13,10 @@ class LayoutError(QelabError, ValueError):
     """A register layout is inconsistent or names an unknown subsystem."""
 
 
+class ParameterError(QelabError, ValueError):
+    """A run parameter (trial count, seed, size) is outside its range."""
+
+
 class DimensionMismatchError(QelabError, ValueError):
     """Two operands have incompatible dimensions."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EnumerationCapError, OraclePolicyError, RoleError
+from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from .estimate import ENUM_CAP_DEFAULT, AdvantageEstimate, GameArm, estimate
 from .quantum import (
     DensityMatrix,
@@ -149,9 +149,9 @@ class GameConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+            raise ParameterError("trials must be at least 1")
         if self.exact and self.qubits > 3:
-            raise ValueError("exact mode supports at most 3 plaintext qubits")
+            raise ParameterError("exact mode supports at most 3 plaintext qubits")
 
     def stream(self, label: str) -> Stream:
         return Stream(self.seed).child(label)

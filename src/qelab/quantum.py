@@ -11,11 +11,19 @@ never juggle qubit indices.  Two scalar backends share one code path:
 Conventions: registers appear in layout order, the first qubit of a
 register is the most significant bit of its basis index, and a pad
 bitstring drives qubit j with bits (2j-1, 2j) -> (X exponent, Z exponent).
+
+Pad conjugation never builds the pad operator.  A pad is an X mask x and
+a Z mask z over the basis-index bits, and conjugation by X^x Z^z is the
+signed permutation rho'[i, k] = (-1)^{z.i + z.k} rho[i^x, k^x] (the
+Pauli-frame view of stabilizer simulation: Aaronson and Gottesman,
+quant-ph/0406196).  Both backends share that kernel; in exact mode it
+moves `QRat` entries and negates some, so it does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -297,31 +305,38 @@ def pauli_from_key(key: str, exact: bool = False) -> np.ndarray:
     return out
 
 
-def _embed_operator(op: np.ndarray, state: DensityMatrix, target: str) -> np.ndarray:
-    """Lift an operator on `target` to the full space as 1 (x) op (x) 1."""
-    before = 1
-    after = 1
-    found = False
-    for reg in state.layout:
-        if reg.name == target:
-            found = True
-            continue
-        if not found:
-            before *= 2**reg.qubits
-        else:
-            after *= 2**reg.qubits
-    if not found:
-        raise LayoutError(f"unknown register {target!r}; have {state.names}")
-    full = op
-    if before > 1:
-        full = np.kron(_identity(before, state.exact), full)
-    if after > 1:
-        full = np.kron(full, _identity(after, state.exact))
-    return full
+def pad_masks(key: str) -> tuple[int, int]:
+    """The (X, Z) bit masks of a pad key, qubit 0 as the most significant bit."""
+    _check_pad(key)
+    return int(key[0::2], 2), int(key[1::2], 2)
 
 
-def _conjugate(mat: np.ndarray, op: np.ndarray) -> np.ndarray:
-    return np.dot(np.dot(op, mat), op.conj().T)
+@lru_cache(maxsize=256)
+def _pad_frame(dim: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat gather index, sign-flip mask and +-1.0 signs of conjugation by X^x Z^z."""
+    perm = np.arange(dim) ^ x
+    parity = np.array([bin(i & z).count("1") % 2 for i in range(dim)], dtype=bool)
+    index = perm[:, None] * dim + perm[None, :]
+    flip = parity[:, None] ^ parity[None, :]
+    sign = np.where(flip, -1.0, 1.0)
+    for arr in (index, flip, sign):
+        arr.flags.writeable = False
+    return index, flip, sign
+
+
+def conjugate_by_masks(mat: np.ndarray, x: int, z: int) -> np.ndarray:
+    """The matrix op @ mat @ op^dagger for op = X^x Z^z, as a signed permutation.
+
+    Entry (i, k) of the result is (-1)^{z.i + z.k} mat[i^x, k^x], so the
+    result holds the input's entries, some negated, and never a product.
+    """
+    index, flip, sign = _pad_frame(mat.shape[0], x, z)
+    out = mat.take(index)
+    if out.dtype == object:
+        out[flip] = -out[flip]  # negate only the flipped QRat entries
+    else:
+        out *= sign
+    return out
 
 
 def apply_pauli(key: str, state: DensityMatrix, target: str | None = None) -> DensityMatrix:
@@ -330,13 +345,13 @@ def apply_pauli(key: str, state: DensityMatrix, target: str | None = None) -> De
     Applying the same key twice returns the input, since every pad
     operator squares to the identity up to a global phase.
     """
-    _check_pad(key)
+    x, z = pad_masks(key)
     if target is None:
         if len(key) != 2 * state.qubits:
             raise MalformedKeyError(
                 f"pad of length {len(key)} cannot drive {state.qubits} qubits"
             )
-        op = pauli_from_key(key, state.exact)
+        shift = 0
     else:
         reg = state.register(target)
         if len(key) != 2 * reg.qubits:
@@ -344,8 +359,10 @@ def apply_pauli(key: str, state: DensityMatrix, target: str | None = None) -> De
                 f"pad of length {len(key)} cannot drive register "
                 f"{target!r} of {reg.qubits} qubits"
             )
-        op = _embed_operator(pauli_from_key(key, state.exact), state, target)
-    return DensityMatrix(_conjugate(state.mat, op), state.layout, validate=False)
+        # Registers after the target hold the less significant bits.
+        shift = sum(r.qubits for r in state.layout[state.names.index(target) + 1 :])
+    out = conjugate_by_masks(state.mat, x << shift, z << shift)
+    return DensityMatrix(out, state.layout, validate=False)
 
 
 def qotp_average(
@@ -360,9 +377,8 @@ def qotp_average(
     total = _zeros(state.dim, state.exact)
     count = 2 ** (2 * n)
     for k in range(count):
-        key = format(k, f"0{2 * n}b")
-        op = pauli_from_key(key, state.exact)
-        total = total + _conjugate(state.mat, op)
+        x, z = pad_masks(format(k, f"0{2 * n}b"))
+        total = total + conjugate_by_masks(state.mat, x, z)
     if state.exact:
         weight = QRat(Fraction(1, count))
     else:

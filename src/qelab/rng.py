@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 class Stream:
     """A reproducible random stream with named, independent children."""
@@ -23,7 +25,7 @@ class Stream:
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         seed = int(seed)
         if not 0 <= seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
         self.path = tuple(str(p) for p in path)
         material = f"{seed}|" + "/".join(self.path)

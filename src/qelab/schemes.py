@@ -47,7 +47,14 @@ from .primitives import (
     TowpTrapdoor,
     prg_iterated,
 )
-from .quantum import DensityMatrix, apply_pauli, basis_state, pauli_from_key, tensor
+from .quantum import (
+    DensityMatrix,
+    apply_pauli,
+    basis_state,
+    conjugate_by_masks,
+    pad_masks,
+    tensor,
+)
 from .rng import Stream
 
 
@@ -165,21 +172,33 @@ class PauliTagScheme:
             for i in range(coin_samples):
                 drawn = self.sample_encryption(keypair.ek, rng.child(f"coin{i}"))
                 cases.append(EncryptionCase(Fraction(1, coin_samples), drawn.tag, drawn.pad))
-        ops = []
+        frames = []
         for case in cases:
-            enc_op = (
-                pauli_from_key(case.pad) if case.pad is not None else np.eye(2**self.qubits)
-            )
             dec_pad = self.decrypt_pad(keypair.dk, case.tag)
-            dec_op = (
-                pauli_from_key(dec_pad) if dec_pad is not None else np.eye(2**self.qubits)
-            )
-            ops.append((float(case.weight), np.dot(dec_op, enc_op)))
+            # Pads compose up to a global phase, which conjugation drops, so
+            # decrypt-after-encrypt is the pad with the XOR of both masks.
+            x, z = 0, 0
+            for pad in (case.pad, dec_pad):
+                if pad is not None:
+                    px, pz = pad_masks(pad)
+                    if len(pad) != 2 * self.qubits:
+                        raise MalformedKeyError(
+                            f"pad of length {len(pad)} cannot drive {self.qubits} qubits"
+                        )
+                    x, z = x ^ px, z ^ pz
+            frames.append((float(case.weight), x, z))
+
+        dim = 2**self.qubits
 
         def channel(mat: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(mat, dtype=np.complex128)
-            for weight, op in ops:
-                out += weight * np.dot(np.dot(op, mat), op.conj().T)
+            mat = np.asarray(mat, dtype=np.complex128)
+            if mat.shape != (dim, dim):
+                raise DimensionMismatchError(
+                    f"channel input shape {mat.shape}, expected {(dim, dim)}"
+                )
+            out = np.zeros_like(mat)
+            for weight, x, z in frames:
+                out += weight * conjugate_by_masks(mat, x, z)
             return out
 
         return channel

@@ -23,8 +23,9 @@ SCHEMA_VERSION = 1
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
+    # Adding 0.0 turns -0.0 into 0.0, so equal matrices give equal bytes.
     mat = np.asarray(mat, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return [[[float(v.real) + 0.0, float(v.imag) + 0.0] for v in row] for row in mat]
 
 
 def matrix_from_json(data: list) -> np.ndarray:

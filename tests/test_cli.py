@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qelab
 from qelab.cli import main
 
 
@@ -158,3 +163,27 @@ def test_correctness_on_undecryptable_scheme_is_usage_error():
         main(["correctness", "--scheme", "pke-uniformpad", "--n", "1",
               "--qubits", "1", "--keys", "1", "--seed", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--seed", "-1"], "seed must be a 64-bit unsigned integer"),
+        (["--qubits", "4", "--exact"], "exact mode supports at most 3 plaintext qubits"),
+    ],
+    ids=["trials-0", "seed-negative", "exact-4-qubits"],
+)
+def test_out_of_range_parameter_is_usage_error(extra, message):
+    src = Path(qelab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qelab.cli", "game", "--game", "ind", "--scheme", "identity",
+         "--n", "1", *extra],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

@@ -3,9 +3,8 @@
 Each `tests/data/golden/<name>.json` holds the canonical JSON report that
 `qelab <argv>` printed when the file was committed.  The files pin report
 bytes across commits, so a change that moves a single draw, float or key
-order fails here.  Regenerate them only in a change
-that means to alter reports (for example a new stream derivation), and say
-so in that change.
+order fails here.  Regenerate them only in a change that means to alter
+reports (for example a new stream derivation), and say so in that change.
 """
 
 from pathlib import Path

@@ -36,6 +36,7 @@ from qelab.quantum import (
     tensor,
     trace_distance,
 )
+from qelab.rationals import QRat
 from qelab.rng import Stream
 
 
@@ -174,6 +175,135 @@ def test_average_exact_mode_is_rational():
     from qelab.rationals import as_fraction
 
     assert [as_fraction(v) for v in np.diag(out.mat)] == [Fraction(1, 2)] * 2
+
+
+# ---------------------------------------------------------------------------
+# Signed-permutation kernel against the dense operator product
+# ---------------------------------------------------------------------------
+
+
+def _eye(dim, exact):
+    if exact:
+        return np.array([[QRat(int(i == j)) for j in range(dim)] for i in range(dim)],
+                        dtype=object)
+    return np.eye(dim, dtype=complex)
+
+
+def _dense_pad(key, layout, target, exact):
+    """1 (x) P (x) 1 on the whole space, P built by `pauli_from_key`."""
+    op = pauli_from_key(key, exact)
+    if target is None:
+        return op
+    names = [r.name for r in layout]
+    i = names.index(target)
+    before = 2 ** sum(r.qubits for r in layout[:i])
+    after = 2 ** sum(r.qubits for r in layout[i + 1 :])
+    return np.kron(np.kron(_eye(before, exact), op), _eye(after, exact))
+
+
+def _dense_apply(key, state, target=None):
+    op = _dense_pad(key, state.layout, target, state.exact)
+    return op @ state.mat @ op.conj().T
+
+
+def _dense_average(state):
+    n = state.qubits
+    total = 0 * _eye(state.dim, state.exact)
+    for k in range(4**n):
+        total = total + _dense_apply(format(k, f"0{2 * n}b"), state)
+    return total * (QRat(Fraction(1, 4**n)) if state.exact else 1.0 / 4**n)
+
+
+def _same(a, b):
+    """Entrywise equality; exact QRat equality for object matrices."""
+    assert a.shape == b.shape and a.dtype == b.dtype
+    if a.dtype == object:
+        return all(x == y for x, y in zip(a.flat, b.flat))
+    return np.array_equal(a, b)
+
+
+def _dyadic_state(values, layout):
+    """A Hermitian matrix of eighths filled from `values`; kernels do not need a state."""
+    qubits = sum(q for _, q in layout)
+    dim = 2**qubits
+    values = iter(values)
+    mat = np.empty((dim, dim), dtype=object)
+    for i in range(dim):
+        mat[i, i] = QRat(Fraction(next(values), 8))
+        for j in range(i + 1, dim):
+            mat[i, j] = QRat(Fraction(next(values), 8), Fraction(next(values), 8))
+            mat[j, i] = mat[i, j].conjugate()
+    return DensityMatrix(mat, layout, validate=False)
+
+
+def _both_backends(values, layout):
+    exact = _dyadic_state(values, layout)
+    return exact, exact.to_float()
+
+
+_LAYOUTS = {
+    "1": [("A", 1)],
+    "2": [("A", 2)],
+    "3": [("A", 3)],
+    "1,2": [("A", 1), ("B", 2)],
+    "2,1": [("A", 2), ("B", 1)],
+    "1,1,1": [("A", 1), ("B", 1), ("C", 1)],
+}
+
+
+def _fixed_values(count):
+    # Every value in -4..4 appears, zeros and negatives included.
+    return [(3 * i + 1) % 9 - 4 for i in range(count)]
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_apply_pauli_matches_dense_on_every_key(qubits):
+    layout = _LAYOUTS[str(qubits)]
+    for state in _both_backends(_fixed_values(4**qubits), layout):
+        for k in range(4**qubits):
+            key = format(k, f"0{2 * qubits}b")
+            assert _same(apply_pauli(key, state).mat, _dense_apply(key, state)), key
+
+
+@pytest.mark.parametrize("shape", ["1,2", "2,1", "1,1,1"])
+def test_apply_pauli_matches_dense_on_embedded_registers(shape):
+    layout = _LAYOUTS[shape]
+    for state in _both_backends(_fixed_values(64), layout):
+        for name, qubits in layout:
+            for k in range(4**qubits):
+                key = format(k, f"0{2 * qubits}b")
+                got = apply_pauli(key, state, name).mat
+                assert _same(got, _dense_apply(key, state, name)), (name, key)
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_qotp_average_matches_dense(qubits):
+    for state in _both_backends(_fixed_values(4**qubits), _LAYOUTS[str(qubits)]):
+        assert _same(qotp_average(state).mat, _dense_average(state))
+
+
+@st.composite
+def _dyadic_cases(draw):
+    shape = draw(st.sampled_from(sorted(_LAYOUTS)))
+    layout = _LAYOUTS[shape]
+    qubits = sum(q for _, q in layout)
+    values = draw(st.lists(st.integers(-4, 4), min_size=4**qubits, max_size=4**qubits))
+    target = draw(st.sampled_from([None] + [name for name, _ in layout]))
+    width = qubits if target is None else dict(layout)[target]
+    key = draw(key_strings(width))
+    return values, layout, target, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dyadic_cases())
+def test_apply_pauli_matches_dense_on_random_dyadic_states(case):
+    values, layout, target, key = case
+    exact, flt = _both_backends(values, layout)
+    got_exact = apply_pauli(key, exact, target)
+    got_float = apply_pauli(key, flt, target)
+    assert _same(got_exact.mat, _dense_apply(key, exact, target))
+    assert _same(got_float.mat, _dense_apply(key, flt, target))
+    assert np.array_equal(got_exact.to_float().mat, got_float.mat)
 
 
 # ---------------------------------------------------------------------------

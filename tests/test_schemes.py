@@ -6,6 +6,7 @@ import pytest
 from qelab.errors import (
     DimensionMismatchError,
     InvalidCiphertextError,
+    MalformedKeyError,
     QelabError,
 )
 from qelab.primitives import ConstantPrf
@@ -15,6 +16,7 @@ from qelab.quantum import (
     bell_state,
     channel_choi_distance,
     maximally_mixed,
+    pauli_from_key,
     random_mixed_state,
     random_pure_state,
     trace_distance,
@@ -22,6 +24,8 @@ from qelab.quantum import (
 from qelab.rationals import as_fraction
 from qelab.rng import Stream
 from qelab.schemes import (
+    SCHEME_BUILDERS,
+    EncryptionCase,
     IdentityScheme,
     PadSkippingDecryptScheme,
     PermutationPublicScheme,
@@ -360,3 +364,79 @@ def test_random_pad_scheme_roundtrip_channel_reads_oracle():
     kp = scheme.keygen(Stream(64).child("kg"))
     channel = scheme.roundtrip_map(kp, Stream(65), coin_samples=8)
     assert channel_choi_distance(channel, lambda m: m, 1) < TOL_ALGEBRA
+
+
+# ---------------------------------------------------------------------------
+# Round-trip channel against the dense operator product
+# ---------------------------------------------------------------------------
+
+
+def _dense_roundtrip(scheme, kp, cases):
+    eye = np.eye(2**scheme.qubits)
+    ops = []
+    for case in cases:
+        enc = pauli_from_key(case.pad) if case.pad is not None else eye
+        dec_pad = scheme.decrypt_pad(kp.dk, case.tag)
+        dec = pauli_from_key(dec_pad) if dec_pad is not None else eye
+        ops.append((float(case.weight), dec @ enc))
+
+    def channel(mat):
+        out = np.zeros_like(mat, dtype=complex)
+        for weight, op in ops:
+            out += weight * (op @ mat @ op.conj().T)
+        return out
+
+    return channel
+
+
+def _sampled_cases(scheme, kp, rng, samples):
+    return [
+        EncryptionCase(Fraction(1, samples), drawn.tag, drawn.pad)
+        for drawn in (
+            scheme.sample_encryption(kp.ek, rng.child(f"coin{i}")) for i in range(samples)
+        )
+    ]
+
+
+def _matrix_units(dim):
+    for x in range(dim):
+        for y in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[x, y] = 1.0
+            yield unit
+
+
+# Every registered scheme that can decrypt; `pke-uniformpad` discards its pad.
+_DECRYPTABLE = sorted(set(SCHEME_BUILDERS) - {"pke-uniformpad"})
+
+
+@pytest.mark.parametrize("name", _DECRYPTABLE)
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_roundtrip_map_matches_dense_on_matrix_units(name, qubits):
+    scheme = build_scheme(name, 2, qubits, Stream(110).child("setup"))
+    kp = scheme.keygen(Stream(111).child("kg"))
+    enumerated = name != "ske-randomfn"  # its override always samples coins
+    cases = (
+        scheme.encrypt_cases(kp.ek) if enumerated else _sampled_cases(scheme, kp, Stream(112), 8)
+    )
+    channel = scheme.roundtrip_map(kp, Stream(112), coin_samples=8)
+    dense = _dense_roundtrip(scheme, kp, cases)
+    sampled = scheme.roundtrip_map(kp, Stream(113), coin_samples=8, enumerate_coins=False)
+    dense_sampled = _dense_roundtrip(scheme, kp, _sampled_cases(scheme, kp, Stream(113), 8))
+    for unit in _matrix_units(2**qubits):
+        assert np.array_equal(channel(unit), dense(unit))
+        assert np.array_equal(sampled(unit), dense_sampled(unit))
+
+
+def test_roundtrip_map_checks_pads_and_input_shape():
+    class LongPadScheme(QotpScheme):
+        def decrypt_pad(self, dk, tag):
+            return dk + "00"
+
+    scheme = LongPadScheme(1, 1)
+    kp = scheme.keygen(Stream(114).child("kg"))
+    with pytest.raises(MalformedKeyError):
+        scheme.roundtrip_map(kp)
+    channel = QotpScheme(1, 1).roundtrip_map(kp)
+    with pytest.raises(DimensionMismatchError):
+        channel(np.eye(4))

@@ -29,6 +29,13 @@ def test_matrix_round_trip_row_major_pairs():
     assert np.max(np.abs(matrix_from_json(blob) - mat)) == 0.0
 
 
+def test_matrix_zero_serializes_without_sign():
+    mat = np.array([[complex(-0.0, -0.0), complex(0.5, -0.0)], [0.5, 0.5]])
+    text = json.dumps(matrix_to_json(mat))
+    assert "-0.0" not in text
+    assert matrix_to_json(mat)[0] == [[0.0, 0.0], [0.5, 0.0]]
+
+
 def test_state_round_trip():
     state = random_mixed_state(2, Stream(1))
     blob = state_to_json(state)
