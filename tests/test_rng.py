@@ -50,3 +50,34 @@ def test_bits_are_roughly_balanced():
     draws = Stream(13).bits(10_000)
     ones = draws.count("1")
     assert 4800 < ones < 5200  # 4 sigma is +-200
+
+
+# Known answers, pinned so stream derivation is fixed across commits and not
+# only within one process.  A change here changes every sampled report.
+
+
+def test_known_answer_bits():
+    assert Stream(7).bits(64) == (
+        "1111100110001011110011100101100100000001000011010100110010100101"
+    )
+
+
+def test_known_answer_child_integer():
+    assert Stream(7).child("real").child("t0").integer(1000) == 962
+
+
+def test_known_answer_child_uniform():
+    assert Stream(7).child("real").uniform() == 0.630382031374285
+
+
+def test_known_answer_numpy_normal():
+    draws = Stream(7).child("a").numpy().normal(size=3)
+    assert draws.tolist() == [-1.2803307831431803, 1.005234310461683, 0.0509108946040761]
+
+
+def test_child_bits_do_not_depend_on_parent_draw_time():
+    parent = Stream(21)
+    before = parent.child("x")
+    parent.bits(10)
+    after = parent.child("x")
+    assert before.bits(64) == after.bits(64)
