@@ -143,8 +143,6 @@ def estimate(
     )
     if ideal is None:
         p_i, ci_i, fr_i = 0.5, 0.0, Fraction(1, 2)
-        if not exact:
-            fr_i = Fraction(1, 2)
     else:
         p_i, ci_i, fr_i, _ = estimate_probability(
             ideal, exact=exact, trials=trials, rng=rng.child("ideal"), cap=cap

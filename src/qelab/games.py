@@ -32,6 +32,7 @@ from typing import Optional
 from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from .estimate import ENUM_CAP_DEFAULT, AdvantageEstimate, GameArm, estimate
 from .quantum import (
+    MAX_EXHAUSTIVE_QUBITS,
     DensityMatrix,
     apply_pauli,
     measurement_distribution,
@@ -150,8 +151,8 @@ class GameConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
-        if self.exact and self.qubits > 3:
-            raise ParameterError("exact mode supports at most 3 plaintext qubits")
+        if self.exact:
+            _check_exact_qubits(self.qubits)
 
     def stream(self, label: str) -> Stream:
         return Stream(self.seed).child(label)
@@ -174,8 +175,20 @@ def _check_message(scheme: PauliTagScheme, case: MessageCase) -> None:
         )
 
 
+def _check_exact_qubits(qubits: int) -> None:
+    if qubits > MAX_EXHAUSTIVE_QUBITS:
+        raise ParameterError(
+            f"exact mode supports at most {MAX_EXHAUSTIVE_QUBITS} plaintext qubits, got {qubits}"
+        )
+
+
 def _exact_keypairs(scheme: PauliTagScheme, config: GameConfig):
-    """Key branches for enumeration mode; falls back to one drawn keypair."""
+    """Key branches for enumeration mode; falls back to one drawn keypair.
+
+    Every exact game starts here, so the size guard reads the scheme's own
+    qubit count before any branch is built.
+    """
+    _check_exact_qubits(scheme.qubits)
     cases = scheme.key_cases()
     if cases is not None:
         return cases

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionMismatchError, EnumerationCapError, MalformedKeyError, QelabError
 from .rng import Stream
@@ -50,13 +51,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _safe_primes_between(lo: int, hi: int) -> list[int]:
-    """Primes p in (lo, hi) with (p-1)/2 also prime."""
-    out = []
-    for p in range(max(lo, 5) | 1, hi, 2):
-        if _is_prime(p) and _is_prime((p - 1) // 2):
-            out.append(p)
-    return out
+@lru_cache(maxsize=None)
+def _safe_primes_between(lo: int, hi: int) -> tuple[int, ...]:
+    """Primes p in (lo, hi) with (p-1)/2 also prime.
+
+    Cached: keygen asks for the same range every time, and the ranges are
+    bounded by MAX_SECURITY.
+    """
+    return tuple(
+        p for p in range(max(lo, 5) | 1, hi, 2)
+        if _is_prime(p) and _is_prime((p - 1) // 2)
+    )
 
 
 @dataclass(frozen=True)

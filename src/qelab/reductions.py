@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import EnumerationCapError, RoleError
 from .estimate import AdvantageEstimate, GameArm, estimate
-from .games import GameConfig, OraclePolicy, run_ind, run_ind_prime, run_sem
+from .games import GameConfig, OraclePolicy, _exact_keypairs, run_ind, run_ind_prime, run_sem
 from .quantum import DensityMatrix, apply_pauli, basis_state, partial_trace, tensor
 from .rng import Stream
 from .roles import (
@@ -305,12 +305,10 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
     from dataclasses import replace
 
     config = replace(config or GameConfig(), exact=True)
-    qubits = scheme.qubits
 
     accept = Fraction(0)
-    key_cases = scheme.key_cases()
     ctx = RoleContext(pk=None, exact=True, scheme=scheme)
-    for wk, kp in key_cases:
+    for wk, kp in _exact_keypairs(scheme, config):
         for mcase in mgen.cases(None, ctx):
             for coin in (1, 0):
                 if coin == 1:

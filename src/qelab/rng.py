@@ -5,6 +5,10 @@ Streams are backed by the Philox counter-based generator; independent
 substreams are derived by name (SHA-256 of the seed and path), so a
 result never depends on call order elsewhere in the program and is
 byte-identical across runs and platforms.
+
+A stream is fully determined by its seed and path, so it builds its
+Philox only on its first draw: a stream that is only ever a parent costs
+a tuple, not a generator.
 """
 
 from __future__ import annotations
@@ -28,10 +32,15 @@ class Stream:
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
         self.path = tuple(str(p) for p in path)
-        material = f"{seed}|" + "/".join(self.path)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        key = np.frombuffer(digest[:16], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = None
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            material = f"{self.seed}|" + "/".join(self.path)
+            digest = hashlib.sha256(material.encode("utf-8")).digest()
+            key = np.frombuffer(digest[:16], dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
+        return self._gen
 
     def child(self, label: str) -> "Stream":
         """An independent stream addressed by `label` under this one."""
@@ -41,20 +50,20 @@ class Stream:
         """A uniform bitstring of the given length, as a str of 0/1."""
         if count == 0:
             return ""
-        draw = self._gen.integers(0, 2, size=int(count))
+        draw = self._generator().integers(0, 2, size=int(count))
         return "".join("1" if b else "0" for b in draw)
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return int(self._gen.integers(0, bound))
+        return int(self._generator().integers(0, bound))
 
     def choice(self, seq):
         return seq[self.integer(len(seq))]
 
     def uniform(self) -> float:
-        return float(self._gen.random())
+        return float(self._generator().random())
 
     def bernoulli(self, p) -> bool:
         """One biased coin flip; exact when `p` is a Fraction."""
@@ -68,7 +77,7 @@ class Stream:
 
     def numpy(self) -> np.random.Generator:
         """The underlying generator, for float-valued sampling (never exact)."""
-        return self._gen
+        return self._generator()
 
     def __repr__(self):
         return f"Stream(seed={self.seed}, path={'/'.join(self.path)!r})"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qelab.errors import EnumerationCapError, OraclePolicyError, RoleError
+from qelab.errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from qelab.estimate import GameArm, estimate
 from qelab.games import (
     GameConfig,
@@ -149,6 +149,26 @@ def test_exact_mode_denies_oracles():
     with pytest.raises(OraclePolicyError):
         run_ind(scheme, _GreedyEncrypting(), ConstantDistinguisher(1),
                 OraclePolicy.cpa(), EXACT)
+
+
+class _CountingMessage(BasisMessage):
+    def __init__(self, bits: str):
+        super().__init__(bits)
+        self.calls = 0
+
+    def cases(self, pk, ctx):
+        self.calls += 1
+        return super().cases(pk, ctx)
+
+
+@pytest.mark.parametrize("game", [run_ind, run_ind_prime])
+def test_exact_size_guard_reads_the_scheme_qubits(game):
+    # The config claims one qubit; the scheme has four.
+    mgen = _CountingMessage("1111")
+    with pytest.raises(ParameterError, match="at most 3 plaintext qubits, got 4"):
+        game(IdentityScheme(1, 4), mgen, ConstantDistinguisher(1),
+             config=GameConfig(qubits=1, exact=True))
+    assert mgen.calls == 0
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,81 @@ def test_apply_pauli_matches_dense_on_random_dyadic_states(case):
     assert np.array_equal(got_exact.to_float().mat, got_float.mat)
 
 
+# Exact vs float on the other kernels: the exact result, converted to float,
+# equals the float result.
+
+_ONE_OR_TWO_REGISTERS = ["1", "2", "3", "1,2", "2,1"]
+
+
+def _close(exact: DensityMatrix, flt: DensityMatrix) -> bool:
+    got = exact.to_float()
+    return got.layout == flt.layout and np.max(np.abs(got.mat - flt.mat)) < TOL_ALGEBRA
+
+
+def _dyadic_values(draw, qubits):
+    return draw(st.lists(st.integers(-4, 4), min_size=4**qubits, max_size=4**qubits))
+
+
+@st.composite
+def _tensor_cases(draw):
+    a_layout = draw(st.sampled_from([[("A", 1)], [("A", 2)], [("A", 1), ("B", 1)]]))
+    a_qubits = sum(q for _, q in a_layout)
+    b_qubits = draw(st.integers(1, 3 - a_qubits))
+    return (
+        (_dyadic_values(draw, a_qubits), a_layout),
+        (_dyadic_values(draw, b_qubits), [("C", b_qubits)]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tensor_cases())
+def test_tensor_exact_matches_float_on_random_dyadic_states(case):
+    (a_values, a_layout), (b_values, b_layout) = case
+    a_exact, a_float = _both_backends(a_values, a_layout)
+    b_exact, b_float = _both_backends(b_values, b_layout)
+    assert _close(tensor(a_exact, b_exact), tensor(a_float, b_float))
+
+
+@st.composite
+def _register_cases(draw):
+    layout = _LAYOUTS[draw(st.sampled_from(_ONE_OR_TWO_REGISTERS))]
+    qubits = sum(q for _, q in layout)
+    names = [name for name, _ in layout]
+    targets = draw(st.permutations(names).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))
+    ))
+    return _dyadic_values(draw, qubits), layout, targets
+
+
+@settings(max_examples=40, deadline=None)
+@given(_register_cases())
+def test_partial_trace_exact_matches_float_on_random_dyadic_states(case):
+    values, layout, drop = case
+    exact, flt = _both_backends(values, layout)
+    assert _close(partial_trace(exact, drop), partial_trace(flt, drop))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_register_cases(), st.data())
+def test_measurement_distribution_exact_matches_float_on_random_dyadic_states(case, data):
+    values, layout, targets = case
+    dim = 2 ** sum(q for _, q in layout)
+    # A dyadic diagonal summing to one: 2^k outcomes of weight 2^-k each.
+    k = data.draw(st.integers(0, 3))
+    hits = data.draw(st.lists(st.integers(0, dim - 1), min_size=2**k, max_size=2**k))
+    exact = _dyadic_state(values, layout)
+    for i in range(dim):
+        exact.mat[i, i] = QRat(Fraction(hits.count(i), 2**k))
+    flt = exact.to_float()
+    got_exact = measurement_distribution(exact, targets)
+    got_float = measurement_distribution(flt, targets)
+    assert got_exact.keys() == got_float.keys()
+    assert sum(got_exact.values()) == 1
+    for outcome, p in got_exact.items():
+        assert isinstance(p, Fraction)
+        assert abs(float(p) - got_float[outcome]) < TOL_ALGEBRA
+
+
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------

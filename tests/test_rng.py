@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qelab.rng import Stream
@@ -81,3 +82,22 @@ def test_child_bits_do_not_depend_on_parent_draw_time():
     parent.bits(10)
     after = parent.child("x")
     assert before.bits(64) == after.bits(64)
+
+
+def test_philox_is_built_on_first_draw_only(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    stream = Stream(7).child("a").child("b")
+    assert built == []
+    stream.bits(8)
+    assert len(built) == 1
+    stream.integer(5)
+    stream.uniform()
+    stream.numpy()
+    assert len(built) == 1  # later draws reuse the generator
