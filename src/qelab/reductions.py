@@ -26,7 +26,15 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import EnumerationCapError, RoleError
 from .estimate import AdvantageEstimate, GameArm, estimate
-from .games import GameConfig, OraclePolicy, _exact_keypairs, run_ind, run_ind_prime, run_sem
+from .games import (
+    GameConfig,
+    OraclePolicy,
+    _check_exact_qubits,
+    _exact_keypairs,
+    run_ind,
+    run_ind_prime,
+    run_sem,
+)
 from .quantum import DensityMatrix, apply_pauli, basis_state, partial_trace, tensor
 from .rng import Stream
 from .roles import (
@@ -390,6 +398,8 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
     state in both cases.
     """
     config = config or GameConfig()
+    if config.exact:
+        _check_exact_qubits(pair.joint.register("A").qubits)
     pad_len = prg.out_len
     exact_pair = (
         PaddedStatePair(pair.joint.to_exact(), pair.product_a.to_exact())

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qelab.errors import ParameterError
 from qelab.games import GameConfig, OraclePolicy, run_ind, run_sem
 from qelab.primitives import ConstantPrf, ConstantPrg, prf_distinguisher_advantage
 from qelab.quantum import basis_state, bell_state, maximally_mixed, partial_trace, trace_distance
@@ -203,6 +204,12 @@ def test_uniform_arm_half_with_entangled_side_register():
     dist = UnpadThenMeasureDistinguisher("00", "1", "A")
     est = run_prg_pad_reduction(ConstantPrg(1, "00"), dist, pair, EXACT)
     assert est.p_ideal_exact == Fraction(1, 2)
+
+
+def test_exact_pad_reduction_refuses_oversized_register():
+    pair = PaddedStatePair(joint=basis_state("1111", "A"), product_a=basis_state("0000", "A"))
+    with pytest.raises(ParameterError, match="at most 3 plaintext qubits, got 4"):
+        run_prg_pad_reduction(ConstantPrg(1, "1" * 8), CoinDistinguisher(), pair, EXACT)
 
 
 def test_coin_distinguisher_gives_zero_advantage():
