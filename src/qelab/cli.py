@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import QelabError
+from .errors import ParameterError, QelabError
 from .estimate import AdvantageEstimate
 from .games import (
     GAME_NAMES,
@@ -189,6 +189,8 @@ def _state_battery(qubits: int, rng: Stream, battery: str):
 
 
 def cmd_correctness(args) -> tuple[dict, bool]:
+    if args.keys < 1:
+        raise ParameterError("keys must be at least 1")
     rng = Stream(args.seed)
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
     identity_map = lambda mat: mat

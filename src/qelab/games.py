@@ -34,6 +34,8 @@ from .estimate import ENUM_CAP_DEFAULT, AdvantageEstimate, GameArm, estimate
 from .quantum import (
     MAX_EXHAUSTIVE_QUBITS,
     DensityMatrix,
+    Register,
+    _split_targets,
     apply_pauli,
     measurement_distribution,
     partial_trace,
@@ -488,22 +490,12 @@ def _move_f_last(state: DensityMatrix) -> DensityMatrix:
     """Reorder registers so F is last (layout-normal form for comparisons)."""
     if state.names[-1] == "F":
         return state
-    from .quantum import _split_targets, Register
-
-    arr, t_dim, r_dim, rest_layout, t_qubits = _split_targets(state, ("F",))
-    # arr is indexed (F, rest, F', rest'); reassemble as (rest, F) ordering.
-    import numpy as np
-
-    full = state.dim
-    out = np.empty((full, full), dtype=state.mat.dtype)
-    for a in range(t_dim):
-        for b in range(t_dim):
-            block = arr[a, :, b, :]
-            for i in range(r_dim):
-                for j in range(r_dim):
-                    out[i * t_dim + a, j * t_dim + b] = block[i, j]
-    layout = rest_layout + (Register("F", t_qubits),)
-    return DensityMatrix(out, layout, validate=False)
+    split = _split_targets(state, ("F",))
+    # Each part is indexed (F, rest, F', rest'); reorder it to (rest, F, rest', F').
+    return state._map(
+        lambda part: split(part).transpose(1, 0, 3, 2).reshape(state.dim, state.dim),
+        split.rest_layout + (Register("F", split.t_qubits),),
+    )
 
 
 def _compare_out(out_state: DensityMatrix, target: str, exact: bool):

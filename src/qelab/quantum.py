@@ -5,8 +5,18 @@ every multi-register operation addresses registers by name, so callers
 never juggle qubit indices.  Two scalar backends share one code path:
 
 * float mode: complex128 matrices, invariants checked to `TOL_PSD`;
-* exact mode: object matrices of `QRat` (Gaussian rationals), used by the
-  enumeration-mode security games so probabilities come out as Fractions.
+* exact mode: Gaussian-integer numerators over one common positive
+  denominator, entry (i, k) = (re[i, k] + 1j * im[i, k]) / den, with `re`
+  and `im` numpy object arrays of Python ints (which never overflow).
+  The enumeration-mode security games use it, so probabilities come out as
+  Fractions.
+
+A state keeps its stored arrays in `parts`: `(mat,)` in float mode and
+`(re, im)` in exact mode.  Pad conjugation, partial traces and register
+moves act on each part alike; only `tensor`, the measurements and the
+conversions look at the denominator.  An exact state's `mat` is a
+read-only `QRat` matrix built on first read, for code that builds or
+inspects exact matrices by hand; no kernel reads it.
 
 Conventions: registers appear in layout order, the first qubit of a
 register is the most significant bit of its basis index, and a pad
@@ -17,11 +27,13 @@ a Z mask z over the basis-index bits, and conjugation by X^x Z^z is the
 signed permutation rho'[i, k] = (-1)^{z.i + z.k} rho[i^x, k^x] (the
 Pauli-frame view of stabilizer simulation: Aaronson and Gottesman,
 quant-ph/0406196).  Both backends share that kernel; in exact mode it
-moves `QRat` entries and negates some, so it does no rational arithmetic.
+moves integer numerators and negates some, so it does no rational
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -35,7 +47,7 @@ from .errors import (
     MalformedKeyError,
     MeasurementError,
 )
-from .rationals import QRat, as_fraction
+from .rationals import QRat
 from .rng import Stream
 
 TOL_PSD = 1e-9        # invariant checks (hermiticity, trace, positivity)
@@ -62,24 +74,52 @@ def _normalize_layout(layout) -> tuple[Register, ...]:
     return tuple(regs)
 
 
-def _validate(mat: np.ndarray, layout: tuple[Register, ...], exact: bool) -> None:
-    qubits = sum(r.qubits for r in layout)
+def _gaussian(value) -> tuple[Fraction, Fraction]:
+    if isinstance(value, QRat):
+        return value.re, value.im
+    if isinstance(value, complex):
+        return Fraction(value.real), Fraction(value.imag)
+    return Fraction(value), Fraction(0)
+
+
+def _numerators(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(re, im, den) of an object matrix of QRat, Fraction, int or complex entries."""
+    pairs = [_gaussian(v) for v in mat.flat]
+    den = math.lcm(*(f.denominator for pair in pairs for f in pair))
+
+    def scaled(k: int) -> np.ndarray:
+        nums = [pair[k].numerator * (den // pair[k].denominator) for pair in pairs]
+        return np.array(nums, dtype=object).reshape(mat.shape)
+
+    return scaled(0), scaled(1), den
+
+
+def _to_qrat(re: int, im: int, den: int) -> QRat:
+    return QRat(Fraction(re, den), Fraction(im, den))
+
+
+_qrat_matrix = np.frompyfunc(_to_qrat, 3, 1)
+
+
+def _validate(state: "DensityMatrix") -> None:
+    qubits = state.qubits
     dim = 2**qubits
-    if mat.shape != (dim, dim):
+    shape = state.parts[0].shape
+    if shape != (dim, dim):
         raise LayoutError(
-            f"matrix shape {mat.shape} does not match layout of {qubits} qubits"
+            f"matrix shape {shape} does not match layout of {qubits} qubits"
         )
-    if exact:
-        trace = sum((as_fraction(mat[i, i]) for i in range(dim)), Fraction(0))
-        if trace != 1:
-            raise LayoutError(f"exact state has trace {trace}, expected 1")
-        for i in range(dim):
-            for j in range(i, dim):
-                a = mat[i, j] if isinstance(mat[i, j], QRat) else QRat(mat[i, j])
-                b = mat[j, i] if isinstance(mat[j, i], QRat) else QRat(mat[j, i])
-                if a.conjugate() != b:
-                    raise LayoutError("exact state is not Hermitian")
+    if state.exact:
+        re, im = state.parts
+        trace = re.trace()
+        if trace != state.den:
+            raise LayoutError(
+                f"exact state has trace {Fraction(trace, state.den)}, expected 1"
+            )
+        if not (np.array_equal(re, re.T) and np.array_equal(im, -im.T)):
+            raise LayoutError("exact state is not Hermitian")
         return
+    mat = state.mat
     if abs(np.trace(mat) - 1.0) > TOL_PSD:
         raise LayoutError(f"state has trace {np.trace(mat)}, expected 1")
     if np.max(np.abs(mat - mat.conj().T)) > TOL_PSD:
@@ -92,29 +132,63 @@ def _validate(mat: np.ndarray, layout: tuple[Register, ...], exact: bool) -> Non
 class DensityMatrix:
     """A positive unit-trace operator over named registers.
 
+    `DensityMatrix(mat, layout)` takes a complex matrix (float mode) or an
+    object matrix of `QRat`, `Fraction` or `int` entries (exact mode, stored
+    as integer numerators over their least common denominator `den`).
+
     Treat instances as immutable: operations return new states and never
-    mutate `mat` in place, which keeps them safe to share across threads.
+    mutate a part in place, which keeps them safe to share across threads.
     """
 
-    __slots__ = ("mat", "layout")
+    __slots__ = ("parts", "den", "layout", "_view")
 
     def __init__(self, mat, layout, validate: bool = True):
         layout = _normalize_layout(layout)
         mat = np.asarray(mat)
-        if mat.dtype != object:
-            mat = mat.astype(np.complex128)
+        if mat.dtype == object:
+            re, im, den = _numerators(mat)
+            self._init((re, im), den, layout)
+        else:
+            self._init((mat.astype(np.complex128),), None, layout)
         if validate:
-            _validate(mat, layout, mat.dtype == object)
-        self.mat = mat
+            _validate(self)
+
+    def _init(self, parts, den, layout) -> None:
+        self.parts = tuple(parts)
+        self.den = den
         self.layout = layout
+        self._view = None
+
+    @classmethod
+    def _of(cls, parts, den, layout: tuple[Register, ...]) -> "DensityMatrix":
+        """Wrap kernel output as is: no copy, no validation, layout already normal."""
+        state = object.__new__(cls)
+        state._init(parts, den, layout)
+        return state
+
+    def _map(self, fn, layout: tuple[Register, ...] | None = None) -> "DensityMatrix":
+        """Apply a linear map with real coefficients to every part."""
+        parts = [fn(part) for part in self.parts]
+        return DensityMatrix._of(parts, self.den, self.layout if layout is None else layout)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The complex matrix, or a read-only `QRat` matrix of an exact state."""
+        if self.den is None:
+            return self.parts[0]
+        if self._view is None:
+            view = _qrat_matrix(*self.parts, self.den)
+            view.flags.writeable = False
+            self._view = view
+        return self._view
 
     @property
     def exact(self) -> bool:
-        return self.mat.dtype == object
+        return self.den is not None
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.parts[0].shape[0]
 
     @property
     def qubits(self) -> int:
@@ -136,21 +210,18 @@ class DensityMatrix:
     def to_float(self) -> "DensityMatrix":
         if not self.exact:
             return self
-        out = np.array(
-            [[complex(v) for v in row] for row in self.mat], dtype=np.complex128
-        )
-        return DensityMatrix(out, self.layout, validate=False)
+        # Int true division is correctly rounded, exactly as float(Fraction) is.
+        re, im = self.parts
+        out = np.empty(re.shape, dtype=np.complex128)
+        out.real = re / self.den
+        out.imag = im / self.den
+        return DensityMatrix._of((out,), None, self.layout)
 
     def to_exact(self) -> "DensityMatrix":
         """Reinterpret float entries as exact rationals (entries must be exact)."""
         if self.exact:
             return self
-        out = np.empty(self.mat.shape, dtype=object)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                v = self.mat[i, j]
-                out[i, j] = QRat(Fraction(v.real), Fraction(v.imag))
-        return DensityMatrix(out, self.layout)
+        return DensityMatrix(self.mat.astype(object), self.layout)
 
     def __repr__(self):
         regs = ", ".join(f"{r.name}:{r.qubits}" for r in self.layout)
@@ -168,19 +239,13 @@ def density_matrix(mat, layout) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _zeros(dim: int, exact: bool) -> np.ndarray:
+def _real_state(num: np.ndarray, den: int, layout, exact: bool) -> DensityMatrix:
+    """The state num / den for an integer matrix `num`, in either backend."""
+    layout = _normalize_layout(layout)
     if exact:
-        out = np.empty((dim, dim), dtype=object)
-        out[:, :] = QRat(0)
-        return out
-    return np.zeros((dim, dim), dtype=np.complex128)
-
-
-def _identity(dim: int, exact: bool) -> np.ndarray:
-    out = _zeros(dim, exact)
-    for i in range(dim):
-        out[i, i] = QRat(1) if exact else 1.0
-    return out
+        re = num.astype(object)
+        return DensityMatrix._of((re, np.zeros_like(re)), den, layout)
+    return DensityMatrix._of(((num / den).astype(np.complex128),), None, layout)
 
 
 def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatrix:
@@ -189,51 +254,34 @@ def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatri
         raise MalformedKeyError(f"basis label must be a nonempty 0/1 string, got {bits!r}")
     dim = 2 ** len(bits)
     idx = int(bits, 2)
-    mat = _zeros(dim, exact)
-    mat[idx, idx] = QRat(1) if exact else 1.0
-    return DensityMatrix(mat, [(name, len(bits))], validate=False)
+    num = np.zeros((dim, dim), dtype=np.int64)
+    num[idx, idx] = 1
+    return _real_state(num, 1, [(name, len(bits))], exact)
 
 
 def maximally_mixed(qubits: int, name: str = "M", exact: bool = False) -> DensityMatrix:
     dim = 2**qubits
-    mat = _zeros(dim, exact)
-    for i in range(dim):
-        mat[i, i] = QRat(Fraction(1, dim)) if exact else 1.0 / dim
-    return DensityMatrix(mat, [(name, qubits)], validate=False)
+    return _real_state(np.eye(dim, dtype=np.int64), dim, [(name, qubits)], exact)
 
 
 def bell_state(first: str = "M", second: str = "E", exact: bool = False) -> DensityMatrix:
     """The two-qubit state (|00> + |11>)/sqrt(2) as a density matrix."""
-    mat = _zeros(4, exact)
-    half = QRat(Fraction(1, 2)) if exact else 0.5
-    for i in (0, 3):
-        for j in (0, 3):
-            mat[i, j] = half
-    return DensityMatrix(mat, [(first, 1), (second, 1)], validate=False)
+    num = np.zeros((4, 4), dtype=np.int64)
+    num[np.ix_((0, 3), (0, 3))] = 1
+    return _real_state(num, 2, [(first, 1), (second, 1)], exact)
 
 
 def plus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    mat = _zeros(2, exact)
-    half = QRat(Fraction(1, 2)) if exact else 0.5
-    mat[:, :] = half
-    return DensityMatrix(mat, [(name, 1)], validate=False)
+    return _real_state(np.array([[1, 1], [1, 1]]), 2, [(name, 1)], exact)
 
 
 def minus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    mat = _zeros(2, exact)
-    half = QRat(Fraction(1, 2)) if exact else 0.5
-    neg = -half
-    mat[0, 0] = half
-    mat[1, 1] = half
-    mat[0, 1] = neg
-    mat[1, 0] = neg
-    return DensityMatrix(mat, [(name, 1)], validate=False)
+    return _real_state(np.array([[1, -1], [-1, 1]]), 2, [(name, 1)], exact)
 
 
 def scalar_state(exact: bool = False) -> DensityMatrix:
     """The empty (zero-register) state; identity element for `tensor`."""
-    mat = _identity(1, exact)
-    return DensityMatrix(mat, [], validate=False)
+    return _real_state(np.ones((1, 1), dtype=np.int64), 1, [], exact)
 
 
 def random_pure_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatrix:
@@ -313,15 +361,16 @@ def pad_masks(key: str) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _pad_frame(dim: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat gather index, sign-flip mask and +-1.0 signs of conjugation by X^x Z^z."""
+    """Flat gather index and the +-1.0 and +-1 (int) signs of conjugation by X^x Z^z."""
     perm = np.arange(dim) ^ x
     parity = np.array([bin(i & z).count("1") % 2 for i in range(dim)], dtype=bool)
     index = perm[:, None] * dim + perm[None, :]
     flip = parity[:, None] ^ parity[None, :]
     sign = np.where(flip, -1.0, 1.0)
-    for arr in (index, flip, sign):
+    int_sign = np.where(flip, -1, 1).astype(object)
+    for arr in (index, sign, int_sign):
         arr.flags.writeable = False
-    return index, flip, sign
+    return index, sign, int_sign
 
 
 def conjugate_by_masks(mat: np.ndarray, x: int, z: int) -> np.ndarray:
@@ -330,12 +379,11 @@ def conjugate_by_masks(mat: np.ndarray, x: int, z: int) -> np.ndarray:
     Entry (i, k) of the result is (-1)^{z.i + z.k} mat[i^x, k^x], so the
     result holds the input's entries, some negated, and never a product.
     """
-    index, flip, sign = _pad_frame(mat.shape[0], x, z)
+    index, sign, int_sign = _pad_frame(mat.shape[0], x, z)
     out = mat.take(index)
     if out.dtype == object:
-        out[flip] = -out[flip]  # negate only the flipped QRat entries
-    else:
-        out *= sign
+        return out * int_sign  # int numerators times +-1: no rational arithmetic
+    out *= sign
     return out
 
 
@@ -361,8 +409,8 @@ def apply_pauli(key: str, state: DensityMatrix, target: str | None = None) -> De
             )
         # Registers after the target hold the less significant bits.
         shift = sum(r.qubits for r in state.layout[state.names.index(target) + 1 :])
-    out = conjugate_by_masks(state.mat, x << shift, z << shift)
-    return DensityMatrix(out, state.layout, validate=False)
+    x, z = x << shift, z << shift
+    return state._map(lambda part: conjugate_by_masks(part, x, z))
 
 
 def qotp_average(
@@ -374,16 +422,17 @@ def qotp_average(
         raise DimensionMismatchError(
             f"exhaustive pad average covers at most {max_qubits} qubits, got {n}"
         )
-    total = _zeros(state.dim, state.exact)
     count = 2 ** (2 * n)
-    for k in range(count):
-        x, z = pad_masks(format(k, f"0{2 * n}b"))
-        total = total + conjugate_by_masks(state.mat, x, z)
+    masks = [pad_masks(format(k, f"0{2 * n}b")) for k in range(count)]
+    totals = []
+    for part in state.parts:
+        total = np.zeros_like(part)
+        for x, z in masks:
+            total = total + conjugate_by_masks(part, x, z)
+        totals.append(total)
     if state.exact:
-        weight = QRat(Fraction(1, count))
-    else:
-        weight = 1.0 / count
-    return DensityMatrix(total * weight, state.layout, validate=False)
+        return DensityMatrix._of(totals, state.den * count, state.layout)
+    return DensityMatrix._of([totals[0] * (1.0 / count)], None, state.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -395,37 +444,73 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated register layout."""
     if a.exact != b.exact:
         raise ExactModeError("cannot tensor an exact state with a float state")
+    if a.exact:
+        (a_re, a_im), (b_re, b_im) = a.parts, b.parts
+        re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
+        im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
+        layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
+        return DensityMatrix._of((re, im), a.den * b.den, layout)
     if a.qubits == 0:
-        return DensityMatrix(b.mat * a.mat[0, 0], b.layout, validate=False)
+        return DensityMatrix._of((b.mat * a.mat[0, 0],), None, b.layout)
     if b.qubits == 0:
-        return DensityMatrix(a.mat * b.mat[0, 0], a.layout, validate=False)
+        return DensityMatrix._of((a.mat * b.mat[0, 0],), None, a.layout)
     layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
-    return DensityMatrix(np.kron(a.mat, b.mat), layout, validate=False)
+    return DensityMatrix._of((np.kron(a.mat, b.mat),), None, layout)
 
 
-def _split_targets(state: DensityMatrix, targets: tuple[str, ...]):
-    """Reshape to (T, R, T, R) with the target registers moved in front."""
-    names = list(state.names)
+def _index_bits(index: int, qubits: int) -> str:
+    return format(index, f"0{qubits}b") if qubits else ""
+
+
+class _Split(NamedTuple):
+    """How to view a part as (T, R, T, R), the target registers in front."""
+
+    shape: tuple[int, ...]  # register dimensions, twice (row and column)
+    axes: tuple[int, ...]  # targets first, then the rest; rows, then columns
+    t_dim: int
+    r_dim: int
+    rest_layout: tuple[Register, ...]
+    t_qubits: int
+    labels: tuple[str, ...]  # outcome bits of each target index
+
+    def __call__(self, part: np.ndarray) -> np.ndarray:
+        arr = part.reshape(self.shape).transpose(self.axes)
+        return arr.reshape(self.t_dim, self.r_dim, self.t_dim, self.r_dim)
+
+    def diagonal(self, part: np.ndarray) -> np.ndarray:
+        """The diagonal of a part as (T, R)."""
+        k = len(self.shape) // 2
+        arr = part.diagonal().reshape(self.shape[:k]).transpose(self.axes[:k])
+        return arr.reshape(self.t_dim, self.r_dim)
+
+
+def _split_targets(state: DensityMatrix, targets: tuple[str, ...]) -> _Split:
+    return _split_layout(state.layout, tuple(targets))
+
+
+@lru_cache(maxsize=1024)
+def _split_layout(layout: tuple[Register, ...], targets: tuple[str, ...]) -> _Split:
+    names = [r.name for r in layout]
     for t in targets:
         if t not in names:
-            raise LayoutError(f"unknown register {t!r}; have {state.names}")
+            raise LayoutError(f"unknown register {t!r}; have {tuple(names)}")
     if len(set(targets)) != len(targets):
         raise LayoutError(f"repeated register in {targets}")
     t_pos = [names.index(t) for t in targets]
     r_pos = [i for i in range(len(names)) if i not in t_pos]
-    dims = [2**r.qubits for r in state.layout]
-    k = len(dims)
-    arr = state.mat.reshape(dims + dims)
+    dims = [2**r.qubits for r in layout]
     perm = t_pos + r_pos
-    arr = arr.transpose([*perm, *[k + i for i in perm]])
-    t_dim = 1
-    for i in t_pos:
-        t_dim *= dims[i]
-    r_dim = state.dim // t_dim
-    arr = arr.reshape(t_dim, r_dim, t_dim, r_dim)
-    rest_layout = tuple(state.layout[i] for i in r_pos)
-    t_qubits = sum(state.layout[i].qubits for i in t_pos)
-    return arr, t_dim, r_dim, rest_layout, t_qubits
+    t_dim = math.prod(dims[i] for i in t_pos)
+    t_qubits = sum(layout[i].qubits for i in t_pos)
+    return _Split(
+        shape=tuple(dims + dims),
+        axes=(*perm, *[len(dims) + i for i in perm]),
+        t_dim=t_dim,
+        r_dim=math.prod(dims) // t_dim,
+        rest_layout=tuple(layout[i] for i in r_pos),
+        t_qubits=t_qubits,
+        labels=tuple(_index_bits(t, t_qubits) for t in range(t_dim)),
+    )
 
 
 def _as_names(targets) -> tuple[str, ...]:
@@ -439,15 +524,16 @@ def partial_trace(state: DensityMatrix, drop) -> DensityMatrix:
     targets = _as_names(drop)
     if not targets:
         return state
-    arr, t_dim, r_dim, rest_layout, _ = _split_targets(state, targets)
-    out = _zeros(r_dim, state.exact)
-    for t in range(t_dim):
-        out = out + arr[t, :, t, :]
-    return DensityMatrix(out, rest_layout, validate=False)
+    split = _split_targets(state, targets)
 
+    def trace_out(part: np.ndarray) -> np.ndarray:
+        arr = split(part)
+        out = np.zeros((split.r_dim, split.r_dim), dtype=part.dtype)
+        for t in range(split.t_dim):
+            out = out + arr[t, :, t, :]
+        return out
 
-def _index_bits(index: int, qubits: int) -> str:
-    return format(index, f"0{qubits}b") if qubits else ""
+    return state._map(trace_out, split.rest_layout)
 
 
 def measurement_distribution(state: DensityMatrix, targets) -> dict:
@@ -456,25 +542,24 @@ def measurement_distribution(state: DensityMatrix, targets) -> dict:
     Keys are the concatenated outcome bits in the order the targets were
     given; values are Fractions for exact states, floats otherwise.
     """
-    names = _as_names(targets)
-    arr, t_dim, r_dim, _, t_qubits = _split_targets(state, names)
-    dist = {}
-    for t in range(t_dim):
-        if state.exact:
-            p = Fraction(0)
-            for j in range(r_dim):
-                p += as_fraction(arr[t, j, t, j])
-        else:
-            p = 0.0
-            for j in range(r_dim):
-                p += arr[t, j, t, j].real
-            p = float(max(p, 0.0))
-        dist[_index_bits(t, t_qubits)] = p
-    total = sum(dist.values())
+    split = _split_targets(state, _as_names(targets))
     if state.exact:
-        if total != 1:
-            raise MeasurementError(f"outcome probabilities sum to {total}")
-    elif abs(total - 1.0) > TOL_PSD:
+        # Outcome t weighs the sum of the diagonal numerators in block (t, t).
+        sums = split.diagonal(state.parts[0]).sum(axis=1)
+        if sum(sums) != state.den:
+            raise MeasurementError(
+                f"outcome probabilities sum to {Fraction(sum(sums), state.den)}"
+            )
+        return {label: Fraction(s, state.den) for label, s in zip(split.labels, sums)}
+    arr = split(state.mat)
+    dist = {}
+    for t in range(split.t_dim):
+        p = 0.0
+        for j in range(split.r_dim):
+            p += arr[t, j, t, j].real
+        dist[split.labels[t]] = float(max(p, 0.0))
+    total = sum(dist.values())
+    if abs(total - 1.0) > TOL_PSD:
         raise MeasurementError(f"outcome probabilities sum to {total}")
     return dist
 
@@ -498,21 +583,25 @@ def measure_computational(
     if float(p) <= 0.0:
         raise MeasurementError(f"sampled outcome {outcome} has probability zero")
 
-    arr, t_dim, r_dim, rest_layout, _ = _split_targets(state, names)
+    split = _split_targets(state, names)
     t = int(outcome, 2) if outcome else 0
+    blocks = [split(part)[t, :, t, :] for part in state.parts]
+    if state.exact:
+        den = blocks[0].trace()  # the block over its own trace, p * state.den
+    else:
+        den = None
+        blocks = [blocks[0] * (1.0 / p)]
     # Rebuild the projected matrix in the permuted basis, then wrap it with
     # the permuted layout: target registers first, the rest in order.
-    proj = _zeros(t_dim * r_dim, state.exact)
-    block = arr[t, :, t, :]
-    if state.exact:
-        scale = QRat(1 / p)
-    else:
-        scale = 1.0 / p
-    lo = t * r_dim
-    proj[lo : lo + r_dim, lo : lo + r_dim] = block * scale
-    new_layout = tuple(state.register(n) for n in names) + rest_layout
-    post = DensityMatrix(proj, new_layout, validate=False)
-    return outcome, post
+    size = split.t_dim * split.r_dim
+    lo, hi = t * split.r_dim, (t + 1) * split.r_dim
+    parts = []
+    for block in blocks:
+        proj = np.zeros((size, size), dtype=block.dtype)
+        proj[lo:hi, lo:hi] = block
+        parts.append(proj)
+    new_layout = tuple(state.register(n) for n in names) + split.rest_layout
+    return outcome, DensityMatrix._of(parts, den, new_layout)
 
 
 def measure_registers_into(
@@ -531,25 +620,28 @@ def measure_registers_into(
     downstream test compare the recorded value against a held-out register.
     """
     names = _as_names(targets)
-    arr, t_dim, r_dim, rest_layout, t_qubits = _split_targets(state, names)
-    if any(r.name == out_name for r in rest_layout):
+    split = _split_targets(state, names)
+    if any(r.name == out_name for r in split.rest_layout):
         raise LayoutError(f"output register {out_name!r} collides with an existing one")
-    out_dim = 2**out_qubits
-    total = _zeros(out_dim * r_dim, state.exact)
-    for t in range(t_dim):
-        label = fn(_index_bits(t, t_qubits))
+    labels = []
+    for t in range(split.t_dim):
+        label = fn(split.labels[t])
         if len(label) != out_qubits or any(b not in "01" for b in label):
             raise MalformedKeyError(
                 f"outcome function returned {label!r}, expected {out_qubits} bits"
             )
-        e = int(label, 2)
-        block = arr[t, :, t, :]
-        lo = e * r_dim
-        total[lo : lo + r_dim, lo : lo + r_dim] = (
-            total[lo : lo + r_dim, lo : lo + r_dim] + block
-        )
-    layout = (Register(out_name, out_qubits),) + rest_layout
-    return DensityMatrix(total, layout, validate=False)
+        labels.append(int(label, 2))
+    r_dim = split.r_dim
+
+    def record(part: np.ndarray) -> np.ndarray:
+        arr = split(part)
+        total = np.zeros((2**out_qubits * r_dim,) * 2, dtype=part.dtype)
+        for t, e in enumerate(labels):
+            lo, hi = e * r_dim, (e + 1) * r_dim
+            total[lo:hi, lo:hi] = total[lo:hi, lo:hi] + arr[t, :, t, :]
+        return total
+
+    return state._map(record, (Register(out_name, out_qubits),) + split.rest_layout)
 
 
 def rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:
@@ -559,7 +651,7 @@ def rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:
     layout = tuple(
         Register(new, r.qubits) if r.name == old else r for r in state.layout
     )
-    return DensityMatrix(state.mat, layout, validate=False)
+    return DensityMatrix._of(state.parts, state.den, layout)
 
 
 def replace_with_zero_state(state: DensityMatrix, name: str) -> DensityMatrix:

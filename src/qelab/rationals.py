@@ -1,10 +1,13 @@
-"""Exact complex-rational scalars for enumeration-mode linear algebra.
+"""Exact complex-rational scalars for building and reading exact matrices.
 
 Float sums of Pauli conjugations leave ~1e-16 residue, which would turn
-"advantage is exactly zero" claims into tolerance checks.  Enumeration mode
-therefore carries density matrices as numpy object arrays of `QRat` values
-(a Gaussian rational: Fraction real part, Fraction imaginary part), so every
-probability that comes out of an exact game run is a `fractions.Fraction`.
+"advantage is exactly zero" claims into tolerance checks, so enumeration
+mode computes exactly.  An exact `DensityMatrix` stores Gaussian-integer
+numerators over one common denominator (see `qelab.quantum`), not `QRat`
+values.  `QRat` (a Gaussian rational: Fraction real part, Fraction
+imaginary part) is the entry type for matrices built or read by hand:
+`DensityMatrix` accepts an object matrix of `QRat` entries, and an exact
+state's `mat` is a read-only `QRat` matrix.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class QRat:
 
     def __repr__(self):
         return f"QRat({self.re!s}, {self.im!s})"
-
-
-QRAT_ZERO = QRat(0)
-QRAT_ONE = QRat(1)
 
 
 def as_fraction(value) -> Fraction:

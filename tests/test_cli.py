@@ -165,20 +165,25 @@ def test_correctness_on_undecryptable_scheme_is_usage_error():
     assert err.value.code == 2
 
 
+_GAME = ["game", "--game", "ind", "--scheme", "identity", "--n", "1"]
+_CORRECTNESS = ["correctness", "--scheme", "identity", "--n", "1", "--qubits", "1"]
+
+
 @pytest.mark.parametrize(
-    "extra, message",
+    "argv, message",
     [
-        (["--trials", "0"], "trials must be at least 1"),
-        (["--seed", "-1"], "seed must be a 64-bit unsigned integer"),
-        (["--qubits", "4", "--exact"], "exact mode supports at most 3 plaintext qubits"),
+        (_GAME + ["--trials", "0"], "trials must be at least 1"),
+        (_GAME + ["--seed", "-1"], "seed must be a 64-bit unsigned integer"),
+        (_GAME + ["--qubits", "4", "--exact"], "exact mode supports at most 3 plaintext qubits"),
+        (_CORRECTNESS + ["--keys", "0"], "keys must be at least 1"),
+        (_CORRECTNESS + ["--keys", "-3"], "keys must be at least 1"),
     ],
-    ids=["trials-0", "seed-negative", "exact-4-qubits"],
+    ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative"],
 )
-def test_out_of_range_parameter_is_usage_error(extra, message):
+def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "qelab.cli", "game", "--game", "ind", "--scheme", "identity",
-         "--n", "1", *extra],
+        [sys.executable, "-m", "qelab.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},

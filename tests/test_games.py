@@ -16,6 +16,7 @@ from qelab.games import (
     run_sem3,
 )
 from qelab.quantum import basis_state, maximally_mixed, tensor
+from qelab.rationals import QRat
 from qelab.reductions import reduction_ind_to_sem
 from qelab.rng import Stream
 from qelab.roles import (
@@ -169,6 +170,24 @@ def test_exact_size_guard_reads_the_scheme_qubits(game):
         game(IdentityScheme(1, 4), mgen, ConstantDistinguisher(1),
              config=GameConfig(qubits=1, exact=True))
     assert mgen.calls == 0
+
+
+def test_exact_ind_builds_no_qrat(monkeypatch):
+    built = []
+    init = QRat.__init__
+
+    def counting_init(self, re=0, im=0):
+        built.append(1)
+        init(self, re, im)
+
+    monkeypatch.setattr(QRat, "__init__", counting_init)
+    scheme = PrfSymmetricScheme(2, 3, setup_rng=Stream(7))
+    est = run_ind(scheme, BasisMessage("111"), MeasureEqualsDistinguisher("111", "M"),
+                  None, GameConfig(n=2, qubits=3, exact=True, seed=7))
+    assert isinstance(est.p_real_exact, Fraction) and isinstance(est.p_ideal_exact, Fraction)
+    assert built == []
+    QRat(1)
+    assert len(built) == 1  # the counter sees a QRat when one is built
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,8 @@ def _same(a, b):
     return np.array_equal(a, b)
 
 
-def _dyadic_state(values, layout):
-    """A Hermitian matrix of eighths filled from `values`; kernels do not need a state."""
+def _dyadic_matrix(values, layout):
+    """A Hermitian QRat matrix of eighths filled from `values`."""
     qubits = sum(q for _, q in layout)
     dim = 2**qubits
     values = iter(values)
@@ -233,7 +233,12 @@ def _dyadic_state(values, layout):
         for j in range(i + 1, dim):
             mat[i, j] = QRat(Fraction(next(values), 8), Fraction(next(values), 8))
             mat[j, i] = mat[i, j].conjugate()
-    return DensityMatrix(mat, layout, validate=False)
+    return mat
+
+
+def _dyadic_state(values, layout):
+    """`_dyadic_matrix` as an unvalidated state; kernels do not need a unit trace."""
+    return DensityMatrix(_dyadic_matrix(values, layout), layout, validate=False)
 
 
 def _both_backends(values, layout):
@@ -360,17 +365,23 @@ def test_partial_trace_exact_matches_float_on_random_dyadic_states(case):
     assert _close(partial_trace(exact, drop), partial_trace(flt, drop))
 
 
+def _measurable_state(values, layout, data):
+    """An exact `_dyadic_matrix` state whose diagonal is dyadic and sums to one."""
+    dim = 2 ** sum(q for _, q in layout)
+    # 2^k outcomes of weight 2^-k each.
+    k = data.draw(st.integers(0, 3))
+    hits = data.draw(st.lists(st.integers(0, dim - 1), min_size=2**k, max_size=2**k))
+    mat = _dyadic_matrix(values, layout)
+    for i in range(dim):
+        mat[i, i] = QRat(Fraction(hits.count(i), 2**k))
+    return DensityMatrix(mat, layout, validate=False)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_register_cases(), st.data())
 def test_measurement_distribution_exact_matches_float_on_random_dyadic_states(case, data):
     values, layout, targets = case
-    dim = 2 ** sum(q for _, q in layout)
-    # A dyadic diagonal summing to one: 2^k outcomes of weight 2^-k each.
-    k = data.draw(st.integers(0, 3))
-    hits = data.draw(st.lists(st.integers(0, dim - 1), min_size=2**k, max_size=2**k))
-    exact = _dyadic_state(values, layout)
-    for i in range(dim):
-        exact.mat[i, i] = QRat(Fraction(hits.count(i), 2**k))
+    exact = _measurable_state(values, layout, data)
     flt = exact.to_float()
     got_exact = measurement_distribution(exact, targets)
     got_float = measurement_distribution(flt, targets)
@@ -379,6 +390,46 @@ def test_measurement_distribution_exact_matches_float_on_random_dyadic_states(ca
     for outcome, p in got_exact.items():
         assert isinstance(p, Fraction)
         assert abs(float(p) - got_float[outcome]) < TOL_ALGEBRA
+
+
+@settings(max_examples=40, deadline=None)
+@given(_register_cases(), st.integers(0, 2**32 - 1), st.data())
+def test_measure_computational_exact_matches_float_on_random_dyadic_states(case, seed, data):
+    values, layout, targets = case
+    exact = _measurable_state(values, layout, data)
+    flt = exact.to_float()
+    outcome_exact, post_exact = measure_computational(exact, targets, Stream(seed))
+    outcome_float, post_float = measure_computational(flt, targets, Stream(seed))
+    assert outcome_exact == outcome_float
+    assert post_exact.exact
+    assert _close(post_exact, post_float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_register_cases(), st.data())
+def test_measure_registers_into_exact_matches_float_on_random_dyadic_states(case, data):
+    values, layout, targets = case
+    exact, flt = _both_backends(values, layout)
+    width = sum(dict(layout)[t] for t in targets)
+    table = data.draw(st.lists(st.sampled_from("01"), min_size=2**width, max_size=2**width))
+
+    def fn(bits):
+        return table[int(bits, 2)]
+
+    got = measure_registers_into(exact, targets, fn)
+    assert got.exact
+    assert _close(got, measure_registers_into(flt, targets, fn))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_LAYOUTS)), st.data())
+def test_qotp_average_exact_matches_float_on_random_dyadic_states(shape, data):
+    layout = _LAYOUTS[shape]
+    values = _dyadic_values(data.draw, sum(q for _, q in layout))
+    exact, flt = _both_backends(values, layout)
+    got = qotp_average(exact)
+    assert got.exact
+    assert _close(got, qotp_average(flt))
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +652,53 @@ def test_exact_float_round_trips():
     back = f.to_exact()
     assert back.exact
     assert trace_distance(back, b) < 1e-15
+
+
+def test_exact_state_from_qrat_matrix_is_checked_and_reads_back():
+    mat = np.array(
+        [
+            [QRat(Fraction(3, 4)), QRat(Fraction(1, 8), Fraction(-1, 3))],
+            [QRat(Fraction(1, 8), Fraction(1, 3)), QRat(Fraction(1, 4))],
+        ],
+        dtype=object,
+    )
+    state = DensityMatrix(mat, [("M", 1)])
+    assert state.exact and state.den == 24
+    assert _same(state.mat, mat)
+    assert not state.mat.flags.writeable
+    assert _same(DensityMatrix(np.array([[1, 0], [0, 0]], dtype=object), [("M", 1)]).mat,
+                 np.array([[QRat(1), QRat(0)], [QRat(0), QRat(0)]], dtype=object))
+
+    bad_trace = mat.copy()
+    bad_trace[1, 1] = QRat(Fraction(1, 2))
+    with pytest.raises(LayoutError, match="trace 5/4"):
+        DensityMatrix(bad_trace, [("M", 1)])
+    not_hermitian = mat.copy()
+    not_hermitian[1, 0] = mat[0, 1]
+    with pytest.raises(LayoutError, match="not Hermitian"):
+        DensityMatrix(not_hermitian, [("M", 1)])
+    imaginary_diagonal = mat.copy()
+    imaginary_diagonal[0, 0] = QRat(Fraction(3, 4), 1)
+    with pytest.raises(LayoutError, match="not Hermitian"):
+        DensityMatrix(imaginary_diagonal, [("M", 1)])
+
+
+def test_exact_state_keeps_denominators_beyond_int64():
+    # Each factor's denominator fits in 64 bits; their product does not.
+    def weighted(name, weight):
+        mat = np.array([[weight, 0], [0, 1 - weight]], dtype=object)
+        return DensityMatrix(mat, [(name, 1)])
+
+    a, b = weighted("A", Fraction(1, 3**20)), weighted("B", Fraction(1, 5**15))
+    ab = tensor(a, b)
+    assert a.den < 2**63 and b.den < 2**63 < ab.den
+    density_matrix(ab.mat, ab.layout)  # trace exactly 1
+    wa, wb = Fraction(1, 3**20), Fraction(1, 5**15)
+    assert measurement_distribution(ab, ("A", "B")) == {
+        "00": wa * wb, "01": wa * (1 - wb), "10": (1 - wa) * wb, "11": (1 - wa) * (1 - wb),
+    }
+    assert measurement_distribution(ab, "B") == {"0": wb, "1": 1 - wb}
+    outcome, post = measure_computational(ab, "A", Stream(3))
+    assert measurement_distribution(post, "B") == {"0": wb, "1": 1 - wb}
+    assert partial_trace(ab, "B").mat[0, 0] == QRat(wa)
+    assert _close(ab, tensor(a.to_float(), b.to_float()))
