@@ -239,13 +239,17 @@ def density_matrix(mat, layout) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _real_state(num: np.ndarray, den: int, layout, exact: bool) -> DensityMatrix:
-    """The state num / den for an integer matrix `num`, in either backend."""
+def _zeros(dim: int, exact: bool) -> np.ndarray:
+    """Zero numerators (Python ints) when exact, complex zeros otherwise."""
+    return np.zeros((dim, dim), dtype=object if exact else np.complex128)
+
+
+def _state(mat: np.ndarray, den: int, layout) -> DensityMatrix:
+    """Wrap a constructor's matrix; an exact one holds integer numerators over `den`."""
     layout = _normalize_layout(layout)
-    if exact:
-        re = num.astype(object)
-        return DensityMatrix._of((re, np.zeros_like(re)), den, layout)
-    return DensityMatrix._of(((num / den).astype(np.complex128),), None, layout)
+    if mat.dtype == object:
+        return DensityMatrix._of((mat, np.zeros_like(mat)), den, layout)
+    return DensityMatrix._of((mat,), None, layout)
 
 
 def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatrix:
@@ -254,34 +258,43 @@ def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatri
         raise MalformedKeyError(f"basis label must be a nonempty 0/1 string, got {bits!r}")
     dim = 2 ** len(bits)
     idx = int(bits, 2)
-    num = np.zeros((dim, dim), dtype=np.int64)
-    num[idx, idx] = 1
-    return _real_state(num, 1, [(name, len(bits))], exact)
+    mat = _zeros(dim, exact)
+    mat[idx, idx] = 1
+    return _state(mat, 1, [(name, len(bits))])
 
 
 def maximally_mixed(qubits: int, name: str = "M", exact: bool = False) -> DensityMatrix:
     dim = 2**qubits
-    return _real_state(np.eye(dim, dtype=np.int64), dim, [(name, qubits)], exact)
+    mat = _zeros(dim, exact)
+    np.fill_diagonal(mat, 1 if exact else 1.0 / dim)
+    return _state(mat, dim, [(name, qubits)])
 
 
 def bell_state(first: str = "M", second: str = "E", exact: bool = False) -> DensityMatrix:
     """The two-qubit state (|00> + |11>)/sqrt(2) as a density matrix."""
-    num = np.zeros((4, 4), dtype=np.int64)
-    num[np.ix_((0, 3), (0, 3))] = 1
-    return _real_state(num, 2, [(first, 1), (second, 1)], exact)
+    mat = _zeros(4, exact)
+    mat[np.ix_((0, 3), (0, 3))] = 1 if exact else 0.5
+    return _state(mat, 2, [(first, 1), (second, 1)])
 
 
 def plus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    return _real_state(np.array([[1, 1], [1, 1]]), 2, [(name, 1)], exact)
+    mat = _zeros(2, exact)
+    mat[:, :] = 1 if exact else 0.5
+    return _state(mat, 2, [(name, 1)])
 
 
 def minus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    return _real_state(np.array([[1, -1], [-1, 1]]), 2, [(name, 1)], exact)
+    mat = _zeros(2, exact)
+    half = 1 if exact else 0.5
+    mat[:, :] = [[half, -half], [-half, half]]
+    return _state(mat, 2, [(name, 1)])
 
 
 def scalar_state(exact: bool = False) -> DensityMatrix:
     """The empty (zero-register) state; identity element for `tensor`."""
-    return _real_state(np.ones((1, 1), dtype=np.int64), 1, [], exact)
+    mat = _zeros(1, exact)
+    mat[0, 0] = 1
+    return _state(mat, 1, [])
 
 
 def random_pure_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatrix:
