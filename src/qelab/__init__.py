@@ -37,8 +37,6 @@ from .primitives import (
     hardcore_eval,
     prf_distinguisher_advantage,
     prg_iterated,
-    random_function_oracle,
-    toy_towp_new,
 )
 from .quantum import (
     MAX_EXHAUSTIVE_QUBITS,

@@ -19,6 +19,7 @@ from .errors import ParameterError, QelabError
 from .estimate import AdvantageEstimate
 from .games import (
     GAME_NAMES,
+    POLICIES,
     GameConfig,
     GeneratorFunctionPair,
     OraclePolicy,
@@ -120,11 +121,7 @@ def _ind_roles(bundle: str, qubits: int):
 
 def _run_game(game: str, scheme, bundle: str, config: GameConfig) -> AdvantageEstimate:
     qubits = scheme.qubits
-    policy = {
-        "plain": OraclePolicy.plain,
-        "cpa": OraclePolicy.cpa,
-        "cca1": OraclePolicy.cca1,
-    }[_GAME_POLICIES[game]]()
+    policy = POLICIES[_GAME_POLICIES[game]]()
     if game in ("ind", "ind-cpa", "ind-cca1"):
         mgen, dist = _ind_roles(bundle, qubits)
         return run_ind(scheme, mgen, dist, policy, config)

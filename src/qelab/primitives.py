@@ -191,11 +191,6 @@ class ToyRsaPermutationFamily:
         return int(bits, 2)
 
 
-def toy_towp_new(security: int, rng: Stream | None = None) -> ToyRsaPermutationFamily:
-    """A concrete trapdoor permutation family at the given toy security level."""
-    return ToyRsaPermutationFamily(security)
-
-
 # ---------------------------------------------------------------------------
 # Hard-core predicate
 # ---------------------------------------------------------------------------
@@ -267,6 +262,11 @@ class IteratedPermutationPrg:
 
     Tree constructions hand around arbitrary bitstrings, so the seed is
     first embedded into the permutation domain deterministically.
+    Expansions are cached per instance, keyed by the seed: the output is
+    a fixed function of the seed once the family, index, predicate and
+    lengths are set, and a tree walk expands the same few seeds over and
+    over.  Only validated seeds are cached, so the cache holds at most
+    2^seed_len entries.
     """
 
     def __init__(
@@ -284,14 +284,19 @@ class IteratedPermutationPrg:
         self.seed_len = seed_len
         self.out_len = out_len
         self.hc = hc or InnerProductPredicate()
+        self._memo: dict[str, str] = {}
 
     def expand(self, seed: str) -> str:
-        if len(seed) != self.seed_len or any(b not in "01" for b in seed):
-            raise MalformedKeyError(
-                f"seed must be {self.seed_len} bits of 0/1, got {seed!r}"
-            )
-        d = embed_seed(self.index, seed)
-        return prg_iterated(self.family, self.hc, self.index, d, self.out_len)
+        hit = self._memo.get(seed)
+        if hit is None:
+            if len(seed) != self.seed_len or any(b not in "01" for b in seed):
+                raise MalformedKeyError(
+                    f"seed must be {self.seed_len} bits of 0/1, got {seed!r}"
+                )
+            d = embed_seed(self.index, seed)
+            hit = prg_iterated(self.family, self.hc, self.index, d, self.out_len)
+            self._memo[seed] = hit
+        return hit
 
 
 class ConstantPrg:
@@ -411,10 +416,6 @@ class RandomFunctionOracle:
         return hit
 
     __call__ = query
-
-
-def random_function_oracle(in_len: int, out_len: int, rng: Stream) -> RandomFunctionOracle:
-    return RandomFunctionOracle(in_len, out_len, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -453,14 +453,24 @@ def qotp_average(
 # ---------------------------------------------------------------------------
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.kron` of two matrices as one broadcast multiply and a reshape.
+
+    Every entry is the same single product a[i, j] * b[k, l], so the
+    result equals `np.kron` exactly, without its generic-rank set-up.
+    """
+    (m1, m2), (n1, n2) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m1 * n1, m2 * n2)
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated register layout."""
     if a.exact != b.exact:
         raise ExactModeError("cannot tensor an exact state with a float state")
     if a.exact:
         (a_re, a_im), (b_re, b_im) = a.parts, b.parts
-        re = np.kron(a_re, b_re) - np.kron(a_im, b_im)
-        im = np.kron(a_re, b_im) + np.kron(a_im, b_re)
+        re = _kron(a_re, b_re) - _kron(a_im, b_im)
+        im = _kron(a_re, b_im) + _kron(a_im, b_re)
         layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
         return DensityMatrix._of((re, im), a.den * b.den, layout)
     if a.qubits == 0:
@@ -468,7 +478,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if b.qubits == 0:
         return DensityMatrix._of((a.mat * b.mat[0, 0],), None, a.layout)
     layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
-    return DensityMatrix._of((np.kron(a.mat, b.mat),), None, layout)
+    return DensityMatrix._of((_kron(a.mat, b.mat),), None, layout)
 
 
 def _index_bits(index: int, qubits: int) -> str:

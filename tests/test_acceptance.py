@@ -25,9 +25,9 @@ from qelab.primitives import (
     GgmPrf,
     InnerProductPredicate,
     IteratedPermutationPrg,
+    ToyRsaPermutationFamily,
     prf_distinguisher_advantage,
     prg_iterated,
-    toy_towp_new,
 )
 from qelab.quantum import (
     basis_state,
@@ -140,7 +140,7 @@ def test_criterion_3_public_scheme_pad_identity_exhaustive():
 
 def test_criterion_4_primitive_oracle_equivalence():
     start = time.monotonic()
-    fam = toy_towp_new(6)
+    fam = ToyRsaPermutationFamily(6)
     index, _ = fam.generate(Stream(9).child("gen"))  # seed 9: modest modulus
     hc = InnerProductPredicate()
 
@@ -186,7 +186,7 @@ def test_criterion_4_primitive_oracle_equivalence():
 
 
 def test_criterion_5_permutation_inversion_exhaustive():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     failures = 0
     total = 0
     for s in range(5):

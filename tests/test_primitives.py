@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qelab import primitives
 from qelab.errors import EnumerationCapError, MalformedKeyError
 from qelab.primitives import (
     ConstantPrf,
@@ -21,10 +22,9 @@ from qelab.primitives import (
     hardcore_eval,
     prf_distinguisher_advantage,
     prg_iterated,
-    random_function_oracle,
-    toy_towp_new,
 )
 from qelab.rng import Stream
+from qelab.schemes import build_scheme
 
 VECTORS = json.loads(
     (Path(__file__).parent / "data" / "primitive_vectors.json").read_text()
@@ -37,7 +37,7 @@ VECTORS = json.loads(
 
 
 def test_generate_and_exhaustive_inversion_small():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     for seed in range(3):
         index, trapdoor = fam.generate(Stream(seed).child("g"))
         domain = fam.domain(index)
@@ -50,7 +50,7 @@ def test_generate_and_exhaustive_inversion_small():
 
 
 def test_sample_stays_in_domain():
-    fam = toy_towp_new(5)
+    fam = ToyRsaPermutationFamily(5)
     index, _ = fam.generate(Stream(1).child("g"))
     rng = Stream(2)
     for i in range(200):
@@ -59,7 +59,7 @@ def test_sample_stays_in_domain():
 
 
 def test_distinct_seeds_reach_distinct_moduli():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     moduli = {fam.generate(Stream(s).child("g"))[0].modulus for s in range(10)}
     assert len(moduli) >= 3
 
@@ -72,7 +72,7 @@ def test_security_parameter_range():
 
 
 def test_evaluate_rejects_non_units():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(3).child("g"))
     with pytest.raises(DomainError):
         fam.evaluate(index, 0)
@@ -85,14 +85,14 @@ def test_evaluate_rejects_non_units():
 
 
 def test_domain_cap():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(4).child("g"))
     with pytest.raises(EnumerationCapError):
         fam.domain(index, cap=10)
 
 
 def test_element_and_key_codecs():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, trapdoor = fam.generate(Stream(5).child("g"))
     x = fam.sample(index, Stream(6))
     bits = fam.encode_element(index, x)
@@ -105,7 +105,7 @@ def test_element_and_key_codecs():
 
 
 def test_regression_vectors_towp():
-    fam = toy_towp_new(6)
+    fam = ToyRsaPermutationFamily(6)
     for entry in VECTORS["towp"]:
         index = TowpIndex(entry["modulus"], entry["exponent"], entry["mask"])
         trapdoor = TowpTrapdoor(entry["modulus"], entry["inverse_exponent"])
@@ -134,7 +134,7 @@ def test_predicate_all_ones_mask_is_parity():
 
 
 def test_hardcore_eval_enforces_domain():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(7).child("g"))
     hc = InnerProductPredicate()
     x = fam.sample(index, Stream(8))
@@ -144,7 +144,7 @@ def test_hardcore_eval_enforces_domain():
 
 
 def test_predicate_regression_at_n6():
-    fam = toy_towp_new(6)
+    fam = ToyRsaPermutationFamily(6)
     index, _ = fam.generate(Stream(9).child("g"))
     hc = InnerProductPredicate()
     rng = Stream(10)
@@ -161,7 +161,7 @@ def test_predicate_regression_at_n6():
 
 
 def test_prg_length_one_is_seed_bit():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(11).child("g"))
     hc = InnerProductPredicate()
     d = fam.sample(index, Stream(12))
@@ -170,7 +170,7 @@ def test_prg_length_one_is_seed_bit():
 
 def test_prg_length_two_ordering():
     # first output bit belongs to the image, second to the seed itself
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(13).child("g"))
     hc = InnerProductPredicate()
     d = fam.sample(index, Stream(14))
@@ -179,7 +179,7 @@ def test_prg_length_two_ordering():
 
 
 def test_prg_matches_iterate_then_map_oracle_exhaustively():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(15).child("g"))
     hc = InnerProductPredicate()
     for d in fam.domain(index):
@@ -192,7 +192,7 @@ def test_prg_matches_iterate_then_map_oracle_exhaustively():
 
 
 def test_prg_rejects_bad_inputs():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(16).child("g"))
     hc = InnerProductPredicate()
     with pytest.raises(DomainError):
@@ -203,7 +203,7 @@ def test_prg_rejects_bad_inputs():
 
 
 def test_prg_regression_vectors():
-    fam = toy_towp_new(6)
+    fam = ToyRsaPermutationFamily(6)
     hc = InnerProductPredicate()
     for entry in VECTORS["prg"]:
         index = TowpIndex(entry["modulus"], entry["exponent"], entry["mask"])
@@ -212,7 +212,7 @@ def test_prg_regression_vectors():
 
 
 def test_embed_seed_deterministic_and_in_domain():
-    fam = toy_towp_new(4)
+    fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(18).child("g"))
     for v in range(32):
         bits = format(v, "05b")
@@ -224,7 +224,7 @@ def test_embed_seed_deterministic_and_in_domain():
 
 
 def test_wrapped_prg_shape():
-    fam = toy_towp_new(5)
+    fam = ToyRsaPermutationFamily(5)
     index, _ = fam.generate(Stream(19).child("g"))
     prg = IteratedPermutationPrg(fam, index, seed_len=5, out_len=10)
     out = prg.expand("10110")
@@ -234,13 +234,67 @@ def test_wrapped_prg_shape():
         prg.expand("101")
 
 
+def test_expand_caches_per_seed_and_matches_direct_generator():
+    fam = ToyRsaPermutationFamily(6)
+    index, _ = fam.generate(Stream(23).child("g"))
+    prg = IteratedPermutationPrg(fam, index, seed_len=4, out_len=8)
+    for v in range(16):
+        seed = format(v, "04b")
+        direct = prg_iterated(fam, prg.hc, index, embed_seed(index, seed), 8)
+        assert prg.expand(seed) == direct  # first call: computed
+        assert prg.expand(seed) == direct  # repeated call: cached
+
+
+def test_expand_validates_seeds_after_caching():
+    fam = ToyRsaPermutationFamily(5)
+    index, _ = fam.generate(Stream(19).child("g"))
+    prg = IteratedPermutationPrg(fam, index, seed_len=5, out_len=10)
+    prg.expand("10110")
+    for bad in ("1011", "101100", "10112", "1011a"):
+        with pytest.raises(MalformedKeyError, match="seed must be 5 bits of 0/1"):
+            prg.expand(bad)
+    assert set(prg._memo) == {"10110"}
+
+
+def test_expand_caches_are_per_generator():
+    fam = ToyRsaPermutationFamily(6)
+    seeds = [format(v, "04b") for v in range(16)]
+    outputs = []
+    for label in ("a", "b"):
+        index, _ = fam.generate(Stream(24).child(label))
+        prg = IteratedPermutationPrg(fam, index, seed_len=4, out_len=8)
+        got = [prg.expand(seed) for seed in seeds]
+        assert got == [
+            prg_iterated(fam, prg.hc, index, embed_seed(index, seed), 8) for seed in seeds
+        ]
+        outputs.append(got)
+    assert outputs[0] != outputs[1]
+
+
+def test_ske_prf_expands_each_seed_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return prg_iterated(*args)
+
+    prf = build_scheme("ske-prf", 2, 3, Stream(7)).prf
+    monkeypatch.setattr(primitives, "prg_iterated", counting)
+    tags = [format(v, "06b") for v in range(64)]
+    for key in ("00", "01", "10", "11"):
+        for tag in tags:
+            prf.evaluate(key, tag)
+    assert 1 <= len(calls) <= 4
+    assert len(set(calls)) == len(calls)
+
+
 # ---------------------------------------------------------------------------
 # Tree PRF
 # ---------------------------------------------------------------------------
 
 
 def _tree_prf(seed_len=4, in_len=4, out_len=4):
-    fam = toy_towp_new(6)
+    fam = ToyRsaPermutationFamily(6)
     index, _ = fam.generate(Stream(20).child("g"))
     prg = IteratedPermutationPrg(fam, index, seed_len=seed_len, out_len=2 * seed_len)
     return GgmPrf(prg, in_len=in_len, out_len=out_len), prg
@@ -290,7 +344,7 @@ def test_tree_output_stretching():
 
 def test_tree_regression_vectors():
     for entry in VECTORS["ggm"]:
-        fam = toy_towp_new(6)
+        fam = ToyRsaPermutationFamily(6)
         index = TowpIndex(entry["modulus"], entry["exponent"], entry["mask"])
         prg = IteratedPermutationPrg(
             fam, index, seed_len=entry["seed_len"], out_len=2 * entry["seed_len"]
@@ -319,8 +373,8 @@ def test_tree_input_validation():
 
 
 def test_oracle_consistency_and_seed_determinism():
-    a = random_function_oracle(4, 4, Stream(21).child("fn"))
-    b = random_function_oracle(4, 4, Stream(21).child("fn"))
+    a = RandomFunctionOracle(4, 4, Stream(21).child("fn"))
+    b = RandomFunctionOracle(4, 4, Stream(21).child("fn"))
     for v in range(16):
         x = format(v, "04b")
         y = a.query(x)
@@ -331,7 +385,7 @@ def test_oracle_consistency_and_seed_determinism():
 
 
 def test_oracle_outputs_balanced():
-    oracle = random_function_oracle(16, 1, Stream(22).child("fn"))
+    oracle = RandomFunctionOracle(16, 1, Stream(22).child("fn"))
     samples = 10_000
     ones = sum(oracle.query(format(v, "016b")) == "1" for v in range(samples))
     assert 0.48 <= ones / samples <= 0.52

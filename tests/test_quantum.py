@@ -14,6 +14,7 @@ from qelab.errors import (
 )
 from qelab.quantum import (
     TOL_ALGEBRA,
+    _kron,
     DensityMatrix,
     apply_pauli,
     basis_state,
@@ -344,6 +345,42 @@ def test_tensor_exact_matches_float_on_random_dyadic_states(case):
     a_exact, a_float = _both_backends(a_values, a_layout)
     b_exact, b_float = _both_backends(b_values, b_layout)
     assert _close(tensor(a_exact, b_exact), tensor(a_float, b_float))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _matrix_pairs(draw, entries):
+    def matrix():
+        rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        values = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+        out = np.empty((rows, cols), dtype=object)
+        out.flat[:] = values
+        return out
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs(st.builds(complex, _FINITE, _FINITE)))
+def test_kron_helper_matches_numpy_bytes_on_complex(pair):
+    a, b = (m.astype(np.complex128) for m in pair)
+    with np.errstate(all="ignore"):  # huge entries overflow alike in both
+        got, want = _kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs(st.integers()))
+def test_kron_helper_matches_numpy_on_object_ints(pair):
+    a, b = pair
+    got, want = _kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype == object
+    # An object array's bytes are its pointers, so compare the ints themselves.
+    assert got.tolist() == want.tolist()
+    assert all(type(v) is int for v in got.flat)
 
 
 @st.composite
