@@ -234,17 +234,6 @@ def test_wrapped_prg_shape():
         prg.expand("101")
 
 
-def test_expand_caches_per_seed_and_matches_direct_generator():
-    fam = ToyRsaPermutationFamily(6)
-    index, _ = fam.generate(Stream(23).child("g"))
-    prg = IteratedPermutationPrg(fam, index, seed_len=4, out_len=8)
-    for v in range(16):
-        seed = format(v, "04b")
-        direct = prg_iterated(fam, prg.hc, index, embed_seed(index, seed), 8)
-        assert prg.expand(seed) == direct  # first call: computed
-        assert prg.expand(seed) == direct  # repeated call: cached
-
-
 def test_expand_validates_seeds_after_caching():
     fam = ToyRsaPermutationFamily(5)
     index, _ = fam.generate(Stream(19).child("g"))
@@ -256,18 +245,17 @@ def test_expand_validates_seeds_after_caching():
     assert set(prg._memo) == {"10110"}
 
 
-def test_expand_caches_are_per_generator():
+def test_expand_matches_direct_generator_per_instance():
     fam = ToyRsaPermutationFamily(6)
     seeds = [format(v, "04b") for v in range(16)]
     outputs = []
-    for label in ("a", "b"):
+    for label in ("a", "b"):  # two indices: caches must not be shared
         index, _ = fam.generate(Stream(24).child(label))
         prg = IteratedPermutationPrg(fam, index, seed_len=4, out_len=8)
-        got = [prg.expand(seed) for seed in seeds]
-        assert got == [
-            prg_iterated(fam, prg.hc, index, embed_seed(index, seed), 8) for seed in seeds
-        ]
-        outputs.append(got)
+        direct = [prg_iterated(fam, prg.hc, index, embed_seed(index, s), 8) for s in seeds]
+        assert [prg.expand(s) for s in seeds] == direct  # first calls: computed
+        assert [prg.expand(s) for s in seeds] == direct  # repeated calls: cached
+        outputs.append(direct)
     assert outputs[0] != outputs[1]
 
 
