@@ -74,6 +74,52 @@ GOLDEN = {
         "correctness", "--scheme", "pke-towp", "--n", "4", "--qubits", "1",
         "--keys", "20", "--seed", "7",
     ],
+    # Each game arm and reduction arm in each mode it runs in, so a
+    # change to how an arm is written or played shows in report bytes.
+    "game-ind-prime-ske-prf": [
+        "game", "--game", "ind-prime", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "1", "--trials", "1000", "--seed", "7",
+    ],
+    "game-ind-prime-ske-prf-q2-exact": [
+        "game", "--game", "ind-prime", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "2", "--exact", "--seed", "7",
+    ],
+    "game-ind-cca1-ske-constprf": [
+        "game", "--game", "ind-cca1", "--scheme", "ske-constprf", "--n", "2",
+        "--qubits", "1", "--trials", "1000", "--seed", "7",
+    ],
+    "game-ind-pke-towp-n4-exact": [
+        "game", "--game", "ind", "--scheme", "pke-towp", "--n", "4", "--qubits", "1",
+        "--exact", "--seed", "7",
+    ],
+    "game-sem-ske-prf-copy-vs-sim-exact": [
+        "game", "--game", "sem", "--scheme", "ske-prf", "--adversary", "copy-vs-sim",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
+    "game-sem2-ske-prf-copy-vs-sim-exact": [
+        "game", "--game", "sem2", "--scheme", "ske-prf", "--adversary", "copy-vs-sim",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
+    "game-sem3-ske-prf-transcript-sim-exact": [
+        "game", "--game", "sem3", "--scheme", "ske-prf", "--adversary", "transcript-sim",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
+    "reduce-ind-to-sem-ske-prf": [
+        "reduce", "--reduction", "ind-to-sem", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "1", "--trials", "1000", "--seed", "7",
+    ],
+    "reduce-qotp-to-prg": [
+        "reduce", "--reduction", "qotp-to-prg", "--n", "2", "--qubits", "1",
+        "--trials", "1000", "--seed", "7",
+    ],
+    "reduce-qotp-to-prg-exact": [
+        "reduce", "--reduction", "qotp-to-prg", "--n", "2", "--qubits", "1",
+        "--exact", "--seed", "7",
+    ],
+    "reduce-cca1-to-prf-ske-prf-exact": [
+        "reduce", "--reduction", "cca1-to-prf", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "1", "--trials", "1000", "--exact", "--seed", "7",
+    ],
 }
 
 
