@@ -48,7 +48,6 @@ from .quantum import (
     basis_state,
     bell_state,
     channel_choi_distance,
-    density_matrix,
     maximally_mixed,
     measure_computational,
     measure_registers_into,
@@ -93,12 +92,6 @@ from .schemes import (
     build_ggm_prf,
     build_scheme,
     ciphertext_as_state,
-    ske_decrypt,
-    ske_encrypt,
-    ske_keygen,
-    pke_decrypt,
-    pke_encrypt,
-    pke_keygen,
 )
 
 __version__ = "0.1.0"

@@ -273,7 +273,7 @@ def cmd_game(args) -> tuple[dict, bool]:
     rng = Stream(args.seed)
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
     config = GameConfig(
-        n=args.n, qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
+        qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
     )
     est = _run_game(args.game, scheme, args.adversary, config)
     row = {
@@ -301,7 +301,7 @@ def cmd_game(args) -> tuple[dict, bool]:
 def cmd_reduce(args) -> tuple[dict, bool]:
     rng = Stream(args.seed)
     config = GameConfig(
-        n=args.n, qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
+        qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
     )
     results = []
     ok = True
@@ -418,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qelab",
         description="desk-scale quantum encryption laboratory",
     )
-    parser.add_argument(
-        "--list", action="store_true", help="list registered schemes, games, bundles"
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("correctness", help="round-trip and channel-distance suites")
@@ -470,8 +467,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "list", False) and args.command is None:
-        args = parser.parse_args(["list"])
     if args.command is None:
         parser.print_help()
         return 2

@@ -67,12 +67,15 @@ class AdvantageEstimate:
 
 
 class GameArm:
-    """One arm of a game: exact branch enumeration plus a per-trial sampler.
+    """One arm of a game: one arm, two interpreters.
 
-    `branches()` yields (weight, success_probability) pairs as Fractions;
-    `sample_probability(rng)` returns the success probability of one
-    randomly realized branch (a float), from which a Bernoulli outcome is
-    drawn.  Either half may be missing when a role only supports one mode.
+    `branches()` is the arm's coin tree played by the exact interpreter:
+    it yields (weight, success_probability) pairs as Fractions.
+    `sample_probability(rng)` is the same tree played by the sampling
+    interpreter: the success probability of one randomly realized branch
+    (a float), from which a Bernoulli outcome is drawn.  The games build
+    both from one definition (`games.game_arm`); either half may be
+    missing when a role only supports one mode.
     """
 
     def __init__(

@@ -6,11 +6,15 @@ hidden-bit variant, and three flavors of semantic security (distinguisher
 with a target register, classical-target comparison, transcript-function
 comparison).
 
-Every game runs in one of two modes.  Sampling mode draws keys, coins and
-roles' randomness per trial and reports Wilson intervals.  Enumeration
-("exact") mode multiplies out the declared coin spaces - key space x
-encryption coins x role cases - and reports Fraction-exact probabilities;
-it requires deterministic, oracle-free roles.
+One arm, two interpreters: each arm is written once, as a generator
+`branches(play)` that loops over `play.coin(label, cases, draw)` at every
+coin (key, message case, hidden bit, encryption coins) and yields
+(weight, probability) pairs.  The exact interpreter `EXACT` returns each
+coin's declared cases, so the arm multiplies out key space x encryption
+coins x role cases and sums Fraction-exact probabilities; it requires
+deterministic, oracle-free roles.  The sampling interpreter `SamplingPlay`
+returns one case per coin, drawn from the trial stream's child named by
+the coin's label, and the game reports Wilson intervals.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -142,7 +146,6 @@ class Oracles:
 
 @dataclass(frozen=True)
 class GameConfig:
-    n: int = 1
     qubits: int = 1
     trials: int = 1000
     seed: int = 0
@@ -169,14 +172,6 @@ def _pk_for(scheme: PauliTagScheme, keypair: KeyPair):
     return keypair.ek if scheme.flavor == "public" else None
 
 
-def _check_message(scheme: PauliTagScheme, case: MessageCase) -> None:
-    reg = case.state.register("M")
-    if reg.qubits != scheme.qubits:
-        raise RoleError(
-            f"message register holds {reg.qubits} qubits, scheme expects {scheme.qubits}"
-        )
-
-
 def _check_exact_qubits(qubits: int) -> None:
     if qubits > MAX_EXHAUSTIVE_QUBITS:
         raise ParameterError(
@@ -198,43 +193,141 @@ def _exact_keypairs(scheme: PauliTagScheme, config: GameConfig):
     return [(Fraction(1), kp)]
 
 
-def _exact_enc_cases(scheme: PauliTagScheme, ek):
-    cases = scheme.encrypt_cases(ek)
-    if cases is None:
-        raise EnumerationCapError(
-            f"scheme {scheme.name!r} does not enumerate its encryption coins"
-        )
-    return cases
-
-
-def _exact_ctx(scheme: PauliTagScheme, pk) -> RoleContext:
-    return RoleContext(pk=pk, oracles=DENIED_ORACLES, rng=None, exact=True, scheme=scheme)
-
-
-def _sampling_ctx(scheme, keypair, policy_grants, rng, config, label) -> RoleContext:
-    oracles = Oracles(scheme, keypair, policy_grants, rng.child(f"{label}-oracle"),
-                      config.oracle_budget)
-    return RoleContext(
-        pk=_pk_for(scheme, keypair),
-        oracles=oracles,
-        rng=rng.child(f"{label}-coins"),
-        exact=False,
-        scheme=scheme,
-    )
-
-
 def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix:
     return apply_pauli(case_pad, state, "M") if case_pad is not None else state
 
 
-def _as_prob(value, exact: bool):
-    if exact:
+# ---------------------------------------------------------------------------
+# One arm, two interpreters
+# ---------------------------------------------------------------------------
+
+
+class ExactPlay:
+    """Exact interpreter: every coin yields all of its declared cases."""
+
+    def coin(self, label: str, cases, draw):
+        return cases()
+
+    def channel(self, channel: Channel, ctx: RoleContext):
+        return channel.cases(ctx)
+
+    def child(self, label: str) -> "ExactPlay":
+        return self
+
+    def context(self, coins: str, oracles=None, **fields) -> RoleContext:
+        """Exact roles get no oracles and no private coins."""
+        return RoleContext(exact=True, **fields)
+
+    def prob(self, value):
         if not isinstance(value, Fraction):
             raise EnumerationCapError(
                 f"role returned a non-exact probability {value!r} in exact mode"
             )
         return value
-    return float(value)
+
+
+class SamplingPlay:
+    """Sampling interpreter: every coin yields one case, drawn from its own stream.
+
+    A coin labelled `label` draws from `rng.child(label)` with weight 1,
+    so an arm's branches collapse to the single branch of one trial.
+    """
+
+    def __init__(self, rng: Stream):
+        self.rng = rng
+
+    def coin(self, label: str, cases, draw):
+        return ((1, draw(self.rng.child(label))),)
+
+    def channel(self, channel: Channel, ctx: RoleContext):
+        return ((1, channel),)
+
+    def child(self, label: str) -> "SamplingPlay":
+        return SamplingPlay(self.rng.child(label))
+
+    def context(self, coins: str, oracles=None, **fields) -> RoleContext:
+        """Private coins from `rng.child(coins)`; handles from `oracles(rng)`."""
+        return RoleContext(
+            oracles=oracles(self.rng) if oracles is not None else DENIED_ORACLES,
+            rng=self.rng.child(coins),
+            exact=False,
+            **fields,
+        )
+
+    def prob(self, value) -> float:
+        return float(value)
+
+
+EXACT = ExactPlay()
+_HALVES = ((Fraction(1, 2), 1), (Fraction(1, 2), 0))
+
+
+def game_arm(branches) -> GameArm:
+    """Build an arm from its one definition: `branches(play)` yields
+    (weight, probability) pairs, looping over `play.coin(...)` at every coin.
+
+    Exact mode plays it with `EXACT`; sampling mode plays it with a
+    `SamplingPlay` of the trial's stream and unpacks the single branch.
+    """
+
+    def sample_probability(rng: Stream) -> float:
+        ((_, p),) = branches(SamplingPlay(rng))
+        return p
+
+    return GameArm(lambda: branches(EXACT), sample_probability)
+
+
+def fair_bit(play, label: str):
+    """A uniform bit: 1 and 0 with weight 1/2 each, or one `bernoulli(0.5)` draw."""
+    return play.coin(label, lambda: _HALVES, lambda r: 1 if r.bernoulli(0.5) else 0)
+
+
+def biased_bit(play, label: str, p):
+    """A bit that is 1 with probability `p`."""
+    return play.coin(label, lambda: ((p, 1), (1 - p, 0)), lambda r: 1 if r.bernoulli(p) else 0)
+
+
+def _keys(play, scheme: PauliTagScheme, config: GameConfig):
+    return play.coin("key", lambda: _exact_keypairs(scheme, config), scheme.keygen)
+
+
+def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> RoleContext:
+    return play.context(
+        f"{label}-coins",
+        lambda rng: Oracles(scheme, keypair, grants, rng.child(f"{label}-oracle"),
+                            config.oracle_budget),
+        pk=_pk_for(scheme, keypair),
+        scheme=scheme,
+    )
+
+
+def message_coin(play, cases: list[MessageCase]):
+    """The `mpick` coin over a message generator's weighted cases."""
+    return play.coin(
+        "mpick", lambda: [(c.weight, c) for c in cases], lambda r: sample_case(cases, r)
+    )
+
+
+def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
+    for w, case in message_coin(play, mgen.cases(ctx.pk, ctx)):
+        qubits = case.state.register("M").qubits
+        if qubits != scheme.qubits:
+            raise RoleError(
+                f"message register holds {qubits} qubits, scheme expects {scheme.qubits}"
+            )
+        yield w, case
+
+
+def _encryptions(play, scheme: PauliTagScheme, ek):
+    def cases():
+        enumerated = scheme.encrypt_cases(ek)
+        if enumerated is None:
+            raise EnumerationCapError(
+                f"scheme {scheme.name!r} does not enumerate its encryption coins"
+            )
+        return [(c.weight, c) for c in enumerated]
+
+    return play.coin("enc", cases, lambda r: scheme.sample_encryption(ek, r))
 
 
 # ---------------------------------------------------------------------------
@@ -243,34 +336,19 @@ def _as_prob(value, exact: bool):
 
 
 def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool) -> GameArm:
-    def branches():
-        for wk, keypair in _exact_keypairs(scheme, config):
-            pk = _pk_for(scheme, keypair)
-            ctx = _exact_ctx(scheme, pk)
-            for mcase in mgen.cases(pk, ctx):
-                _check_message(scheme, mcase)
+    def branches(play):
+        for wk, keypair in _keys(play, scheme, config):
+            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
+            ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
+            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 state = mcase.state
                 if zero_arm:
                     state = replace_with_zero_state(state, "M")
-                for ecase in _exact_enc_cases(scheme, keypair.ek):
+                for we, ecase in _encryptions(play, scheme, keypair.ek):
                     padded = _pad_message(state, ecase.pad)
-                    p = _as_prob(dist.prob_one(ecase.tag, padded, ctx), True)
-                    yield (wk * mcase.weight * ecase.weight, p)
+                    yield (wk * wm * we, play.prob(dist.prob_one(ecase.tag, padded, ctx_post)))
 
-    def sample_probability(rng: Stream) -> float:
-        keypair = scheme.keygen(rng.child("key"))
-        ctx_pre = _sampling_ctx(scheme, keypair, policy.pre, rng, config, "mgen")
-        mcase = sample_case(mgen.cases(ctx_pre.pk, ctx_pre), rng.child("mpick"))
-        _check_message(scheme, mcase)
-        state = mcase.state
-        if zero_arm:
-            state = replace_with_zero_state(state, "M")
-        ecase = scheme.sample_encryption(keypair.ek, rng.child("enc"))
-        padded = _pad_message(state, ecase.pad)
-        ctx_post = _sampling_ctx(scheme, keypair, policy.post, rng, config, "dist")
-        return float(dist.prob_one(ecase.tag, padded, ctx_post))
-
-    return GameArm(branches=branches, sample_probability=sample_probability)
+    return game_arm(branches)
 
 
 def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
@@ -297,41 +375,22 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
 
-    def branches():
-        for wk, keypair in _exact_keypairs(scheme, config):
-            pk = _pk_for(scheme, keypair)
-            ctx = _exact_ctx(scheme, pk)
-            for mcase in mgen.cases(pk, ctx):
-                _check_message(scheme, mcase)
-                for hidden_bit in (1, 0):
+    def branches(play):
+        for wk, keypair in _keys(play, scheme, config):
+            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
+            ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
+            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
+                for wb, hidden_bit in fair_bit(play, "bit"):
                     state = mcase.state if hidden_bit == 1 else replace_with_zero_state(
                         mcase.state, "M"
                     )
-                    for ecase in _exact_enc_cases(scheme, keypair.ek):
+                    for we, ecase in _encryptions(play, scheme, keypair.ek):
                         padded = _pad_message(state, ecase.pad)
-                        p1 = _as_prob(dist.prob_one(ecase.tag, padded, ctx), True)
-                        success = p1 if hidden_bit == 1 else 1 - p1
-                        yield (
-                            wk * mcase.weight * ecase.weight * Fraction(1, 2),
-                            success,
-                        )
+                        p1 = play.prob(dist.prob_one(ecase.tag, padded, ctx_post))
+                        yield (wk * wm * wb * we, p1 if hidden_bit == 1 else 1 - p1)
 
-    def sample_probability(rng: Stream) -> float:
-        keypair = scheme.keygen(rng.child("key"))
-        ctx_pre = _sampling_ctx(scheme, keypair, policy.pre, rng, config, "mgen")
-        mcase = sample_case(mgen.cases(ctx_pre.pk, ctx_pre), rng.child("mpick"))
-        _check_message(scheme, mcase)
-        hidden_bit = 1 if rng.child("bit").bernoulli(0.5) else 0
-        state = mcase.state if hidden_bit == 1 else replace_with_zero_state(mcase.state, "M")
-        ecase = scheme.sample_encryption(keypair.ek, rng.child("enc"))
-        padded = _pad_message(state, ecase.pad)
-        ctx_post = _sampling_ctx(scheme, keypair, policy.post, rng, config, "dist")
-        p1 = float(dist.prob_one(ecase.tag, padded, ctx_post))
-        return p1 if hidden_bit == 1 else 1.0 - p1
-
-    arm = GameArm(branches=branches, sample_probability=sample_probability)
     return estimate(
-        arm, None,
+        game_arm(branches), None,
         exact=config.exact, trials=config.trials,
         rng=config.stream("ind-prime"), cap=config.enum_cap,
     )
@@ -377,70 +436,39 @@ def ind_prime_ind_identity_check(scheme, mgen, dist, config: Optional[GameConfig
 # ---------------------------------------------------------------------------
 
 
-def _expand_channel(channel: Channel, ctx: RoleContext, exact: bool):
-    if exact:
-        return channel.cases(ctx)
-    return [(Fraction(1), channel)]
-
-
 def _sem_real_arm(scheme, mgen, adversary, success_fn, policy, config) -> GameArm:
     """success_fn(out_state, mcase, ctx) -> probability of the real arm's event."""
 
-    def branches():
-        for wk, keypair in _exact_keypairs(scheme, config):
-            pk = _pk_for(scheme, keypair)
-            ctx = _exact_ctx(scheme, pk)
-            for mcase in mgen.cases(pk, ctx):
-                _check_message(scheme, mcase)
-                for ecase in _exact_enc_cases(scheme, keypair.ek):
+    def branches(play):
+        for wk, keypair in _keys(play, scheme, config):
+            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
+            ctx_post = _context(play, scheme, keypair, policy.post, config, "adv")
+            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
+                for we, ecase in _encryptions(play, scheme, keypair.ek):
                     padded = _pad_message(mcase.state, ecase.pad)
-                    for wa, adv in _expand_channel(adversary, ctx, True):
-                        out = adv.transform(ecase.tag, padded, ctx)
-                        p = _as_prob(success_fn(out, mcase, ctx), True)
-                        yield (wk * mcase.weight * ecase.weight * wa, p)
+                    for wa, adv in play.channel(adversary, ctx_post):
+                        out = adv.transform(ecase.tag, padded, ctx_post)
+                        yield (wk * wm * we * wa, play.prob(success_fn(out, mcase, ctx_post)))
 
-    def sample_probability(rng: Stream) -> float:
-        keypair = scheme.keygen(rng.child("key"))
-        ctx_pre = _sampling_ctx(scheme, keypair, policy.pre, rng, config, "mgen")
-        mcase = sample_case(mgen.cases(ctx_pre.pk, ctx_pre), rng.child("mpick"))
-        _check_message(scheme, mcase)
-        ecase = scheme.sample_encryption(keypair.ek, rng.child("enc"))
-        padded = _pad_message(mcase.state, ecase.pad)
-        ctx_post = _sampling_ctx(scheme, keypair, policy.post, rng, config, "adv")
-        out = adversary.transform(ecase.tag, padded, ctx_post)
-        return float(success_fn(out, mcase, ctx_post))
-
-    return GameArm(branches=branches, sample_probability=sample_probability)
+    return game_arm(branches)
 
 
 def _sem_ideal_arm(scheme, mgen, simulator, success_fn, drop, policy, config) -> GameArm:
     """Ideal arm: the simulator sees the message case with `drop` traced out."""
 
-    def branches():
-        for wk, keypair in _exact_keypairs(scheme, config):
-            pk = _pk_for(scheme, keypair)
-            ctx = _exact_ctx(scheme, pk)
-            for mcase in mgen.cases(pk, ctx):
-                _check_message(scheme, mcase)
-                visible = partial_trace(mcase.state, [r for r in drop if mcase.state.has_register(r)])
-                for ws, sim in _expand_channel(simulator, ctx, True):
-                    out = sim.transform(None, visible, ctx)
-                    p = _as_prob(success_fn(out, mcase, ctx), True)
-                    yield (wk * mcase.weight * ws, p)
+    def branches(play):
+        for wk, keypair in _keys(play, scheme, config):
+            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
+            ctx_post = _context(play, scheme, keypair, policy.post, config, "sim")
+            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
+                visible = partial_trace(
+                    mcase.state, [r for r in drop if mcase.state.has_register(r)]
+                )
+                for ws, sim in play.channel(simulator, ctx_post):
+                    out = sim.transform(None, visible, ctx_post)
+                    yield (wk * wm * ws, play.prob(success_fn(out, mcase, ctx_post)))
 
-    def sample_probability(rng: Stream) -> float:
-        keypair = scheme.keygen(rng.child("key"))
-        ctx_pre = _sampling_ctx(scheme, keypair, policy.pre, rng, config, "mgen")
-        mcase = sample_case(mgen.cases(ctx_pre.pk, ctx_pre), rng.child("mpick"))
-        _check_message(scheme, mcase)
-        visible = partial_trace(
-            mcase.state, [r for r in drop if mcase.state.has_register(r)]
-        )
-        ctx_post = _sampling_ctx(scheme, keypair, policy.post, rng, config, "sim")
-        out = simulator.transform(None, visible, ctx_post)
-        return float(success_fn(out, mcase, ctx_post))
-
-    return GameArm(branches=branches, sample_probability=sample_probability)
+    return game_arm(branches)
 
 
 def run_sem(scheme, mgen, adversary, simulator, dist,
@@ -529,25 +557,6 @@ def run_sem2(scheme, mgen, adversary, simulator,
         target = _classical_target(mcase.state)
         return _compare_out(out_state, target, out_state.exact)
 
-    def strip_f(gen):
-        class _Stripped(MessageGenerator):
-            def cases(self, pk, ctx):
-                out = []
-                for case in gen.cases(pk, ctx):
-                    _classical_target(case.state)  # mode check up front
-                    out.append(
-                        MessageCase(
-                            case.weight,
-                            case.state,
-                            transcript=case.transcript,
-                        )
-                    )
-                return out
-
-        return _Stripped()
-
-    checked = strip_f(mgen)
-
     def adv_on_me(tag, state, ctx, channel):
         me = partial_trace(state, "F") if state.has_register("F") else state
         return channel.transform(tag, me, ctx)
@@ -562,9 +571,9 @@ def run_sem2(scheme, mgen, adversary, simulator,
         def transform(self, tag, state, ctx):
             return adv_on_me(tag, state, ctx, self.inner)
 
-    real = _sem_real_arm(scheme, checked, _FBlindChannel(adversary), success, policy, config)
+    real = _sem_real_arm(scheme, mgen, _FBlindChannel(adversary), success, policy, config)
     ideal = _sem_ideal_arm(
-        scheme, checked, _FBlindChannel(simulator), success, ("M", "F"), policy, config
+        scheme, mgen, _FBlindChannel(simulator), success, ("M", "F"), policy, config
     )
     return estimate(
         real, ideal,

@@ -229,11 +229,6 @@ class DensityMatrix:
         return f"DensityMatrix([{regs}], dim={self.dim}, {mode})"
 
 
-def density_matrix(mat, layout) -> DensityMatrix:
-    """Validate and wrap a raw matrix as a state."""
-    return DensityMatrix(mat, layout)
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -727,7 +722,7 @@ def channel_choi_distance(
                     raise DimensionMismatchError(
                         f"channel output shape {image.shape}, expected {(dim, dim)}"
                     )
-                out += np.kron(image, unit)
+                out[x::dim, y::dim] += image
         return out / dim
 
     return _trace_distance_raw(choi(channel), choi(reference))

@@ -20,22 +20,35 @@ roles for another, the way the corresponding proof does:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import EnumerationCapError, RoleError
-from .estimate import AdvantageEstimate, GameArm, estimate
+from .estimate import AdvantageEstimate, estimate
 from .games import (
     GameConfig,
     OraclePolicy,
+    SamplingPlay,
     _check_exact_qubits,
     _exact_keypairs,
+    biased_bit,
+    fair_bit,
+    game_arm,
+    message_coin,
     run_ind,
     run_ind_prime,
     run_sem,
 )
-from .quantum import DensityMatrix, apply_pauli, basis_state, partial_trace, tensor
+from .quantum import (
+    DensityMatrix,
+    apply_pauli,
+    basis_state,
+    partial_trace,
+    replace_with_zero_state,
+    tensor,
+)
 from .rng import Stream
 from .roles import (
     BitChannelAdversary,
@@ -47,9 +60,8 @@ from .roles import (
     MessageGenerator,
     NegatedDistinguisher,
     RoleContext,
-    sample_case,
 )
-from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext
+from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, _all_bitstrings
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +211,6 @@ def sem_to_ind_identity_check(scheme, ind_mgen, ind_dist,
     adversaries' success probabilities over the 1/2 baseline, and that the
     simulator baseline is exactly 1/2.
     """
-    from dataclasses import replace
-
     config = replace(config or GameConfig(), exact=True)
     policy = policy or OraclePolicy.plain()
     simulator = simulator or ConstantOutputChannel("0")
@@ -260,44 +270,68 @@ class _OracleBackedHandles:
         return apply_pauli(self._oracle(ct.tag), ct.payload)
 
 
+class _EncryptOnlyHandles(_OracleBackedHandles):
+    """The post-challenge handles: encryption only."""
+
+    def decrypt(self, ct: SkeCiphertext) -> DensityMatrix:
+        raise RoleError("decryption oracle not available after the challenge")
+
+
+class Construction:
+    """A reduction's constructed distinguisher, written once as a coin tree.
+
+    `branches(x, play)` yields (weight, accept) pairs for input `x`;
+    calling the construction as `(x, rng) -> bit` plays that tree with the
+    sampling interpreter, and an exact check plays the same tree with
+    `EXACT`.
+    """
+
+    def __init__(self, branches):
+        self.branches = branches
+
+    def __call__(self, x, rng: Stream) -> int:
+        ((_, bit),) = self.branches(x, SamplingPlay(rng))
+        return bit
+
+
+def _uniform_string(play, label: str, length: int):
+    """A uniform bit string: every string with equal weight, or one `bits` draw."""
+    w = Fraction(1, 1 << length)
+    return play.coin(
+        label, lambda: [(w, s) for s in _all_bitstrings(length)], lambda r: r.bits(length)
+    )
+
+
 def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: int,
-                          budget: int = 64) -> Callable[[Callable[[str], str], Stream], int]:
+                          budget: int = 64) -> Construction:
     """Turn a pre-challenge-decryption attack into a PRF distinguisher.
 
-    The returned callable plays `(oracle, rng) -> bit`: it simulates the
+    The construction plays `(oracle, rng) -> bit`: it simulates the
     symmetric scheme's encryption and decryption through the function
     oracle, flips a fair coin between the genuine and the zeroed
     challenge, runs the attack, and outputs 1 iff the attack's guess
     matches the coin.
     """
 
-    def distinguisher(oracle: Callable[[str], str], rng: Stream) -> int:
-        handles = _OracleBackedHandles(oracle, qubits, rng.child("handles"), budget)
-        ctx_pre = RoleContext(pk=None, oracles=handles, rng=rng.child("mgen"), exact=False)
-        mcase = sample_case(mgen.cases(None, ctx_pre), rng.child("mpick"))
-        if mcase.state.register("M").qubits != qubits:
-            raise RoleError("attack emits a message of the wrong size")
-        coin = 1 if rng.child("coin").bernoulli(0.5) else 0
-        if coin == 1:
-            state = mcase.state
-        else:
-            from .quantum import replace_with_zero_state
+    def branches(oracle: Callable[[str], str], play):
+        ctx_pre = play.context(
+            "mgen", lambda rng: _OracleBackedHandles(oracle, qubits, rng.child("handles"), budget)
+        )
+        ctx_post = play.context(
+            "dist", lambda rng: _EncryptOnlyHandles(oracle, qubits, rng.child("post"), budget)
+        )
+        for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
+            if mcase.state.register("M").qubits != qubits:
+                raise RoleError("attack emits a message of the wrong size")
+            for wc, coin in fair_bit(play, "coin"):
+                state = mcase.state if coin == 1 else replace_with_zero_state(mcase.state, "M")
+                for wt, tag in _uniform_string(play, "challenge", 2 * qubits):
+                    padded = apply_pauli(oracle(tag), state, "M")
+                    p1 = play.prob(dist.prob_one(tag, padded, ctx_post))
+                    for wg, guess in biased_bit(play, "guess", p1):
+                        yield (wm * wc * wt * wg, 1 if guess == coin else 0)
 
-            state = replace_with_zero_state(mcase.state, "M")
-        tag = rng.child("challenge").bits(2 * qubits)
-        padded = apply_pauli(oracle(tag), state, "M")
-        enc_only = _OracleBackedHandles(oracle, qubits, rng.child("post"), budget)
-
-        def _no_post_challenge_decryption(ct):
-            raise RoleError("decryption oracle not available after the challenge")
-
-        enc_only.decrypt = _no_post_challenge_decryption
-        ctx_post = RoleContext(pk=None, oracles=enc_only, rng=rng.child("dist"), exact=False)
-        p1 = float(dist.prob_one(tag, padded, ctx_post))
-        guess = 1 if rng.child("guess").bernoulli(p1) else 0
-        return 1 if guess == coin else 0
-
-    return distinguisher
+    return Construction(branches)
 
 
 def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
@@ -307,30 +341,20 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
     the constructed distinguisher accepts exactly as often as the attack
     wins the hidden-bit game against the scheme.
 
-    Needs an oracle-free attack (the pair may still be wired under a
-    decryption-granting policy; the grants simply go unused).
+    The construction's own coin tree is played exactly against
+    `prf.evaluate(k, .)` for every key case.  Needs an oracle-free attack
+    (the pair may still be wired under a decryption-granting policy; the
+    grants simply go unused).
     """
-    from dataclasses import replace
-
     config = replace(config or GameConfig(), exact=True)
+    construction = reduction_cca1_to_prf(mgen, dist, scheme.qubits)
 
-    accept = Fraction(0)
-    ctx = RoleContext(pk=None, exact=True, scheme=scheme)
-    for wk, kp in _exact_keypairs(scheme, config):
-        for mcase in mgen.cases(None, ctx):
-            for coin in (1, 0):
-                if coin == 1:
-                    state = mcase.state
-                else:
-                    from .quantum import replace_with_zero_state
+    def keyed(play):
+        for wk, kp in play.coin("key", lambda: _exact_keypairs(scheme, config), scheme.keygen):
+            for w, accept in construction.branches(partial(scheme.prf.evaluate, kp.ek), play):
+                yield (wk * w, accept)
 
-                    state = replace_with_zero_state(mcase.state, "M")
-                for ecase in scheme.encrypt_cases(kp.ek):
-                    padded = apply_pauli(ecase.pad, state, "M")
-                    p1 = dist.prob_one(ecase.tag, padded, ctx)
-                    success = p1 if coin == 1 else 1 - p1
-                    accept += wk * mcase.weight * Fraction(1, 2) * ecase.weight * success
-
+    accept = game_arm(keyed).exact_probability(config.enum_cap)
     game = run_ind_prime(scheme, mgen, dist, OraclePolicy.cca1(), config)
     return {
         "acceptance_with_keyed_oracle": float(accept),
@@ -366,8 +390,7 @@ class PaddedStatePair:
         return tensor(self.product_a, rest)
 
 
-def reduction_qotp_to_prg(dist: Distinguisher, pair: PaddedStatePair,
-                          ) -> Callable[[str, Stream], int]:
+def reduction_qotp_to_prg(dist: Distinguisher, pair: PaddedStatePair) -> Construction:
     """Turn a padded-pair distinguisher into a generator-output distinguisher.
 
     On input y the construction flips a fair coin, pads the corresponding
@@ -375,72 +398,44 @@ def reduction_qotp_to_prg(dist: Distinguisher, pair: PaddedStatePair,
     seeing (output 1 means the joint case), and accepts iff it is right.
     """
 
-    def d_prime(y: str, rng: Stream) -> int:
-        case = 1 if rng.child("case").bernoulli(0.5) else 0
-        base = pair.joint if case == 1 else pair.second_case()
-        padded = apply_pauli(y, base, "A")
-        ctx = RoleContext(rng=rng.child("dist"), exact=False)
-        p1 = float(dist.prob_one(None, padded, ctx))
-        guess = 1 if rng.child("guess").bernoulli(p1) else 0
-        return 1 if guess == case else 0
+    def branches(y: str, play):
+        for wc, case in fair_bit(play, "case"):
+            base = pair.joint if case == 1 else pair.second_case()
+            padded = apply_pauli(y, base, "A")
+            p1 = play.prob(dist.prob_one(None, padded, play.context("dist")))
+            for wg, guess in biased_bit(play, "guess", p1):
+                yield (wc * wg, 1 if guess == case else 0)
 
-    return d_prime
+    return Construction(branches)
 
 
 def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
                           config: Optional[GameConfig] = None) -> AdvantageEstimate:
     """Advantage of the constructed distinguisher: generator outputs vs uniform.
 
-    Exact mode enumerates the seed space on the pseudorandom arm and the
-    full string space (times the case coin) on the uniform arm; the
-    uniform arm's success probability is exactly 1/2, because averaging
-    the pad over all strings sends the A register to the maximally mixed
-    state in both cases.
+    Both arms run the construction on a drawn string: the pseudorandom arm
+    on the expansion of a uniform seed, the uniform arm on a uniform
+    string.  In exact mode the uniform arm's success probability is
+    exactly 1/2, because averaging the pad over all strings sends the A
+    register to the maximally mixed state in both cases.
     """
     config = config or GameConfig()
     if config.exact:
         _check_exact_qubits(pair.joint.register("A").qubits)
-    pad_len = prg.out_len
-    exact_pair = (
-        PaddedStatePair(pair.joint.to_exact(), pair.product_a.to_exact())
-        if config.exact and not pair.joint.exact
-        else pair
-    )
+        if not pair.joint.exact:
+            pair = PaddedStatePair(pair.joint.to_exact(), pair.product_a.to_exact())
+    construction = reduction_qotp_to_prg(dist, pair)
 
-    def case_probability(y: str, use: PaddedStatePair, exact: bool):
-        ctx = RoleContext(exact=exact)
-        total = Fraction(0) if exact else 0.0
-        for case, base in ((1, use.joint), (0, use.second_case())):
-            padded = apply_pauli(y, base, "A")
-            p1 = dist.prob_one(None, padded, ctx)
-            success = p1 if case == 1 else (1 - p1 if exact else 1.0 - p1)
-            total += Fraction(1, 2) * success if exact else 0.5 * float(success)
-        return total
+    def arm(label: str, length: int, expand):
+        def branches(play):
+            for wy, y in _uniform_string(play, label, length):
+                for w, accept in construction.branches(expand(y), play.child("run")):
+                    yield (wy * w, accept)
 
-    def branches_pseudo():
-        seeds = [format(v, f"0{prg.seed_len}b") for v in range(1 << prg.seed_len)]
-        w = Fraction(1, len(seeds))
-        for s in seeds:
-            yield (w, case_probability(prg.expand(s), exact_pair, True))
+        return game_arm(branches)
 
-    def branches_uniform():
-        strings = [format(v, f"0{pad_len}b") for v in range(1 << pad_len)]
-        w = Fraction(1, len(strings))
-        for y in strings:
-            yield (w, case_probability(y, exact_pair, True))
-
-    d_prime = reduction_qotp_to_prg(dist, pair)
-
-    def sample_pseudo(rng: Stream) -> float:
-        seed = rng.child("seed").bits(prg.seed_len)
-        return float(d_prime(prg.expand(seed), rng.child("run")))
-
-    def sample_uniform(rng: Stream) -> float:
-        y = rng.child("y").bits(pad_len)
-        return float(d_prime(y, rng.child("run")))
-
-    real = GameArm(branches=branches_pseudo, sample_probability=sample_pseudo)
-    ideal = GameArm(branches=branches_uniform, sample_probability=sample_uniform)
+    real = arm("seed", prg.seed_len, prg.expand)
+    ideal = arm("y", prg.out_len, lambda y: y)
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,

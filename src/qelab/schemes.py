@@ -476,36 +476,6 @@ class UniformPadPublicScheme(PermutationPublicScheme):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")
 
 
-# ---------------------------------------------------------------------------
-# Convenience operations mirroring the scheme algorithms
-# ---------------------------------------------------------------------------
-
-
-def ske_keygen(n: int, rng: Stream) -> str:
-    """A uniform n-bit symmetric key."""
-    return rng.bits(n)
-
-
-def ske_encrypt(scheme: PrfSymmetricScheme, k: str, rho: DensityMatrix, rng: Stream):
-    return scheme.encrypt(k, rho, rng)
-
-
-def ske_decrypt(scheme: PrfSymmetricScheme, k: str, ct: Ciphertext) -> DensityMatrix:
-    return scheme.decrypt(k, ct)
-
-
-def pke_keygen(scheme: PermutationPublicScheme, rng: Stream) -> KeyPair:
-    return scheme.keygen(rng)
-
-
-def pke_encrypt(scheme: PermutationPublicScheme, pk: TowpIndex, rho, rng: Stream):
-    return scheme.encrypt(pk, rho, rng)
-
-
-def pke_decrypt(scheme: PermutationPublicScheme, sk: PkeSecret, ct: Ciphertext):
-    return scheme.decrypt(sk, ct)
-
-
 def ciphertext_as_state(ct: Ciphertext, tag_register: str = "T") -> DensityMatrix:
     """Embed the classical tag as a basis-state register next to the payload."""
     if not ct.tag:

@@ -63,7 +63,9 @@ def test_list_outputs_registries(capsys):
     assert main(["list"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert any("schemes" in row for row in doc["results"])
-    assert main(["--list"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["--list"])
+    assert err.value.code == 2
 
 
 def test_correctness_pass_and_fail(tmp_path):

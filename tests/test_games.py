@@ -45,7 +45,7 @@ from qelab.schemes import (
     UniformPadPublicScheme,
 )
 
-EXACT = GameConfig(n=1, qubits=1, exact=True, seed=5)
+EXACT = GameConfig(qubits=1, exact=True, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ class _DecryptingDistinguisher(Distinguisher):
 
 def test_post_challenge_decryption_aborts():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(7).child("s"))
-    config = GameConfig(n=1, qubits=1, trials=2, seed=8)
+    config = GameConfig(qubits=1, trials=2, seed=8)
     with pytest.raises(OraclePolicyError):
         run_ind(scheme, BasisMessage("1"), _DecryptingDistinguisher(),
                 OraclePolicy.cca1(), config)
@@ -139,7 +139,7 @@ class _GreedyEncrypting(MessageGenerator):
 
 def test_oracle_budget_enforced():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(9).child("s"))
-    config = GameConfig(n=1, qubits=1, trials=1, seed=10, oracle_budget=16)
+    config = GameConfig(qubits=1, trials=1, seed=10, oracle_budget=16)
     with pytest.raises(OraclePolicyError):
         run_ind(scheme, _GreedyEncrypting(), ConstantDistinguisher(1),
                 OraclePolicy.cpa(), config)
@@ -183,7 +183,7 @@ def test_exact_ind_builds_no_qrat(monkeypatch):
     monkeypatch.setattr(QRat, "__init__", counting_init)
     scheme = PrfSymmetricScheme(2, 3, setup_rng=Stream(7))
     est = run_ind(scheme, BasisMessage("111"), MeasureEqualsDistinguisher("111", "M"),
-                  None, GameConfig(n=2, qubits=3, exact=True, seed=7))
+                  None, GameConfig(qubits=3, exact=True, seed=7))
     assert isinstance(est.p_real_exact, Fraction) and isinstance(est.p_ideal_exact, Fraction)
     assert built == []
     QRat(1)
@@ -227,12 +227,12 @@ def test_register_mismatch_rejected():
     scheme = IdentityScheme(1, 2)
     with pytest.raises(RoleError):
         run_ind(scheme, BasisMessage("1"), ConstantDistinguisher(1), None,
-                GameConfig(n=1, qubits=2, exact=True, seed=1))
+                GameConfig(qubits=2, exact=True, seed=1))
 
 
 def test_sampled_matches_exact_on_identity_scheme():
     scheme = IdentityScheme(1, 1)
-    config = GameConfig(n=1, qubits=1, trials=200, seed=12)
+    config = GameConfig(qubits=1, trials=200, seed=12)
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"),
                   None, config)
     assert est.p_real == 1.0 and est.p_ideal == 0.0
@@ -420,7 +420,7 @@ def test_cpa_readout_breaks_constant_prf_scheme():
     from qelab.primitives import ConstantPrf
 
     scheme = PrfSymmetricScheme(2, 1, prf=ConstantPrf(2, 2, 2))
-    config = GameConfig(n=2, qubits=1, trials=1000, seed=13)
+    config = GameConfig(qubits=1, trials=1000, seed=13)
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"),
                   OraclePolicy.cpa(), config)
     assert est.advantage >= 0.9
@@ -457,7 +457,7 @@ def test_public_scheme_hands_pk_to_roles():
 
 def test_exact_mode_qubit_cap():
     with pytest.raises(ValueError):
-        GameConfig(n=1, qubits=4, exact=True)
+        GameConfig(qubits=4, exact=True)
     with pytest.raises(ValueError):
         GameConfig(trials=0)
 

@@ -15,12 +15,12 @@ from qelab.errors import (
 from qelab.quantum import (
     TOL_ALGEBRA,
     _kron,
+    _trace_distance_raw,
     DensityMatrix,
     apply_pauli,
     basis_state,
     bell_state,
     channel_choi_distance,
-    density_matrix,
     maximally_mixed,
     measure_computational,
     measure_registers_into,
@@ -634,6 +634,30 @@ def test_choi_distance_flip_vs_identity():
     assert abs(channel_choi_distance(flip, lambda m: m, 1) - 1.0) < 1e-12
 
 
+def _choi_by_kron(mapper, dim):
+    out = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    for x in range(dim):
+        for y in range(dim):
+            unit = np.zeros((dim, dim), dtype=np.complex128)
+            unit[x, y] = 1.0
+            out += np.kron(np.asarray(mapper(unit), dtype=np.complex128), unit)
+    return out / dim
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_choi_distance_matches_kron_construction(qubits):
+    """Strided accumulation builds the same Choi matrix as summing kron products."""
+    dim = 2**qubits
+    gen = Stream(41).child(f"q{qubits}").numpy()
+    k = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    sigma = random_mixed_state(qubits, Stream(42)).mat
+    conj = lambda m: k @ m @ k.conj().T
+    replace = lambda m: np.trace(m) * sigma
+    expected = _trace_distance_raw(_choi_by_kron(conj, dim), _choi_by_kron(replace, dim))
+    got = channel_choi_distance(conj, replace, qubits)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
 def test_choi_distance_shape_check():
     bad = lambda m: np.eye(4)
     with pytest.raises(DimensionMismatchError):
@@ -647,14 +671,14 @@ def test_choi_distance_shape_check():
 
 def test_constructor_validation():
     with pytest.raises(LayoutError):
-        density_matrix(np.eye(2), [("M", 2)])  # wrong dimension
+        DensityMatrix(np.eye(2), [("M", 2)])  # wrong dimension
     with pytest.raises(LayoutError):
-        density_matrix(np.eye(2), [("M", 1)])  # trace 2
+        DensityMatrix(np.eye(2), [("M", 1)])  # trace 2
     bad = np.array([[1.5, 0], [0, -0.5]], dtype=complex)
     with pytest.raises(LayoutError):
-        density_matrix(bad, [("M", 1)])  # negative eigenvalue
+        DensityMatrix(bad, [("M", 1)])  # negative eigenvalue
     with pytest.raises(LayoutError):
-        density_matrix(np.eye(2) / 2, [("M", 1), ("M", 1)])  # duplicate names
+        DensityMatrix(np.eye(2) / 2, [("M", 1), ("M", 1)])  # duplicate names
 
 
 def test_operations_return_valid_states():
@@ -668,7 +692,7 @@ def test_operations_return_valid_states():
         measure_computational(state, "E", rng.child("m"))[1],
     ]
     for out in outputs:
-        density_matrix(out.mat, out.layout)  # re-validates invariants
+        DensityMatrix(out.mat, out.layout)  # re-validates invariants
 
 
 def test_rename_and_zero_replacement():
@@ -729,7 +753,7 @@ def test_exact_state_keeps_denominators_beyond_int64():
     a, b = weighted("A", Fraction(1, 3**20)), weighted("B", Fraction(1, 5**15))
     ab = tensor(a, b)
     assert a.den < 2**63 and b.den < 2**63 < ab.den
-    density_matrix(ab.mat, ab.layout)  # trace exactly 1
+    DensityMatrix(ab.mat, ab.layout)  # trace exactly 1
     wa, wb = Fraction(1, 3**20), Fraction(1, 5**15)
     assert measurement_distribution(ab, ("A", "B")) == {
         "00": wa * wb, "01": wa * (1 - wb), "10": (1 - wa) * wb, "11": (1 - wa) * (1 - wb),

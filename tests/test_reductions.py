@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qelab import reductions
 from qelab.errors import ParameterError
 from qelab.games import GameConfig, OraclePolicy, run_ind, run_sem
 from qelab.primitives import ConstantPrf, ConstantPrg, prf_distinguisher_advantage
@@ -32,7 +33,7 @@ from qelab.roles import (
 )
 from qelab.schemes import IdentityScheme, PrfSymmetricScheme, QotpScheme
 
-EXACT = GameConfig(n=1, qubits=1, exact=True, seed=6)
+EXACT = GameConfig(qubits=1, exact=True, seed=6)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ def test_simulator_uses_encryption_oracle_when_granted():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(1).child("s"))
     adversary = CopyPayloadAdversary("M", "OUT")
     simulator = reduction_ind_to_sem(adversary)
-    config = GameConfig(n=2, qubits=1, trials=50, seed=2)
+    config = GameConfig(qubits=1, trials=50, seed=2)
     est = run_sem(
         scheme,
         BasisMessageWithTarget("1"),
@@ -102,7 +103,7 @@ def test_simulator_uses_encryption_oracle_when_granted():
 
 def test_pipeline_bound_on_prf_scheme():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(3).child("s"))
-    config = GameConfig(n=2, qubits=1, trials=400, seed=4)
+    config = GameConfig(qubits=1, trials=400, seed=4)
     out = ind_to_sem_pipeline(
         scheme,
         BasisMessageWithTarget("1"),
@@ -164,6 +165,27 @@ def test_prf_reduction_exact_identity_on_keyed_oracle():
     )
     assert report["identity_holds"]
     assert report["max_residual"] <= 1e-12
+
+
+def test_prf_exact_identity_plays_the_construction(monkeypatch):
+    """The exact check plays the construction itself: dropping the pad it
+    applies makes the identity fail."""
+    build = reductions.reduction_cca1_to_prf
+
+    def padless(mgen, dist, qubits, budget=64):
+        construction = build(mgen, dist, qubits, budget)
+        keyed = construction.branches
+        construction.branches = lambda oracle, play: keyed(lambda tag: "0" * 2 * qubits, play)
+        return construction
+
+    scheme = PrfSymmetricScheme(1, 1, prf=ConstantPrf(1, 2, 2, "11"))
+    roles = (BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"))
+    assert cca1_to_prf_exact_check(*roles, scheme, EXACT)["identity_holds"]
+    monkeypatch.setattr(reductions, "reduction_cca1_to_prf", padless)
+    report = cca1_to_prf_exact_check(*roles, scheme, EXACT)
+    assert report["acceptance_with_keyed_oracle"] == 1.0
+    assert report["hidden_bit_success"] == 0.0
+    assert not report["identity_holds"]
 
 
 def test_prf_reduction_coin_adversary_no_advantage():
@@ -228,7 +250,7 @@ def test_second_case_keeps_b_marginal():
 def test_sampled_reduction_matches_exact():
     dist = UnpadThenMeasureDistinguisher("11", "1", "A")
     sampled = run_prg_pad_reduction(
-        ConstantPrg(1, "11"), dist, _pair(), GameConfig(n=1, qubits=1, trials=400, seed=8)
+        ConstantPrg(1, "11"), dist, _pair(), GameConfig(qubits=1, trials=400, seed=8)
     )
     assert sampled.p_real == 1.0
     assert abs(sampled.p_ideal - 0.5) <= sampled.ci_halfwidth + 0.05

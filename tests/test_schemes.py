@@ -37,7 +37,6 @@ from qelab.schemes import (
     UniformPadPublicScheme,
     build_scheme,
     ciphertext_as_state,
-    ske_keygen,
 )
 
 
@@ -50,14 +49,22 @@ def _ske(n=2, qubits=2, seed=100):
 # ---------------------------------------------------------------------------
 
 
+def _ske_keygen(n):
+    """The symmetric key generator at key length n; a constant PRF builds no GGM tree."""
+    scheme = PrfSymmetricScheme(n, 1, prf=ConstantPrf(n, 2, 2))
+    return lambda rng: scheme.keygen(rng).ek
+
+
 def test_ske_keygen_reproducible_and_fresh():
-    assert ske_keygen(8, Stream(1).child("k")) == ske_keygen(8, Stream(1).child("k"))
-    assert ske_keygen(16, Stream(1).child("a")) != ske_keygen(16, Stream(1).child("b"))
+    keygen8, keygen16 = _ske_keygen(8), _ske_keygen(16)
+    assert keygen8(Stream(1).child("k")) == keygen8(Stream(1).child("k"))
+    assert keygen16(Stream(1).child("a")) != keygen16(Stream(1).child("b"))
 
 
 def test_ske_keygen_bias_bound():
     draws = 10_000
-    ones = sum(ske_keygen(1, Stream(2).child(f"k{i}")) == "1" for i in range(draws))
+    keygen = _ske_keygen(1)
+    ones = sum(keygen(Stream(2).child(f"k{i}")) == "1" for i in range(draws))
     sigma = (0.25 / draws) ** 0.5
     assert abs(ones / draws - 0.5) < 4 * sigma
 
