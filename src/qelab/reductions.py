@@ -32,7 +32,7 @@ from .games import (
     OraclePolicy,
     SamplingPlay,
     _check_exact_qubits,
-    _exact_keypairs,
+    _keys,
     biased_bit,
     fair_bit,
     game_arm,
@@ -350,7 +350,7 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
     construction = reduction_cca1_to_prf(mgen, dist, scheme.qubits)
 
     def keyed(play):
-        for wk, kp in play.coin("key", lambda: _exact_keypairs(scheme, config), scheme.keygen):
+        for wk, kp in _keys(play, scheme, config):
             for w, accept in construction.branches(partial(scheme.prf.evaluate, kp.ek), play):
                 yield (wk * w, accept)
 
