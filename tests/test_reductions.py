@@ -101,6 +101,23 @@ def test_simulator_uses_encryption_oracle_when_granted():
     assert 0.0 <= est.p_ideal <= 1.0  # runs through the oracle path
 
 
+@pytest.mark.parametrize("policy", [OraclePolicy.cpa(), OraclePolicy.cca1()], ids=["cpa", "cca1"])
+def test_simulator_oracle_route_is_pinned(policy):
+    # One oracle call per trial; these values pin the route's draws.
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(1).child("s"))
+    adversary = CopyPayloadAdversary("M", "OUT")
+    est = run_sem(
+        scheme,
+        BasisMessageWithTarget("1"),
+        adversary,
+        reduction_ind_to_sem(adversary),
+        CompareRegistersDistinguisher("OUT", "F"),
+        policy,
+        GameConfig(trials=200, seed=2),
+    )
+    assert (est.p_real, est.p_ideal) == (0.14, 0.89)
+
+
 def test_pipeline_bound_on_prf_scheme():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(3).child("s"))
     config = GameConfig(qubits=1, trials=400, seed=4)
