@@ -8,13 +8,15 @@ comparison).
 
 One arm, two interpreters: each arm is written once, as a generator
 `branches(play)` that loops over `play.coin(label, cases, draw)` at every
-coin (key, message case, hidden bit, encryption coins) and yields
-(weight, probability) pairs.  The exact interpreter `EXACT` returns each
-coin's declared cases, so the arm multiplies out key space x encryption
-coins x role cases and sums Fraction-exact probabilities; it requires
-deterministic, oracle-free roles.  The sampling interpreter `SamplingPlay`
-returns one case per coin, drawn from the trial stream's child named by
-the coin's label, and the game reports Wilson intervals.
+coin (key, message case, hidden bit, encryption coins, a role's private
+coins) and yields (weight, probability) pairs.  The exact interpreter
+`EXACT` returns each coin's declared cases, so the arm multiplies out key
+space x encryption coins x role cases and sums Fraction-exact
+probabilities; it refuses oracle calls.  The sampling interpreter
+`SamplingPlay` returns one case per coin, drawn from the trial stream's
+child named by the coin's label, and the game reports Wilson intervals.
+Both live in `roles`, next to the `RoleContext` through which a role
+draws its own coins from the same tree.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
-from .estimate import ENUM_CAP_DEFAULT, AdvantageEstimate, GameArm, estimate
+from .estimate import AdvantageEstimate, GameArm, estimate
 from .quantum import (
     MAX_EXHAUSTIVE_QUBITS,
     DensityMatrix,
@@ -49,12 +51,13 @@ from .quantum import (
 )
 from .rng import Stream
 from .roles import (
-    DENIED_ORACLES,
+    EXACT,
     Channel,
     Distinguisher,
     MessageCase,
     MessageGenerator,
     RoleContext,
+    SamplingPlay,
     sample_case,
 )
 from .schemes import Ciphertext, KeyPair, PauliTagScheme
@@ -150,7 +153,6 @@ class GameConfig:
     trials: int = 1000
     seed: int = 0
     exact: bool = False
-    enum_cap: int = ENUM_CAP_DEFAULT
     oracle_budget: int = 64
 
     def __post_init__(self):
@@ -202,63 +204,6 @@ def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix
 # ---------------------------------------------------------------------------
 
 
-class ExactPlay:
-    """Exact interpreter: every coin yields all of its declared cases."""
-
-    def coin(self, label: str, cases, draw):
-        return cases()
-
-    def channel(self, channel: Channel, ctx: RoleContext):
-        return channel.cases(ctx)
-
-    def child(self, label: str) -> "ExactPlay":
-        return self
-
-    def context(self, coins: str, oracles=None, **fields) -> RoleContext:
-        """Exact roles get no oracles and no private coins."""
-        return RoleContext(exact=True, **fields)
-
-    def prob(self, value):
-        if not isinstance(value, Fraction):
-            raise EnumerationCapError(
-                f"role returned a non-exact probability {value!r} in exact mode"
-            )
-        return value
-
-
-class SamplingPlay:
-    """Sampling interpreter: every coin yields one case, drawn from its own stream.
-
-    A coin labelled `label` draws from `rng.child(label)` with weight 1,
-    so an arm's branches collapse to the single branch of one trial.
-    """
-
-    def __init__(self, rng: Stream):
-        self.rng = rng
-
-    def coin(self, label: str, cases, draw):
-        return ((1, draw(self.rng.child(label))),)
-
-    def channel(self, channel: Channel, ctx: RoleContext):
-        return ((1, channel),)
-
-    def child(self, label: str) -> "SamplingPlay":
-        return SamplingPlay(self.rng.child(label))
-
-    def context(self, coins: str, oracles=None, **fields) -> RoleContext:
-        """Private coins from `rng.child(coins)`; handles from `oracles(rng)`."""
-        return RoleContext(
-            oracles=oracles(self.rng) if oracles is not None else DENIED_ORACLES,
-            rng=self.rng.child(coins),
-            exact=False,
-            **fields,
-        )
-
-    def prob(self, value) -> float:
-        return float(value)
-
-
-EXACT = ExactPlay()
 _HALVES = ((Fraction(1, 2), 1), (Fraction(1, 2), 0))
 
 
@@ -318,7 +263,7 @@ def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
         yield w, case
 
 
-def _encryptions(play, scheme: PauliTagScheme, ek):
+def _encryptions(play, scheme: PauliTagScheme, ek, label: str):
     def cases():
         enumerated = scheme.encrypt_cases(ek)
         if enumerated is None:
@@ -327,7 +272,7 @@ def _encryptions(play, scheme: PauliTagScheme, ek):
             )
         return [(c.weight, c) for c in enumerated]
 
-    return play.coin("enc", cases, lambda r: scheme.sample_encryption(ek, r))
+    return play.coin(label, cases, lambda r: scheme.sample_encryption(ek, r))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +289,7 @@ def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool) -> GameArm:
                 state = mcase.state
                 if zero_arm:
                     state = replace_with_zero_state(state, "M")
-                for we, ecase in _encryptions(play, scheme, keypair.ek):
+                for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
                     padded = _pad_message(state, ecase.pad)
                     yield (wk * wm * we, play.prob(dist.prob_one(ecase.tag, padded, ctx_post)))
 
@@ -361,7 +306,7 @@ def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("ind"), cap=config.enum_cap,
+        rng=config.stream("ind"),
     )
 
 
@@ -384,7 +329,7 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
                     state = mcase.state if hidden_bit == 1 else replace_with_zero_state(
                         mcase.state, "M"
                     )
-                    for we, ecase in _encryptions(play, scheme, keypair.ek):
+                    for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
                         padded = _pad_message(state, ecase.pad)
                         p1 = play.prob(dist.prob_one(ecase.tag, padded, ctx_post))
                         yield (wk * wm * wb * we, p1 if hidden_bit == 1 else 1 - p1)
@@ -392,7 +337,7 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     return estimate(
         game_arm(branches), None,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("ind-prime"), cap=config.enum_cap,
+        rng=config.stream("ind-prime"),
     )
 
 
@@ -444,10 +389,9 @@ def _sem_real_arm(scheme, mgen, adversary, success_fn, policy, config) -> GameAr
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "adv")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                for we, ecase in _encryptions(play, scheme, keypair.ek):
+                for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
                     padded = _pad_message(mcase.state, ecase.pad)
-                    for wa, adv in play.channel(adversary, ctx_post):
-                        out = adv.transform(ecase.tag, padded, ctx_post)
+                    for wa, out in adversary.outputs(ecase.tag, padded, ctx_post):
                         yield (wk * wm * we * wa, play.prob(success_fn(out, mcase, ctx_post)))
 
     return game_arm(branches)
@@ -464,8 +408,7 @@ def _sem_ideal_arm(scheme, mgen, simulator, success_fn, drop, policy, config) ->
                 visible = partial_trace(
                     mcase.state, [r for r in drop if mcase.state.has_register(r)]
                 )
-                for ws, sim in play.channel(simulator, ctx_post):
-                    out = sim.transform(None, visible, ctx_post)
+                for ws, out in simulator.outputs(None, visible, ctx_post):
                     yield (wk * wm * ws, play.prob(success_fn(out, mcase, ctx_post)))
 
     return game_arm(branches)
@@ -491,7 +434,7 @@ def run_sem(scheme, mgen, adversary, simulator, dist,
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("sem"), cap=config.enum_cap,
+        rng=config.stream("sem"),
     )
 
 
@@ -557,19 +500,13 @@ def run_sem2(scheme, mgen, adversary, simulator,
         target = _classical_target(mcase.state)
         return _compare_out(out_state, target, out_state.exact)
 
-    def adv_on_me(tag, state, ctx, channel):
-        me = partial_trace(state, "F") if state.has_register("F") else state
-        return channel.transform(tag, me, ctx)
-
     class _FBlindChannel(Channel):
         def __init__(self, inner):
             self.inner = inner
 
-        def cases(self, ctx):
-            return [(w, _FBlindChannel(c)) for w, c in self.inner.cases(ctx)]
-
-        def transform(self, tag, state, ctx):
-            return adv_on_me(tag, state, ctx, self.inner)
+        def outputs(self, tag, state, ctx):
+            me = partial_trace(state, "F") if state.has_register("F") else state
+            return self.inner.outputs(tag, me, ctx)
 
     real = _sem_real_arm(scheme, mgen, _FBlindChannel(adversary), success, policy, config)
     ideal = _sem_ideal_arm(
@@ -578,7 +515,7 @@ def run_sem2(scheme, mgen, adversary, simulator,
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("sem2"), cap=config.enum_cap,
+        rng=config.stream("sem2"),
     )
 
 
@@ -614,7 +551,7 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("sem3"), cap=config.enum_cap,
+        rng=config.stream("sem3"),
     )
 
 

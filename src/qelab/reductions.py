@@ -30,9 +30,10 @@ from .estimate import AdvantageEstimate, estimate
 from .games import (
     GameConfig,
     OraclePolicy,
-    SamplingPlay,
     _check_exact_qubits,
+    _encryptions,
     _keys,
+    _pad_message,
     biased_bit,
     fair_bit,
     game_arm,
@@ -60,6 +61,7 @@ from .roles import (
     MessageGenerator,
     NegatedDistinguisher,
     RoleContext,
+    SamplingPlay,
 )
 from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, _all_bitstrings
 
@@ -69,80 +71,48 @@ from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, _all_bit
 # ---------------------------------------------------------------------------
 
 
-class _PreparedZeroEncryption(Channel):
-    """One enumerated branch of the simulator: a fixed fake ciphertext."""
-
-    def __init__(self, adversary: Channel, tag: str, pad: Optional[str], qubits: int):
-        self.adversary = adversary
-        self.tag = tag
-        self.pad = pad
-        self.qubits = qubits
-
-    def transform(self, tag, state, ctx):
-        zero = basis_state("0" * self.qubits, "M", state.exact)
-        payload = apply_pauli(self.pad, zero) if self.pad is not None else zero
-        joined = tensor(payload, state)
-        return self.adversary.transform(self.tag, joined, ctx)
-
-
 class ZeroEncryptionSimulator(Channel):
     """Run the adversary on a self-made encryption of the zero plaintext.
 
-    Sampling mode picks the route the proof prescribes: an oracle call
-    when an encryption oracle is granted, otherwise public-key encryption,
-    otherwise a freshly generated key of its own.  Enumeration mode
-    declares the same coin space explicitly (key cases x encryption cases).
+    The route is the one the proof prescribes: one oracle call when an
+    encryption oracle is granted (sampling mode only), otherwise
+    public-key encryption, otherwise a key of its own from the `sim-key`
+    coin; the encryption coins are the `sim-enc` coin.  Both are coins of
+    the arm's tree, so exact mode enumerates key cases x encryption cases
+    and sampling mode draws one of each.
     """
 
     def __init__(self, adversary: Channel):
         self.adversary = adversary
 
-    def cases(self, ctx: RoleContext):
-        scheme: PauliTagScheme = ctx.scheme
-        if scheme is None:
-            raise RoleError("simulator needs the scheme in its context")
-        out = []
-        if scheme.flavor == "public":
-            key_branches = [(Fraction(1), None)]
-            enc_of = lambda _kp: scheme.encrypt_cases(ctx.pk)
-        else:
-            branches = scheme.key_cases()
-            if branches is None:
-                raise EnumerationCapError(
-                    f"scheme {scheme.name!r} does not enumerate its key space"
-                )
-            key_branches = branches
-            enc_of = lambda kp: scheme.encrypt_cases(kp.ek)
-        for wk, kp in key_branches:
-            cases = enc_of(kp)
-            if cases is None:
-                raise EnumerationCapError(
-                    f"scheme {scheme.name!r} does not enumerate its encryption coins"
-                )
-            for ecase in cases:
-                for wa, adv in self.adversary.cases(ctx):
-                    out.append(
-                        (
-                            wk * ecase.weight * wa,
-                            _PreparedZeroEncryption(adv, ecase.tag, ecase.pad, scheme.qubits),
-                        )
-                    )
-        return out
-
-    def transform(self, tag, state, ctx: RoleContext):
+    def outputs(self, tag, state, ctx: RoleContext):
         scheme: PauliTagScheme = ctx.scheme
         if scheme is None:
             raise RoleError("simulator needs the scheme in its context")
         zero = basis_state("0" * scheme.qubits, "M", state.exact)
         if "enc" in getattr(ctx.oracles, "grants", frozenset()):
             ct = ctx.oracles.encrypt(zero)
-        elif scheme.flavor == "public":
-            ct = scheme.encrypt(ctx.pk, zero, ctx.coin().child("sim-enc"))
+            yield from self.adversary.outputs(ct.tag, tensor(ct.payload, state), ctx)
+            return
+        if scheme.flavor == "public":
+            keys = ((1, ctx.pk),)
         else:
-            own = scheme.keygen(ctx.coin().child("sim-key"))
-            ct = scheme.encrypt(own.ek, zero, ctx.coin().child("sim-enc"))
-        joined = tensor(ct.payload, state)
-        return self.adversary.transform(ct.tag, joined, ctx)
+            keys = (
+                (wk, kp.ek)
+                for wk, kp in ctx.coin("sim-key", lambda: _key_cases(scheme), scheme.keygen)
+            )
+        for wk, ek in keys:
+            for we, ecase in _encryptions(ctx, scheme, ek, "sim-enc"):
+                joined = tensor(_pad_message(zero, ecase.pad), state)
+                for wa, out in self.adversary.outputs(ecase.tag, joined, ctx):
+                    yield wk * we * wa, out
+
+
+def _key_cases(scheme: PauliTagScheme):
+    cases = scheme.key_cases()
+    if cases is None:
+        raise EnumerationCapError(f"scheme {scheme.name!r} does not enumerate its key space")
+    return cases
 
 
 def reduction_ind_to_sem(adversary: Channel) -> ZeroEncryptionSimulator:
@@ -354,7 +324,7 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
             for w, accept in construction.branches(partial(scheme.prf.evaluate, kp.ek), play):
                 yield (wk * w, accept)
 
-    accept = game_arm(keyed).exact_probability(config.enum_cap)
+    accept = game_arm(keyed).exact_probability()
     game = run_ind_prime(scheme, mgen, dist, OraclePolicy.cca1(), config)
     return {
         "acceptance_with_keyed_oracle": float(accept),
@@ -439,5 +409,5 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
-        rng=config.stream("prg-pad"), cap=config.enum_cap,
+        rng=config.stream("prg-pad"),
     )

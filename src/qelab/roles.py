@@ -1,10 +1,12 @@
 """Pluggable game roles: message generators, distinguishers, channels.
 
-Roles are deterministic by default and expose their randomness as explicit
-weighted cases, which is what lets the enumeration-mode games compute
-probabilities as exact Fractions.  A role that wants private coins or
-oracle interaction can still do so through the `RoleContext`, at the price
-of only being runnable in sampling mode.
+Roles expose their randomness as coins of the arm's coin tree, which is
+what lets the enumeration-mode games compute probabilities as exact
+Fractions.  A role that wants private coins draws them with
+`ctx.coin(label, cases, draw)`: the exact interpreter yields every
+declared case, the sampling interpreter one case drawn from the role's
+own stream, so the role is written once for both modes.  Only oracle
+interaction through `ctx.oracles` is limited to sampling mode.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import OraclePolicyError, RoleError
+from .errors import EnumerationCapError, OraclePolicyError, RoleError
 from .quantum import (
     DensityMatrix,
     basis_state,
@@ -40,20 +42,87 @@ class _DeniedOracles:
 DENIED_ORACLES = _DeniedOracles()
 
 
+# ---------------------------------------------------------------------------
+# One coin tree, two interpreters
+# ---------------------------------------------------------------------------
+
+
+class ExactPlay:
+    """Exact interpreter: every coin yields all of its declared cases."""
+
+    exact = True
+
+    def coin(self, label: str, cases, draw):
+        return cases()
+
+    def child(self, label: str) -> "ExactPlay":
+        return self
+
+    def context(self, coins: str, oracles=None, **fields) -> "RoleContext":
+        """Exact roles get no oracles; their private coins are enumerated."""
+        return RoleContext(play=self, **fields)
+
+    def prob(self, value):
+        if not isinstance(value, Fraction):
+            raise EnumerationCapError(
+                f"role returned a non-exact probability {value!r} in exact mode"
+            )
+        return value
+
+
+class SamplingPlay:
+    """Sampling interpreter: every coin yields one case, drawn from its own stream.
+
+    A coin labelled `label` draws from `rng.child(label)` with weight 1,
+    so an arm's branches collapse to the single branch of one trial.
+    """
+
+    exact = False
+
+    def __init__(self, rng: Stream):
+        self.rng = rng
+
+    def coin(self, label: str, cases, draw):
+        return ((1, draw(self.rng.child(label))),)
+
+    def child(self, label: str) -> "SamplingPlay":
+        return SamplingPlay(self.rng.child(label))
+
+    def context(self, coins: str, oracles=None, **fields) -> "RoleContext":
+        """Private coins under `rng.child(coins)`; handles from `oracles(rng)`."""
+        return RoleContext(
+            oracles=oracles(self.rng) if oracles is not None else DENIED_ORACLES,
+            play=self.child(coins),
+            **fields,
+        )
+
+    def prob(self, value) -> float:
+        return float(value)
+
+
+EXACT = ExactPlay()
+
+
 @dataclass
 class RoleContext:
-    """Everything a role may legitimately touch during one game run."""
+    """Everything a role may legitimately touch during one game run.
+
+    `play` is the interpreter of the arm being played, rooted at the
+    role's own coins, so `coin` branches the arm's tree.
+    """
 
     pk: object = None
     oracles: object = DENIED_ORACLES
-    rng: Optional[Stream] = None
-    exact: bool = False
+    play: object = EXACT
     scheme: object = None
 
-    def coin(self) -> Stream:
-        if self.rng is None:
-            raise RoleError("this role needs private coins; run in sampling mode")
-        return self.rng
+    @property
+    def exact(self) -> bool:
+        return self.play.exact
+
+    def coin(self, label: str, cases, draw):
+        """A private coin: (weight, value) pairs from `cases()` or one `draw(rng)`."""
+        return self.play.coin(label, cases, draw)
 
 
 @dataclass(frozen=True)
@@ -299,14 +368,15 @@ class NegatedDistinguisher(Distinguisher):
 class Channel:
     """A state-to-state role (semantic-security adversary or simulator).
 
-    `transform` must act as the identity on any register it does not own
-    (in particular the target register F).  `cases` declares the role's
-    internal coin space for enumeration mode; deterministic roles are a
-    single case.
+    `outputs` yields (weight, output state) pairs, one per branch of the
+    role's private coins, which it draws with `ctx.coin`.  A deterministic
+    role defines only `transform` and is a single branch of weight 1.
+    Every output must act as the identity on any register the role does
+    not own (in particular the target register F).
     """
 
-    def cases(self, ctx: RoleContext) -> list[tuple[Fraction, "Channel"]]:
-        return [(Fraction(1), self)]
+    def outputs(self, tag, state: DensityMatrix, ctx: RoleContext):
+        return ((1, self.transform(tag, state, ctx)),)
 
     def transform(self, tag, state: DensityMatrix, ctx: RoleContext) -> DensityMatrix:
         raise NotImplementedError
@@ -392,13 +462,10 @@ class ChannelThenDistinguisher(Distinguisher):
         self.measured = dist.measured
 
     def prob_one(self, tag, state, ctx):
-        total = None
-        for weight, instance in self.channel.cases(ctx):
-            out = instance.transform(tag, state, ctx)
-            p = self.dist.prob_one(None, out, ctx)
-            term = (Fraction(weight) * p) if isinstance(p, Fraction) else float(weight) * p
-            total = term if total is None else total + term
-        return total
+        return sum(
+            w * self.dist.prob_one(None, out, ctx)
+            for w, out in self.channel.outputs(tag, state, ctx)
+        )
 
     def decide(self, tag, outcome, ctx):  # pragma: no cover - composite role
         raise RoleError("composite distinguishers decide via prob_one")

@@ -19,6 +19,7 @@ from qelab.reductions import (
     sem_to_ind_identity_check,
 )
 from qelab.rng import Stream
+from qelab.roles import EXACT as EXACT_PLAY
 from qelab.roles import (
     BasisMessage,
     BasisMessageWithTarget,
@@ -63,12 +64,11 @@ def test_simulator_output_equals_zero_arm_exactly():
     scheme = QotpScheme(1, 1)
     adversary = CopyPayloadAdversary("M", "OUT")
     simulator = reduction_ind_to_sem(adversary)
-    ctx = RoleContext(pk=None, exact=True, scheme=scheme)
+    ctx = RoleContext(pk=None, play=EXACT_PLAY, scheme=scheme)
 
     state_ef = basis_state("1", "F", exact=True)
     total = None
-    for weight, sim in simulator.cases(ctx):
-        out = sim.transform(None, state_ef, ctx)
+    for weight, out in simulator.outputs(None, state_ef, ctx):
         term = out.mat * weight
         total = term if total is None else total + term
 
