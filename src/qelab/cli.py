@@ -337,10 +337,13 @@ def cmd_reduce(args) -> tuple[dict, bool]:
         out = ind_to_sem_pipeline(scheme, mgen, adversary, dist, OraclePolicy.plain(), config)
         results.append({"stage": "sem-with-built-simulator", **out["sem"].to_dict()})
         results.append({"stage": "ind-combined-distinguisher", **out["ind"].to_dict()})
-        bound = (
-            out["ind"].advantage + out["sem"].ci_halfwidth + out["ind"].ci_halfwidth + 1e-12
-        )
-        ok = out["sem"].advantage <= bound
+        sem, ind = out["sem"], out["ind"]
+        if args.exact:
+            bound = float(ind.advantage_exact)
+            ok = sem.advantage_exact <= ind.advantage_exact
+        else:
+            bound = ind.advantage + sem.ci_halfwidth + ind.ci_halfwidth + 1e-12
+            ok = sem.advantage <= bound
         results.append({"stage": "bound-check", "bound": bound, "holds": ok})
 
     elif args.reduction == "sem-to-ind":
@@ -372,7 +375,7 @@ def cmd_reduce(args) -> tuple[dict, bool]:
 
     config_doc = {
         "reduction": args.reduction,
-        "scheme": getattr(args, "scheme", None),
+        "scheme": args.scheme,
         "n": args.n,
         "qubits": args.qubits,
         "trials": args.trials,
@@ -443,13 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run a reduction pipeline")
     p.add_argument("--reduction", required=True, choices=REDUCTIONS)
     p.add_argument("--scheme", default="ske-prf", choices=sorted(SCHEME_BUILDERS))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--qubits", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
+    _add_common(p, scheme=False)
 
     sub.add_parser("list", help="list registered schemes, games, bundles")
     return parser

@@ -66,12 +66,15 @@ class Stream:
         return float(self._generator().random())
 
     def bernoulli(self, p) -> bool:
-        """One biased coin flip; exact when `p` is a Fraction."""
+        """One biased coin flip; exact when `p` is a Fraction.
+
+        A certain outcome (`p <= 0` or `p >= 1`) draws nothing.
+        """
+        if p <= 0:
+            return False
+        if p >= 1:
+            return True
         if isinstance(p, Fraction):
-            if p <= 0:
-                return False
-            if p >= 1:
-                return True
             return self.integer(p.denominator) < p.numerator
         return self.uniform() < float(p)
 

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qelab
+from qelab import cli
 from qelab.cli import main
+from qelab.estimate import AdvantageEstimate
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -139,6 +142,27 @@ def test_reduce_qotp_to_prg_exact(tmp_path):
     stage = {r["stage"]: r for r in doc["results"]}
     assert stage["constant-generator"]["p_ideal"] == 0.5
     assert stage["uniform-arm-half"]["holds"] is True
+
+
+def _exact_estimate(p_real, p_ideal):
+    return AdvantageEstimate(
+        p_real=float(p_real), p_ideal=float(p_ideal), advantage=float(abs(p_real - p_ideal)),
+        ci_halfwidth=0.0, trials=0, exact=True, p_real_exact=p_real, p_ideal_exact=p_ideal,
+    )
+
+
+@pytest.mark.parametrize("excess, code", [(Fraction(1, 10**13), 1), (Fraction(0), 0)])
+def test_reduce_ind_to_sem_exact_bound_has_no_slack(tmp_path, monkeypatch, excess, code):
+    # The semantic advantage exceeds the distinguishing one by less than
+    # 1e-12: an exact check must still report the violation.
+    ind = _exact_estimate(Fraction(1, 2), Fraction(1, 4))
+    sem = _exact_estimate(Fraction(1, 2) + excess, Fraction(1, 4))
+    monkeypatch.setattr(cli, "ind_to_sem_pipeline", lambda *args: {"sem": sem, "ind": ind})
+    got, blob = run_cli(["reduce", "--reduction", "ind-to-sem", "--exact", "--seed", "7"],
+                        tmp_path)
+    check = json.loads(blob)["results"][-1]
+    assert got == code
+    assert check == {"stage": "bound-check", "bound": 0.25, "holds": code == 0}
 
 
 def test_reduce_cca1_needs_prf_scheme():

@@ -120,6 +120,11 @@ GOLDEN = {
         "reduce", "--reduction", "cca1-to-prf", "--scheme", "ske-prf", "--n", "2",
         "--qubits", "1", "--trials", "1000", "--exact", "--seed", "7",
     ],
+    # Generated after the exact bound check stopped adding a float slack.
+    "reduce-ind-to-sem-ske-prf-exact": [
+        "reduce", "--reduction", "ind-to-sem", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "1", "--exact", "--seed", "7",
+    ],
     # The zero-encryption simulator's public-key route, in each mode.
     "game-sem-pke-towp-n4-copy-vs-sim-exact": [
         "game", "--game", "sem", "--scheme", "pke-towp", "--adversary", "copy-vs-sim",

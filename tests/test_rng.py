@@ -95,3 +95,17 @@ def test_philox_is_built_on_first_draw_only(monkeypatch):
     stream.uniform()
     stream.numpy()
     assert len(built) == 1  # later draws reuse the generator
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, Fraction(0), Fraction(1)])
+def test_certain_bernoulli_builds_no_philox(monkeypatch, p):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    assert Stream(7).child("flip").bernoulli(p) == (p >= 1)
+    assert built == []
