@@ -134,6 +134,25 @@ GOLDEN = {
         "game", "--game", "sem", "--scheme", "pke-towp", "--adversary", "copy-vs-sim",
         "--n", "4", "--qubits", "1", "--seed", "7",
     ],
+    # Exact ind with each tag-blind distinguisher, whose per-pad values
+    # exact enumeration may share between tags, and the exact-pke-n6
+    # benchmark command, whose thousands of tags share at most four pads.
+    "game-ind-pke-towp-n6-exact": [
+        "game", "--game", "ind", "--scheme", "pke-towp", "--n", "6", "--qubits", "1",
+        "--exact", "--seed", "7",
+    ],
+    "game-ind-ske-prf-bell-readout-exact": [
+        "game", "--game", "ind", "--scheme", "ske-prf", "--adversary", "bell-readout",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
+    "game-ind-ske-prf-coin-exact": [
+        "game", "--game", "ind", "--scheme", "ske-prf", "--adversary", "coin",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
+    "game-ind-ske-prf-constant-one-exact": [
+        "game", "--game", "ind", "--scheme", "ske-prf", "--adversary", "constant-one",
+        "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
+    ],
 }
 
 
