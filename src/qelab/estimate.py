@@ -9,6 +9,7 @@ then a Bernoulli outcome, per trial.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -87,18 +88,28 @@ class GameArm:
         self._sampler = sample_probability
 
     def exact_probability(self, cap: int = ENUM_CAP_DEFAULT) -> Fraction:
+        """Sum weight x probability over every branch, as a Fraction.
+
+        Weights and probabilities are ints or Fractions.  Branches are
+        counted against `cap` one by one, and each is tallied by its
+        (weight, probability) pair as four ints, because hashing a Fraction
+        is slow.  The Fraction arithmetic then runs once per distinct pair.
+        The weights must sum to exactly 1.
+        """
         if self._branches is None:
             raise EnumerationCapError("this arm does not support exact enumeration")
-        total = Fraction(0)
-        weight_seen = Fraction(0)
+        tally = Counter()
         count = 0
         for weight, p in self._branches():
             count += 1
             if count > cap:
                 raise EnumerationCapError(f"enumeration exceeded the cap of {cap} branches")
-            weight = Fraction(weight)
-            p = Fraction(p)
-            total += weight * p
+            tally[weight.numerator, weight.denominator, p.numerator, p.denominator] += 1
+        total = Fraction(0)
+        weight_seen = Fraction(0)
+        for (wn, wd, pn, pd), k in tally.items():
+            weight = Fraction(k * wn, wd)
+            total += weight * Fraction(pn, pd)
             weight_seen += weight
         if weight_seen != 1:
             raise EnumerationCapError(f"branch weights sum to {weight_seen}, expected 1")

@@ -16,7 +16,10 @@ probabilities; it refuses oracle calls.  The sampling interpreter
 `SamplingPlay` returns one case per coin, drawn from the trial stream's
 child named by the coin's label, and the game reports Wilson intervals.
 Both live in `roles`, next to the `RoleContext` through which a role
-draws its own coins from the same tree.
+draws its own coins from the same tree.  In exact mode an ind game
+builds its key and encryption cases once for all its arms, and a
+distinguisher that declares `reads_tag = False` is measured once per
+distinct pad (`_challenge_probs`); every branch is still enumerated.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -232,8 +235,26 @@ def biased_bit(play, label: str, p):
     return play.coin(label, lambda: ((p, 1), (1 - p, 0)), lambda r: 1 if r.bernoulli(p) else 0)
 
 
-def _keys(play, scheme: PauliTagScheme, config: GameConfig):
-    return play.coin("key", lambda: _exact_keypairs(scheme, config), scheme.keygen)
+def _shared(shared: Optional[dict], key, build):
+    """`build()`, run once per `key` when `shared` (a dict scoped to one game) is given.
+
+    A game's arms play the same key and encryption coins, so exact mode
+    enumerates them once per game.  The dict lives as long as the game,
+    never as long as the scheme.  Sampling never asks for the cases.
+    """
+    if shared is None:
+        return build()
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
+def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dict] = None):
+    return play.coin(
+        "key",
+        lambda: _shared(shared, "key", lambda: _exact_keypairs(scheme, config)),
+        scheme.keygen,
+    )
 
 
 def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> RoleContext:
@@ -263,7 +284,8 @@ def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
         yield w, case
 
 
-def _encryptions(play, scheme: PauliTagScheme, ek, label: str):
+def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
+                 shared: Optional[dict] = None):
     def cases():
         enumerated = scheme.encrypt_cases(ek)
         if enumerated is None:
@@ -272,7 +294,30 @@ def _encryptions(play, scheme: PauliTagScheme, ek, label: str):
             )
         return [(c.weight, c) for c in enumerated]
 
-    return play.coin(label, cases, lambda r: scheme.sample_encryption(ek, r))
+    return play.coin(
+        label, lambda: _shared(shared, (label, ek), cases),
+        lambda r: scheme.sample_encryption(ek, r),
+    )
+
+
+def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryptions,
+                     ctx: RoleContext):
+    """(weight, Pr[dist outputs 1]) for each encryption case of one challenge state.
+
+    A distinguisher that declares `reads_tag = False` sees only the padded
+    state, so within this scope (one key and challenge state) each distinct
+    pad is applied and measured once and its value serves every tag with
+    that pad.  Every case is still yielded.  Sampling yields one case per
+    scope, so nothing is reused there.
+    """
+    by_pad = {}
+    for we, ecase in encryptions:
+        p1 = by_pad.get(ecase.pad)
+        if p1 is None:
+            p1 = play.prob(dist.prob_one(ecase.tag, _pad_message(state, ecase.pad), ctx))
+            if not dist.reads_tag:
+                by_pad[ecase.pad] = p1
+        yield we, p1
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +325,19 @@ def _encryptions(play, scheme: PauliTagScheme, ek, label: str):
 # ---------------------------------------------------------------------------
 
 
-def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool) -> GameArm:
+def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -> GameArm:
     def branches(play):
-        for wk, keypair in _keys(play, scheme, config):
+        for wk, keypair in _keys(play, scheme, config, shared):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 state = mcase.state
                 if zero_arm:
                     state = replace_with_zero_state(state, "M")
-                for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
-                    padded = _pad_message(state, ecase.pad)
-                    yield (wk * wm * we, play.prob(dist.prob_one(ecase.tag, padded, ctx_post)))
+                encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
+                wkm = wk * wm
+                for we, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post):
+                    yield (wkm * we, p1)
 
     return game_arm(branches)
 
@@ -301,8 +347,9 @@ def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     """Two-arm distinguishing: genuine message versus zeroed message."""
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
-    real = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=False)
-    ideal = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=True)
+    shared = {}
+    real = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=False, shared=shared)
+    ideal = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=True, shared=shared)
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
@@ -320,8 +367,10 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
 
+    shared = {}
+
     def branches(play):
-        for wk, keypair in _keys(play, scheme, config):
+        for wk, keypair in _keys(play, scheme, config, shared):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
@@ -329,10 +378,10 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
                     state = mcase.state if hidden_bit == 1 else replace_with_zero_state(
                         mcase.state, "M"
                     )
-                    for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
-                        padded = _pad_message(state, ecase.pad)
-                        p1 = play.prob(dist.prob_one(ecase.tag, padded, ctx_post))
-                        yield (wk * wm * wb * we, p1 if hidden_bit == 1 else 1 - p1)
+                    encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
+                    wkmb = wk * wm * wb
+                    for we, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post):
+                        yield (wkmb * we, p1 if hidden_bit == 1 else 1 - p1)
 
     return estimate(
         game_arm(branches), None,

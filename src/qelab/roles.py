@@ -251,9 +251,17 @@ class Distinguisher:
     `prob_one` is the single entry point the games use; for the shipped
     measurement-based roles it is computed exactly from the state's
     diagonal blocks (Fractions in exact mode).
+
+    `reads_tag` is a contract the role class declares, not an option:
+    `False` promises that `prob_one(tag, state, ctx)` depends only on
+    `state` and `ctx`.  Exact IND enumeration then measures each distinct
+    pad once per key and challenge state, and reuses that value for every
+    tag with the same pad.  The default `True` is always safe: such a role is
+    evaluated on every branch.
     """
 
     measured: tuple[str, ...] = ("M",)
+    reads_tag: bool = True
 
     def pre_map(self, tag, state: DensityMatrix, ctx: RoleContext) -> DensityMatrix:
         return state
@@ -272,6 +280,8 @@ class Distinguisher:
 
 
 class ConstantDistinguisher(Distinguisher):
+    reads_tag = False
+
     def __init__(self, bit: int):
         self.bit = 1 if bit else 0
 
@@ -285,6 +295,8 @@ class ConstantDistinguisher(Distinguisher):
 class CoinDistinguisher(Distinguisher):
     """State-independent fair coin; advantage zero in every game."""
 
+    reads_tag = False
+
     def prob_one(self, tag, state, ctx):
         return Fraction(1, 2) if state.exact else 0.5
 
@@ -294,6 +306,8 @@ class CoinDistinguisher(Distinguisher):
 
 class MeasureEqualsDistinguisher(Distinguisher):
     """Measure one register; output 1 iff the outcome equals a fixed value."""
+
+    reads_tag = False
 
     def __init__(self, value: str, register: str = "M"):
         self.value = value
@@ -319,6 +333,8 @@ class UnpadThenMeasureDistinguisher(MeasureEqualsDistinguisher):
 
 class CompareRegistersDistinguisher(Distinguisher):
     """Measure two registers jointly; output 1 iff their outcomes agree."""
+
+    reads_tag = False
 
     def __init__(self, first: str = "OUT", second: str = "F"):
         self.first = first
@@ -348,6 +364,7 @@ class NegatedDistinguisher(Distinguisher):
     def __init__(self, base: Distinguisher):
         self.base = base
         self.measured = base.measured
+        self.reads_tag = base.reads_tag
 
     def pre_map(self, tag, state, ctx):
         return self.base.pre_map(tag, state, ctx)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qelab.errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from qelab.estimate import GameArm, estimate
@@ -15,7 +16,14 @@ from qelab.games import (
     run_sem2,
     run_sem3,
 )
-from qelab.quantum import basis_state, maximally_mixed, tensor
+from qelab.quantum import (
+    apply_pauli,
+    basis_state,
+    maximally_mixed,
+    measurement_distribution,
+    replace_with_zero_state,
+    tensor,
+)
 from qelab.rationals import QRat
 from qelab.reductions import reduction_ind_to_sem
 from qelab.rng import Stream
@@ -43,6 +51,7 @@ from qelab.schemes import (
     QotpScheme,
     RandomPadSymmetricScheme,
     UniformPadPublicScheme,
+    build_scheme,
 )
 
 EXACT = GameConfig(qubits=1, exact=True, seed=5)
@@ -73,6 +82,43 @@ def test_estimate_weight_guard_and_cap():
     wide = GameArm(branches=lambda: ((Fraction(1, 100), Fraction(1)) for _ in range(100)))
     with pytest.raises(EnumerationCapError):
         estimate(wide, None, exact=True, rng=Stream(4), cap=10)
+
+
+_PROBS = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+                          Fraction(2, 7), Fraction(5, 8)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), _PROBS), min_size=1, max_size=40))
+def test_exact_probability_tally_equals_per_branch_sum(raw):
+    # Small value sets, so equal (weight, probability) pairs repeat often.
+    total = sum(w for w, _ in raw)
+    pairs = [(Fraction(w, total), p) for w, p in raw]
+    naive = sum((w * p for w, p in pairs), Fraction(0))
+    assert GameArm(branches=lambda: iter(pairs)).exact_probability() == naive
+
+
+def test_exact_probability_rejects_weights_not_summing_to_one():
+    # Repeated pairs that fall 1/64 short, and an overshoot built from ints.
+    short = [(Fraction(1, 64), Fraction(1, 2))] * 63
+    with pytest.raises(EnumerationCapError, match="sum to 63/64"):
+        GameArm(branches=lambda: iter(short)).exact_probability()
+    over = [(1, 1), (Fraction(1, 2), 0)]
+    with pytest.raises(EnumerationCapError, match="sum to 3/2"):
+        GameArm(branches=lambda: iter(over)).exact_probability()
+
+
+def test_exact_probability_cap_fires_at_branch_cap_plus_one():
+    pulled = []
+
+    def branches():
+        for i in range(100):
+            pulled.append(i)
+            yield Fraction(1, 100), Fraction(1)
+
+    with pytest.raises(EnumerationCapError, match="cap of 10 branches"):
+        GameArm(branches=branches).exact_probability(cap=10)
+    assert len(pulled) == 11
 
 
 def test_estimate_sampling_agrees_with_exact():
@@ -188,6 +234,116 @@ def test_exact_ind_builds_no_qrat(monkeypatch):
     assert built == []
     QRat(1)
     assert len(built) == 1  # the counter sees a QRat when one is built
+
+
+class _TagParityDistinguisher(Distinguisher):
+    """Reads the tag: outputs 1 iff the readout equals the tag's parity bit.
+
+    It keeps the default `reads_tag`, so no game may share its values
+    between tags.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, tag, outcome, ctx):
+        return 1 if outcome == str(tag.count("1") % 2) else 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+def _brute_force_ind(scheme, message, p_one, first_tag_per_pad=False):
+    """Pr[1] in each ind arm, as one Fraction sum over every (key, tag) branch.
+
+    With `first_tag_per_pad`, each branch is scored with the tag of the
+    first branch under the same key that has its pad, which is what
+    sharing one value per pad would compute.
+    """
+    arms = []
+    for state in (message, replace_with_zero_state(message, "M")):
+        total = Fraction(0)
+        for wk, kp in scheme.key_cases():
+            first = {}
+            for case in scheme.encrypt_cases(kp.ek):
+                tag = first.setdefault(case.pad, case.tag) if first_tag_per_pad else case.tag
+                total += wk * case.weight * p_one(tag, apply_pauli(case.pad, state, "M"))
+        arms.append(total)
+    return arms
+
+
+def test_tag_reading_role_is_evaluated_on_every_branch():
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7).child("s"))
+    dist = _TagParityDistinguisher()
+    assert dist.reads_tag is True  # the default contract: never grouped
+
+    def p_one(tag, padded):
+        return sum((p for o, p in measurement_distribution(padded, "M").items()
+                    if dist.decide(tag, o, None) == 1), Fraction(0))
+
+    message = basis_state("1", "M", True)
+    real, ideal = _brute_force_ind(scheme, message, p_one)
+    est = run_ind(scheme, BasisMessage("1"), dist, None, EXACT)
+    assert (est.p_real_exact, est.p_ideal_exact) == (real, ideal)
+    assert dist.calls == 2 * 4 * 4  # arms x keys x tags
+    # The check has teeth: sharing one value per pad would change the result.
+    assert _brute_force_ind(scheme, message, p_one, first_tag_per_pad=True) != [real, ideal]
+
+
+class _CountingReadout(MeasureEqualsDistinguisher):
+    def __init__(self, value):
+        super().__init__(value, "M")
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+def test_readout_role_is_measured_once_per_distinct_pad():
+    # The exact-ske-q3 benchmark command: 4 keys x 64 tags per arm.
+    scheme = build_scheme("ske-prf", 2, 3, Stream(7))
+    dist = _CountingReadout("111")
+    assert dist.reads_tag is False
+    est = run_ind(scheme, BasisMessage("111"), dist, None,
+                  GameConfig(qubits=3, exact=True, seed=7))
+    pads_per_key = [
+        len({case.pad for case in scheme.encrypt_cases(kp.ek)})
+        for _, kp in scheme.key_cases()
+    ]
+    assert dist.calls == 2 * sum(pads_per_key) == 24
+    assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(0), Fraction(183, 256))
+
+
+def test_exact_ind_enumerates_encryption_coins_once_per_key(monkeypatch):
+    calls = []
+    original = PrfSymmetricScheme.encrypt_cases
+
+    def counting(self, ek):
+        calls.append(ek)
+        return original(self, ek)
+
+    monkeypatch.setattr(PrfSymmetricScheme, "encrypt_cases", counting)
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7).child("s"))
+    run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None, EXACT)
+    assert sorted(calls) == ["00", "01", "10", "11"]
+
+
+def test_exact_ind_draws_the_fixed_keypair_once(monkeypatch):
+    from qelab.schemes import PermutationPublicScheme
+
+    calls = []
+    original = PermutationPublicScheme.keygen
+
+    def counting(self, rng):
+        calls.append(1)
+        return original(self, rng)
+
+    monkeypatch.setattr(PermutationPublicScheme, "keygen", counting)
+    scheme = PermutationPublicScheme(4, 1)
+    run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None, EXACT)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
