@@ -30,6 +30,7 @@ from .games import (
     run_sem3,
 )
 from .quantum import (
+    MAX_CHOI_QUBITS,
     TOL_ALGEBRA,
     apply_pauli,
     basis_state,
@@ -188,6 +189,10 @@ def _state_battery(qubits: int, rng: Stream, battery: str):
 def cmd_correctness(args) -> tuple[dict, bool]:
     if args.keys < 1:
         raise ParameterError("keys must be at least 1")
+    if args.qubits > MAX_CHOI_QUBITS:
+        raise ParameterError(
+            f"correctness supports at most {MAX_CHOI_QUBITS} qubits, got {args.qubits}"
+        )
     rng = Stream(args.seed)
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
     identity_map = lambda mat: mat

@@ -53,6 +53,9 @@ from .rng import Stream
 TOL_PSD = 1e-9        # invariant checks (hermiticity, trace, positivity)
 TOL_ALGEBRA = 1e-10   # algebraic identities (involutions, mixing, round trips)
 MAX_EXHAUSTIVE_QUBITS = 3
+# A q-qubit channel's Choi matrix is 4^q x 4^q complex128: 16 MiB at 5
+# qubits, 256 MiB at 6 and 1 TiB at 9.
+MAX_CHOI_QUBITS = 5
 
 
 class Register(NamedTuple):

@@ -193,6 +193,7 @@ def test_correctness_on_undecryptable_scheme_is_usage_error():
 
 _GAME = ["game", "--game", "ind", "--scheme", "identity", "--n", "1"]
 _CORRECTNESS = ["correctness", "--scheme", "identity", "--n", "1", "--qubits", "1"]
+_CORRECTNESS_SKE = ["correctness", "--scheme", "ske-prf", "--n", "2", "--keys", "1"]
 
 
 @pytest.mark.parametrize(
@@ -203,8 +204,11 @@ _CORRECTNESS = ["correctness", "--scheme", "identity", "--n", "1", "--qubits", "
         (_GAME + ["--qubits", "4", "--exact"], "exact mode supports at most 3 plaintext qubits"),
         (_CORRECTNESS + ["--keys", "0"], "keys must be at least 1"),
         (_CORRECTNESS + ["--keys", "-3"], "keys must be at least 1"),
+        (_CORRECTNESS_SKE + ["--qubits", "6"], "correctness supports at most 5 qubits, got 6"),
+        (_CORRECTNESS_SKE + ["--qubits", "9"], "correctness supports at most 5 qubits, got 9"),
     ],
-    ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative"],
+    ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
+         "correctness-6-qubits", "correctness-9-qubits"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]
@@ -218,3 +222,15 @@ def test_out_of_range_parameter_is_usage_error(argv, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(qelab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qelab", "list"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (Path(__file__).parent / "data" / "golden" / "list.json").read_bytes()
