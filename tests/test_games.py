@@ -95,17 +95,17 @@ def test_exact_probability_tally_equals_per_branch_sum(raw):
     total = sum(w for w, _ in raw)
     pairs = [(Fraction(w, total), p) for w, p in raw]
     naive = sum((w * p for w, p in pairs), Fraction(0))
-    assert GameArm(branches=lambda: iter(pairs)).exact_probability() == naive
+    assert GameArm(branches=lambda: pairs).exact_probability() == naive
 
 
 def test_exact_probability_rejects_weights_not_summing_to_one():
     # Repeated pairs that fall 1/64 short, and an overshoot built from ints.
     short = [(Fraction(1, 64), Fraction(1, 2))] * 63
     with pytest.raises(EnumerationCapError, match="sum to 63/64"):
-        GameArm(branches=lambda: iter(short)).exact_probability()
+        GameArm(branches=lambda: short).exact_probability()
     over = [(1, 1), (Fraction(1, 2), 0)]
     with pytest.raises(EnumerationCapError, match="sum to 3/2"):
-        GameArm(branches=lambda: iter(over)).exact_probability()
+        GameArm(branches=lambda: over).exact_probability()
 
 
 def test_exact_probability_cap_fires_at_branch_cap_plus_one():
