@@ -484,15 +484,22 @@ def main(argv=None) -> int:
     text = canonical_json(document)
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(parser, out_path, text)
     else:
         sys.stdout.write(text)
     csv_path = getattr(args, "csv", None)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(results_to_csv(document))
+        _write_file(parser, csv_path, results_to_csv(document))
     return 0 if ok else 1
+
+
+def _write_file(parser, path: str, text: str) -> None:
+    """Write a report file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

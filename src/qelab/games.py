@@ -301,23 +301,30 @@ def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
 
 
 def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryptions,
-                     ctx: RoleContext):
-    """(weight, Pr[dist outputs 1]) for each encryption case of one challenge state.
+                     ctx: RoleContext, scope_weight):
+    """(branch weight, Pr[dist outputs 1]) for each encryption case of one challenge state.
 
+    The branch weight is `scope_weight` times the case's weight.  The
+    product is taken only when the case's weight object differs from the
+    previous case's, and every scheme gives all its cases one shared
+    weight, so it is taken once per scope (one key and challenge state).
     A distinguisher that declares `reads_tag = False` sees only the padded
-    state, so within this scope (one key and challenge state) each distinct
-    pad is applied and measured once and its value serves every tag with
-    that pad.  Every case is still yielded.  Sampling yields one case per
-    scope, so nothing is reused there.
+    state, so within the scope each distinct pad is applied and measured
+    once and its value serves every tag with that pad.  Every case is
+    still yielded.  Sampling yields one case per scope, so nothing is
+    reused there.
     """
     by_pad = {}
+    last_we = weight = None
     for we, ecase in encryptions:
+        if we is not last_we:
+            last_we, weight = we, scope_weight * we
         p1 = by_pad.get(ecase.pad)
         if p1 is None:
             p1 = play.prob(dist.prob_one(ecase.tag, _pad_message(state, ecase.pad), ctx))
             if not dist.reads_tag:
                 by_pad[ecase.pad] = p1
-        yield we, p1
+        yield weight, p1
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +342,7 @@ def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -
                 if zero_arm:
                     state = replace_with_zero_state(state, "M")
                 encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
-                wkm = wk * wm
-                for we, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post):
-                    yield (wkm * we, p1)
+                yield from _challenge_probs(play, dist, state, encryptions, ctx_post, wk * wm)
 
     return game_arm(branches)
 
@@ -379,9 +384,9 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
                         mcase.state, "M"
                     )
                     encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
-                    wkmb = wk * wm * wb
-                    for we, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post):
-                        yield (wkmb * we, p1 if hidden_bit == 1 else 1 - p1)
+                    for w, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post,
+                                                  wk * wm * wb):
+                        yield (w, p1 if hidden_bit == 1 else 1 - p1)
 
     return estimate(
         game_arm(branches), None,

@@ -324,7 +324,9 @@ class GgmPrf:
     State starts at the key; input bit 0 keeps the left half of the
     expansion, bit 1 the right half.  The final state is truncated when
     the output is shorter than a seed, and stretched by iterated
-    expansion when it is longer.
+    expansion when it is longer.  `evaluate` walks one root-to-leaf path;
+    `evaluate_all` builds the whole tree of one key level by level, so
+    each node is expanded once rather than once per leaf below it.
     """
 
     def __init__(self, prg, in_len: int, out_len: int):
@@ -339,8 +341,7 @@ class GgmPrf:
         self.out_len = out_len
 
     def evaluate(self, key: str, x: str) -> str:
-        if len(key) != self.key_len or any(b not in "01" for b in key):
-            raise MalformedKeyError(f"key must be {self.key_len} bits, got {key!r}")
+        self._check_key(key)
         if len(x) != self.in_len or any(b not in "01" for b in x):
             raise MalformedKeyError(f"input must be {self.in_len} bits, got {x!r}")
         state = key
@@ -348,6 +349,29 @@ class GgmPrf:
         for bit in x:
             expansion = self.prg.expand(state)
             state = expansion[:s] if bit == "0" else expansion[s:]
+        return self._leaf_output(state)
+
+    def evaluate_all(self, key: str) -> list[str]:
+        """`evaluate(key, x)` for every input x, in lexicographic order of x."""
+        self._check_key(key)
+        s = self.key_len
+        level = [key]
+        for _ in range(self.in_len):
+            children = []
+            for state in level:
+                expansion = self.prg.expand(state)
+                children += (expansion[:s], expansion[s:])
+            level = children
+        outputs = {state: self._leaf_output(state) for state in set(level)}
+        return [outputs[state] for state in level]
+
+    def _check_key(self, key: str) -> None:
+        if len(key) != self.key_len or any(b not in "01" for b in key):
+            raise MalformedKeyError(f"key must be {self.key_len} bits, got {key!r}")
+
+    def _leaf_output(self, state: str) -> str:
+        """A leaf's state truncated, or stretched by iterated expansion, to out_len."""
+        s = self.key_len
         if self.out_len <= s:
             return state[: self.out_len]
         acc = ""
@@ -384,6 +408,12 @@ class ConstantPrf:
         if len(key) != self.key_len or len(x) != self.in_len:
             raise MalformedKeyError("key or input has the wrong length")
         return self.output
+
+    def evaluate_all(self, key: str) -> list[str]:
+        """`evaluate(key, x)` for every input x, in lexicographic order of x."""
+        if len(key) != self.key_len:
+            raise MalformedKeyError("key or input has the wrong length")
+        return [self.output] * (1 << self.in_len)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,10 @@ class PauliTagScheme:
 
         Averages over the scheme's encryption coins: the full case list
         when it is enumerable (and `enumerate_coins` is left on),
-        otherwise `coin_samples` draws from `rng`.
+        otherwise `coin_samples` draws from `rng`.  Cases whose round trip
+        leaves the same masks are merged, their float weights summed in
+        case order, so the channel conjugates once per distinct mask pair
+        (a correct scheme has the single pair (0, 0)).
         """
         cases = self.encrypt_cases(keypair.ek) if enumerate_coins else None
         if cases is None:
@@ -172,7 +175,7 @@ class PauliTagScheme:
             for i in range(coin_samples):
                 drawn = self.sample_encryption(keypair.ek, rng.child(f"coin{i}"))
                 cases.append(EncryptionCase(Fraction(1, coin_samples), drawn.tag, drawn.pad))
-        frames = []
+        frames: dict[tuple[int, int], float] = {}
         for case in cases:
             dec_pad = self.decrypt_pad(keypair.dk, case.tag)
             # Pads compose up to a global phase, which conjugation drops, so
@@ -186,7 +189,7 @@ class PauliTagScheme:
                             f"pad of length {len(pad)} cannot drive {self.qubits} qubits"
                         )
                     x, z = x ^ px, z ^ pz
-            frames.append((float(case.weight), x, z))
+            frames[x, z] = frames.get((x, z), 0.0) + float(case.weight)
 
         dim = 2**self.qubits
 
@@ -197,7 +200,7 @@ class PauliTagScheme:
                     f"channel input shape {mat.shape}, expected {(dim, dim)}"
                 )
             out = np.zeros_like(mat)
-            for weight, x, z in frames:
+            for (x, z), weight in frames.items():
                 out += weight * conjugate_by_masks(mat, x, z)
             return out
 
@@ -225,7 +228,11 @@ def build_ggm_prf(n: int, qubits: int, rng: Stream) -> GgmPrf:
 
 
 class PrfSymmetricScheme(PauliTagScheme):
-    """Symmetric encryption: fresh random tag, pad derived by a keyed PRF."""
+    """Symmetric encryption: fresh random tag, pad derived by a keyed PRF.
+
+    The PRF offers `evaluate(key, x)` and `evaluate_all(key)`, the latter
+    giving every input's output in lexicographic order of the input.
+    """
 
     name = "ske-prf"
 
@@ -255,9 +262,14 @@ class PrfSymmetricScheme(PauliTagScheme):
         return EncryptionCase(Fraction(1), tag, self.prf.evaluate(ek, tag))
 
     def encrypt_cases(self, ek):
+        """Every tag with its pad, from one `evaluate_all` walk of the key's tree.
+
+        All cases share one weight object, so a game multiplies it into
+        its branch weight once per scope.
+        """
         tags = _all_bitstrings(2 * self.qubits)
         w = Fraction(1, len(tags))
-        return [EncryptionCase(w, tag, self.prf.evaluate(ek, tag)) for tag in tags]
+        return [EncryptionCase(w, tag, pad) for tag, pad in zip(tags, self.prf.evaluate_all(ek))]
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if len(tag) != 2 * self.qubits or any(b not in "01" for b in tag):
@@ -419,12 +431,16 @@ class PermutationPublicScheme(PauliTagScheme):
         return EncryptionCase(Fraction(1), self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
 
     def encrypt_cases(self, ek: TowpIndex):
+        """One case per domain element, all sharing one weight object.
+
+        `family.domain` checks the domain cap before any array is built;
+        the cap keeps N <= 2^20, which the uint64 walk over the whole
+        domain (`_domain_tags_and_pads`) relies on.
+        """
         domain = self.family.domain(ek)
         w = Fraction(1, len(domain))
-        return [
-            EncryptionCase(w, self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
-            for d in domain
-        ]
+        tags, pads = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
+        return [EncryptionCase(w, tag, pad) for tag, pad in zip(tags, pads)]
 
     def decrypt_pad(self, dk: PkeSecret, tag: str) -> str:
         index, trapdoor = dk
@@ -447,6 +463,39 @@ class PermutationPublicScheme(PauliTagScheme):
         return PkeCiphertext(tag, payload)
 
 
+def _domain_tags_and_pads(index: TowpIndex, domain: list[int], steps: int):
+    """`_tag_from_seed` and `_pad_from_seed` of every domain element, as two lists.
+
+    Walks the whole domain `steps` times as uint64 arrays: x^e mod N by
+    square-and-multiply, and the inner-product hard-core bit of each
+    iterate as the parity of x & mask, by xor-folding shifts.  The domain cap keeps
+    N <= 2^20, so a product of two residues stays below 2^40.  Every
+    operand is uint64, because numpy 1.x turns an np.uint64 scalar
+    combined with a Python int into a float64.
+    """
+    modulus = np.uint64(index.modulus)
+    mask = np.uint64(index.mask)
+    one = np.uint64(1)
+    x = np.array(domain, dtype=np.uint64)
+    pad = np.zeros_like(x)
+    for i in range(steps):
+        bit = x & mask
+        for shift in (32, 16, 8, 4, 2, 1):
+            bit ^= bit >> np.uint64(shift)
+        pad |= (bit & one) << np.uint64(i)
+        power, base, e = np.ones_like(x), x, index.exponent
+        while e:
+            if e & 1:
+                power = power * base % modulus
+            e >>= 1
+            if e:
+                base = base * base % modulus
+        x = power
+    fmt = f"0{index.element_width}b"
+    table = _all_bitstrings(steps)
+    return [format(v, fmt) for v in x.tolist()], [table[v] for v in pad.tolist()]
+
+
 class UniformPadPublicScheme(PermutationPublicScheme):
     """Idealized variant: the tag is genuine but the pad is fresh randomness.
 
@@ -463,14 +512,16 @@ class UniformPadPublicScheme(PermutationPublicScheme):
         )
 
     def encrypt_cases(self, ek: TowpIndex):
+        """Every (domain element, pad) pair, all sharing one weight object.
+
+        Tags come from the same uint64 domain walk as `pke-towp`, which
+        relies on the domain cap's N <= 2^20, checked first by `family.domain`.
+        """
         domain = self.family.domain(ek)
         pads = _all_bitstrings(2 * self.qubits)
         w = Fraction(1, len(domain) * len(pads))
-        return [
-            EncryptionCase(w, self._tag_from_seed(ek, d), pad)
-            for d in domain
-            for pad in pads
-        ]
+        tags, _ = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
+        return [EncryptionCase(w, tag, pad) for tag in tags for pad in pads]
 
     def decrypt_pad(self, dk, tag):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")

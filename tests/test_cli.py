@@ -184,6 +184,17 @@ def test_csv_mirror_written(tmp_path):
     assert "qotp-mix" in text
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_report_path_is_usage_error(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "report"
+    with pytest.raises(SystemExit) as err:
+        main(["game", "--game", "ind", "--scheme", "ske-prf", "--n", "2", "--qubits", "1",
+              "--exact", "--seed", "7", flag, str(target)])
+    assert err.value.code == 2
+    assert str(target) in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
 def test_correctness_on_undecryptable_scheme_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["correctness", "--scheme", "pke-uniformpad", "--n", "1",

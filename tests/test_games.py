@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,64 @@ def test_exact_ind_draws_the_fixed_keypair_once(monkeypatch):
     scheme = PermutationPublicScheme(4, 1)
     run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None, EXACT)
     assert len(calls) == 1
+
+
+def _played_branches(monkeypatch, run, *args):
+    """The (weight, p) branches of every arm that `run(*args)` hands to `estimate`."""
+    import qelab.games as games
+
+    played = []
+    original = games.estimate
+
+    def capture(real, ideal=None, **kwargs):
+        played.extend(list(arm._branches()) for arm in (real, ideal) if arm is not None)
+        return original(real, ideal, **kwargs)
+
+    monkeypatch.setattr(games, "estimate", capture)
+    run(*args)
+    return played
+
+
+def _brute_force_branches(scheme, message, keys, hidden_bit: bool):
+    """Every (key, encryption case) branch of the readout of `message`'s own bits.
+
+    Two arms (genuine, zeroed message) for ind; one arm with the hidden
+    bit as a further fair coin for ind-prime.
+    """
+
+    state = basis_state(message, "M", True)
+
+    def p_one(state, pad):
+        return measurement_distribution(apply_pauli(pad, state, "M"), "M")[message]
+
+    zero = replace_with_zero_state(state, "M")
+    arms = [[], []]
+    for wk, kp in keys:
+        for case in scheme.encrypt_cases(kp.ek):
+            real, ideal = p_one(state, case.pad), p_one(zero, case.pad)
+            if hidden_bit:
+                half = wk * case.weight / 2
+                arms[0] += [(half, real), (half, 1 - ideal)]
+            else:
+                arms[0].append((wk * case.weight, real))
+                arms[1].append((wk * case.weight, ideal))
+    return arms[:1] if hidden_bit else arms
+
+
+@pytest.mark.parametrize("name, n", [("ske-prf", 2), ("pke-towp", 4)])
+@pytest.mark.parametrize("run", [run_ind, run_ind_prime])
+def test_exact_ind_branches_equal_brute_force_enumeration(monkeypatch, name, n, run):
+    qubits = 2 if name == "ske-prf" else 1
+    config = GameConfig(qubits=qubits, exact=True, seed=7)
+    scheme = build_scheme(name, n, qubits, Stream(7))
+    message = "1" * qubits
+    played = _played_branches(
+        monkeypatch, run, scheme, BasisMessage(message),
+        MeasureEqualsDistinguisher(message, "M"), None, config,
+    )
+    keys = scheme.key_cases() or [(Fraction(1), scheme.keygen(config.stream("fixed-key")))]
+    expected = _brute_force_branches(scheme, message, keys, hidden_bit=run is run_ind_prime)
+    assert [Counter(arm) for arm in played] == [Counter(arm) for arm in expected]
 
 
 # ---------------------------------------------------------------------------

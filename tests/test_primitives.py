@@ -355,6 +355,50 @@ def test_tree_input_validation():
         prf.evaluate("1010", "00")
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    key_len=st.integers(1, 3),
+    in_len=st.integers(1, 6),
+    out_len=st.integers(1, 8),
+    key_value=st.integers(0, 7),
+)
+def test_evaluate_all_matches_evaluate_on_every_input(key_len, in_len, out_len, key_value):
+    # out_len ranges over both the truncating (<= key_len) and stretching paths.
+    fam = ToyRsaPermutationFamily(6)
+    index, _ = fam.generate(Stream(26).child("g"))
+    prg = IteratedPermutationPrg(fam, index, seed_len=key_len, out_len=2 * key_len)
+    prf = GgmPrf(prg, in_len=in_len, out_len=out_len)
+    key = format(key_value % (1 << key_len), f"0{key_len}b")
+    every = prf.evaluate_all(key)
+    assert every == [prf.evaluate(key, format(v, f"0{in_len}b")) for v in range(1 << in_len)]
+    fresh = GgmPrf(
+        IteratedPermutationPrg(fam, index, seed_len=key_len, out_len=2 * key_len),
+        in_len=in_len, out_len=out_len,
+    )
+    assert fresh.evaluate_all(key) == every  # an empty expansion cache gives the same
+
+
+@pytest.mark.parametrize("bad", ["", "101", "10101", "1a10", "10 1"])
+def test_evaluate_all_rejects_bad_keys_like_evaluate(bad):
+    prf, _ = _tree_prf()
+    with pytest.raises(MalformedKeyError) as one:
+        prf.evaluate(bad, "0000")
+    with pytest.raises(MalformedKeyError) as every:
+        prf.evaluate_all(bad)
+    assert str(every.value) == str(one.value)
+
+
+def test_constant_prf_evaluate_all_matches_evaluate():
+    prf = ConstantPrf(2, 3, 4, "1011")
+    for key in ("00", "01", "10", "11"):
+        assert prf.evaluate_all(key) == [prf.evaluate(key, format(v, "03b")) for v in range(8)]
+    with pytest.raises(MalformedKeyError) as one:
+        prf.evaluate("101", "000")
+    with pytest.raises(MalformedKeyError) as every:
+        prf.evaluate_all("101")
+    assert str(every.value) == str(one.value)
+
+
 # ---------------------------------------------------------------------------
 # Random function oracle
 # ---------------------------------------------------------------------------

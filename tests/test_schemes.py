@@ -15,7 +15,9 @@ from qelab.quantum import (
     basis_state,
     bell_state,
     channel_choi_distance,
+    conjugate_by_masks,
     maximally_mixed,
+    pad_masks,
     pauli_from_key,
     random_mixed_state,
     random_pure_state,
@@ -258,6 +260,55 @@ def test_pke_choi_round_trip_channel():
         assert channel_choi_distance(scheme.roundtrip_map(kp), identity, 1) < TOL_ALGEBRA
 
 
+def _scalar_pke_pairs(scheme, ek):
+    """(tag, pad) per encryption case, from the per-element definitions."""
+    domain = scheme.family.domain(ek)
+    if isinstance(scheme, UniformPadPublicScheme):
+        pads = [format(v, f"0{2 * scheme.qubits}b") for v in range(1 << 2 * scheme.qubits)]
+        tags = [scheme._tag_from_seed(ek, d) for d in domain]
+        return [(tag, pad) for tag in tags for pad in pads]
+    return [(scheme._tag_from_seed(ek, d), scheme._pad_from_seed(ek, d)) for d in domain]
+
+
+# Every q <= 3 fits the 8-bit modulus floor.  `pke-uniformpad` pairs each
+# domain element with 4^q pads, up to 2.6 million cases per key at n = 6,
+# so at n = 5, 6 it runs at q = 1 only: its tags come from the same domain
+# walk that `pke-towp` checks at every size here.
+_PKE_SIZES = [
+    (cls, n, qubits)
+    for cls in (PermutationPublicScheme, UniformPadPublicScheme)
+    for n in range(1, 7)
+    for qubits in (1, 2, 3)
+    if cls is PermutationPublicScheme or n <= 4 or qubits == 1
+]
+
+
+@pytest.mark.parametrize("cls, n, qubits", _PKE_SIZES)
+def test_pke_encrypt_cases_match_per_element_definitions(cls, n, qubits):
+    scheme = cls(n, qubits)
+    for seed in range(3):
+        ek = scheme.keygen(Stream(seed).child(f"kg{n}-{qubits}")).ek
+        cases = scheme.encrypt_cases(ek)
+        assert [(c.tag, c.pad) for c in cases] == _scalar_pke_pairs(scheme, ek)
+        (weight,) = {id(c.weight): c.weight for c in cases}.values()  # one shared object
+        assert weight == Fraction(1, len(cases))
+
+
+def test_pke_encrypt_cases_refuse_a_capped_domain_before_any_array(monkeypatch):
+    import qelab.schemes as schemes
+    from qelab.errors import EnumerationCapError
+    from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP
+
+    for cls in (PermutationPublicScheme, UniformPadPublicScheme):
+        scheme = cls(12, 1)
+        ek = scheme.keygen(Stream(50).child("kg")).ek
+        assert ek.modulus > EXHAUSTIVE_DOMAIN_CAP
+        with monkeypatch.context() as patch:
+            patch.setattr(schemes, "np", None)  # any numpy use would raise AttributeError
+            with pytest.raises(EnumerationCapError):
+                scheme.encrypt_cases(ek)
+
+
 def test_pke_modulus_large_enough_for_payload():
     scheme = PermutationPublicScheme(3, 3)
     assert scheme.family.modulus_bits >= 2 * 3 + 2
@@ -433,6 +484,56 @@ def test_roundtrip_map_matches_dense_on_matrix_units(name, qubits):
     for unit in _matrix_units(2**qubits):
         assert np.array_equal(channel(unit), dense(unit))
         assert np.array_equal(sampled(unit), dense_sampled(unit))
+
+
+def _per_case_roundtrip(scheme, kp, cases):
+    """Decrypt-after-encrypt with one conjugation per encryption case."""
+    frames = []
+    for case in cases:
+        x = z = 0
+        for pad in (case.pad, scheme.decrypt_pad(kp.dk, case.tag)):
+            if pad is not None:
+                px, pz = pad_masks(pad)
+                x, z = x ^ px, z ^ pz
+        frames.append((float(case.weight), x, z))
+
+    def channel(mat):
+        out = np.zeros_like(mat)
+        for weight, x, z in frames:
+            out += weight * conjugate_by_masks(mat, x, z)
+        return out
+
+    return channel, {(x, z) for _, x, z in frames}
+
+
+@pytest.mark.parametrize("name, n, qubits", [("ske-prf-skipdec", 2, 2), ("pke-towp", 4, 1)])
+def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
+    import qelab.schemes as schemes
+
+    scheme = build_scheme(name, n, qubits, Stream(7))
+    keys = scheme.key_cases() or [(1, scheme.keygen(Stream(116).child("kg")))]
+    conjugations = []
+    original = schemes.conjugate_by_masks
+    monkeypatch.setattr(
+        schemes, "conjugate_by_masks",
+        lambda mat, x, z: conjugations.append((x, z)) or original(mat, x, z),
+    )
+    mask_sets = []
+    for _, kp in keys:
+        cases = scheme.encrypt_cases(kp.ek)
+        reference, masks = _per_case_roundtrip(scheme, kp, cases)
+        assert len(masks) < len(cases)
+        mask_sets.append(masks)
+        channel = scheme.roundtrip_map(kp)
+        for unit in _matrix_units(2**qubits):  # the inputs `channel_choi_distance` feeds
+            conjugations.clear()
+            merged = channel(unit)
+            assert sorted(conjugations) == sorted(masks)  # one conjugation per mask pair
+            assert np.array_equal(merged, reference(unit))
+    if name == "ske-prf-skipdec":
+        assert max(map(len, mask_sets)) > 1  # skipdec keeps each pad's masks: several on key 01
+    else:
+        assert mask_sets == [{(0, 0)}]  # a correct pke-towp key leaves only (0, 0)
 
 
 def test_roundtrip_map_checks_pads_and_input_shape():
