@@ -3,13 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qelab import schemes
 from qelab.errors import (
     DimensionMismatchError,
+    EnumerationCapError,
     InvalidCiphertextError,
     MalformedKeyError,
     QelabError,
 )
-from qelab.primitives import ConstantPrf
+from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, ConstantPrf
 from qelab.quantum import (
     TOL_ALGEBRA,
     basis_state,
@@ -295,10 +297,6 @@ def test_pke_encrypt_cases_match_per_element_definitions(cls, n, qubits):
 
 
 def test_pke_encrypt_cases_refuse_a_capped_domain_before_any_array(monkeypatch):
-    import qelab.schemes as schemes
-    from qelab.errors import EnumerationCapError
-    from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP
-
     for cls in (PermutationPublicScheme, UniformPadPublicScheme):
         scheme = cls(12, 1)
         ek = scheme.keygen(Stream(50).child("kg")).ek
@@ -508,8 +506,6 @@ def _per_case_roundtrip(scheme, kp, cases):
 
 @pytest.mark.parametrize("name, n, qubits", [("ske-prf-skipdec", 2, 2), ("pke-towp", 4, 1)])
 def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
-    import qelab.schemes as schemes
-
     scheme = build_scheme(name, n, qubits, Stream(7))
     keys = scheme.key_cases() or [(1, scheme.keygen(Stream(116).child("kg")))]
     conjugations = []
