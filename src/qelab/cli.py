@@ -29,6 +29,7 @@ from .games import (
     run_sem2,
     run_sem3,
 )
+from .primitives import MAX_SECURITY, ConstantPrg, prf_distinguisher_advantage
 from .quantum import (
     MAX_CHOI_QUBITS,
     TOL_ALGEBRA,
@@ -249,6 +250,8 @@ def cmd_correctness(args) -> tuple[dict, bool]:
 
 
 def cmd_qotp_mix(args) -> tuple[dict, bool]:
+    if args.qubits < 1:
+        raise ParameterError(f"qotp-mix needs at least 1 qubit, got {args.qubits}")
     rng = Stream(args.seed)
     mixed = maximally_mixed(args.qubits)
     results = []
@@ -323,8 +326,6 @@ def cmd_reduce(args) -> tuple[dict, bool]:
         )
         results.append({"stage": "scheme-attack", **attack.to_dict()})
         distinguisher = reduction_cca1_to_prf(mgen, dist, qubits)
-        from .primitives import prf_distinguisher_advantage
-
         est = prf_distinguisher_advantage(
             distinguisher, scheme.prf, args.trials, rng.child("prf-adv")
         )
@@ -359,8 +360,8 @@ def cmd_reduce(args) -> tuple[dict, bool]:
         results.append({"stage": "epsilon-identity", **report})
 
     elif args.reduction == "qotp-to-prg":
-        from .primitives import ConstantPrg
-
+        if not 1 <= args.n <= MAX_SECURITY:
+            raise ParameterError(f"security parameter {args.n} outside 1..{MAX_SECURITY}")
         pad_len = 2 * qubits
         pair = PaddedStatePair(
             joint=basis_state(ones, "A"), product_a=basis_state("0" * qubits, "A")

@@ -32,7 +32,15 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
 
 @dataclass(frozen=True)
 class AdvantageEstimate:
-    """Real-vs-ideal success probabilities from one security-game run."""
+    """Real-vs-ideal success probabilities from one security-game run.
+
+    `ci_halfwidth`, reported as `ci`, is the sum of the two arms' 95%
+    Wilson half-widths; a single-arm game, whose ideal probability is the
+    fixed 1/2, carries its one arm's half-width.  If both arms' intervals
+    cover, the true advantage lies within +/- `ci` of the reported one, so
+    by the union bound that holds with probability at least about 90%.
+    Exact estimates carry 0.
+    """
 
     p_real: float
     p_ideal: float

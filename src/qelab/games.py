@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
@@ -184,6 +185,12 @@ def _check_exact_qubits(qubits: int) -> None:
         )
 
 
+def uniform_cases(values: list) -> list:
+    """(weight, value) pairs of a uniform draw from `values`, all sharing one
+    `Fraction(1, len(values))`, so `_challenge_probs` multiplies it once per scope."""
+    return list(zip(repeat(Fraction(1, len(values))), values))
+
+
 def _exact_keypairs(scheme: PauliTagScheme, config: GameConfig):
     """Key branches for enumeration mode; falls back to one drawn keypair.
 
@@ -191,11 +198,7 @@ def _exact_keypairs(scheme: PauliTagScheme, config: GameConfig):
     qubit count before any branch is built.
     """
     _check_exact_qubits(scheme.qubits)
-    cases = scheme.key_cases()
-    if cases is not None:
-        return cases
-    kp = scheme.keygen(config.stream("fixed-key"))
-    return [(Fraction(1), kp)]
+    return uniform_cases(scheme.key_cases() or [scheme.keygen(config.stream("fixed-key"))])
 
 
 def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix:
@@ -205,9 +208,6 @@ def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix
 # ---------------------------------------------------------------------------
 # One arm, two interpreters
 # ---------------------------------------------------------------------------
-
-
-_HALVES = ((Fraction(1, 2), 1), (Fraction(1, 2), 0))
 
 
 def game_arm(branches) -> GameArm:
@@ -227,7 +227,7 @@ def game_arm(branches) -> GameArm:
 
 def fair_bit(play, label: str):
     """A uniform bit: 1 and 0 with weight 1/2 each, or one `bernoulli(0.5)` draw."""
-    return play.coin(label, lambda: _HALVES, lambda r: 1 if r.bernoulli(0.5) else 0)
+    return play.coin(label, lambda: uniform_cases([1, 0]), lambda r: 1 if r.bernoulli(0.5) else 0)
 
 
 def biased_bit(play, label: str, p):
@@ -292,7 +292,7 @@ def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
             raise EnumerationCapError(
                 f"scheme {scheme.name!r} does not enumerate its encryption coins"
             )
-        return [(c.weight, c) for c in enumerated]
+        return uniform_cases(enumerated)
 
     return play.coin(
         label, lambda: _shared(shared, (label, ek), cases),
@@ -306,8 +306,8 @@ def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryption
 
     The branch weight is `scope_weight` times the case's weight.  The
     product is taken only when the case's weight object differs from the
-    previous case's, and every scheme gives all its cases one shared
-    weight, so it is taken once per scope (one key and challenge state).
+    previous case's, and `uniform_cases` gives a key's cases one weight
+    object, so it is taken once per scope (one key and challenge state).
     A distinguisher that declares `reads_tag = False` sees only the padded
     state, so within the scope each distinct pad is applied and measured
     once and its value serves every tag with that pad.  Every case is

@@ -41,6 +41,7 @@ from .games import (
     run_ind,
     run_ind_prime,
     run_sem,
+    uniform_cases,
 )
 from .quantum import (
     DensityMatrix,
@@ -109,10 +110,10 @@ class ZeroEncryptionSimulator(Channel):
 
 
 def _key_cases(scheme: PauliTagScheme):
-    cases = scheme.key_cases()
-    if cases is None:
+    keys = scheme.key_cases()
+    if keys is None:
         raise EnumerationCapError(f"scheme {scheme.name!r} does not enumerate its key space")
-    return cases
+    return uniform_cases(keys)
 
 
 def reduction_ind_to_sem(adversary: Channel) -> ZeroEncryptionSimulator:
@@ -266,9 +267,8 @@ class Construction:
 
 def _uniform_string(play, label: str, length: int):
     """A uniform bit string: every string with equal weight, or one `bits` draw."""
-    w = Fraction(1, 1 << length)
     return play.coin(
-        label, lambda: [(w, s) for s in _all_bitstrings(length)], lambda r: r.bits(length)
+        label, lambda: uniform_cases(_all_bitstrings(length)), lambda r: r.bits(length)
     )
 
 

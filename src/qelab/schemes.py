@@ -25,7 +25,6 @@ stream, so concurrent trials with per-trial streams are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -88,11 +87,9 @@ class PkeCiphertext(Ciphertext):
             raise InvalidCiphertextError("tag must be a nonempty 0/1 string")
 
 
-@dataclass(frozen=True)
-class EncryptionCase:
-    """One realization of the encryption coins: weight, tag, pad."""
+class EncryptionCase(NamedTuple):
+    """One realization of the encryption coins: the clear tag and the pad."""
 
-    weight: Fraction
     tag: str
     pad: Optional[str]  # None means the payload is passed through untouched
 
@@ -113,8 +110,8 @@ class PauliTagScheme:
     def keygen(self, rng: Stream) -> KeyPair:
         raise NotImplementedError
 
-    def key_cases(self) -> Optional[list[tuple[Fraction, KeyPair]]]:
-        """Enumerate the key space with weights, or None if impractical."""
+    def key_cases(self) -> Optional[list[KeyPair]]:
+        """Every key `keygen` draws, each equally likely, or None if impractical."""
         return None
 
     # -- encryption coins ---------------------------------------------------
@@ -122,7 +119,7 @@ class PauliTagScheme:
         raise NotImplementedError
 
     def encrypt_cases(self, ek) -> Optional[list[EncryptionCase]]:
-        """Enumerate the encryption coin space, or None if impractical."""
+        """Every case `sample_encryption` draws, each equally likely, or None if impractical."""
         return None
 
     def decrypt_pad(self, dk, tag: str) -> Optional[str]:
@@ -160,10 +157,10 @@ class PauliTagScheme:
 
         Averages over the scheme's encryption coins: the full case list
         when it is enumerable (and `enumerate_coins` is left on),
-        otherwise `coin_samples` draws from `rng`.  Cases whose round trip
-        leaves the same masks are merged, their float weights summed in
-        case order, so the channel conjugates once per distinct mask pair
-        (a correct scheme has the single pair (0, 0)).
+        otherwise `coin_samples` draws from `rng`; each case weighs 1/len.
+        Cases whose round trip leaves the same masks are merged, their
+        float weights summed in case order, so the channel conjugates once
+        per distinct mask pair (a correct scheme has the single pair (0, 0)).
         """
         cases = self.encrypt_cases(keypair.ek) if enumerate_coins else None
         if cases is None:
@@ -171,10 +168,11 @@ class PauliTagScheme:
                 raise EnumerationCapError(
                     "coin space is not enumerable; supply an rng for sampling"
                 )
-            cases = []
-            for i in range(coin_samples):
-                drawn = self.sample_encryption(keypair.ek, rng.child(f"coin{i}"))
-                cases.append(EncryptionCase(Fraction(1, coin_samples), drawn.tag, drawn.pad))
+            cases = [
+                self.sample_encryption(keypair.ek, rng.child(f"coin{i}"))
+                for i in range(coin_samples)
+            ]
+        case_weight = 1 / len(cases)
         frames: dict[tuple[int, int], float] = {}
         for case in cases:
             dec_pad = self.decrypt_pad(keypair.dk, case.tag)
@@ -189,7 +187,7 @@ class PauliTagScheme:
                             f"pad of length {len(pad)} cannot drive {self.qubits} qubits"
                         )
                     x, z = x ^ px, z ^ pz
-            frames[x, z] = frames.get((x, z), 0.0) + float(case.weight)
+            frames[x, z] = frames.get((x, z), 0.0) + case_weight
 
         dim = 2**self.qubits
 
@@ -253,23 +251,16 @@ class PrfSymmetricScheme(PauliTagScheme):
         return KeyPair(k, k)
 
     def key_cases(self):
-        return [
-            (Fraction(1, 1 << self.n), KeyPair(k, k)) for k in _all_bitstrings(self.n)
-        ]
+        return [KeyPair(k, k) for k in _all_bitstrings(self.n)]
 
     def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
         tag = rng.bits(2 * self.qubits)
-        return EncryptionCase(Fraction(1), tag, self.prf.evaluate(ek, tag))
+        return EncryptionCase(tag, self.prf.evaluate(ek, tag))
 
     def encrypt_cases(self, ek):
-        """Every tag with its pad, from one `evaluate_all` walk of the key's tree.
-
-        All cases share one weight object, so a game multiplies it into
-        its branch weight once per scope.
-        """
+        """Every tag with its pad, from one `evaluate_all` walk of the key's tree."""
         tags = _all_bitstrings(2 * self.qubits)
-        w = Fraction(1, len(tags))
-        return [EncryptionCase(w, tag, pad) for tag, pad in zip(tags, self.prf.evaluate_all(ek))]
+        return list(map(EncryptionCase, tags, self.prf.evaluate_all(ek)))
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if len(tag) != 2 * self.qubits or any(b not in "01" for b in tag):
@@ -308,19 +299,18 @@ class RandomPadSymmetricScheme(PauliTagScheme):
         return KeyPair(fn, fn)
 
     def key_cases(self):
-        return [(Fraction(1), KeyPair(None, None))]
+        # One stand-in key: the function's randomness is in `encrypt_cases`.
+        return [KeyPair(None, None)]
 
     def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
         tag = rng.bits(2 * self.qubits)
         if ek is None:  # enumeration-mode stand-in key: pad is free randomness
-            return EncryptionCase(Fraction(1), tag, rng.bits(2 * self.qubits))
-        return EncryptionCase(Fraction(1), tag, ek.query(tag))
+            return EncryptionCase(tag, rng.bits(2 * self.qubits))
+        return EncryptionCase(tag, ek.query(tag))
 
     def encrypt_cases(self, ek):
-        tags = _all_bitstrings(2 * self.qubits)
-        pads = _all_bitstrings(2 * self.qubits)
-        w = Fraction(1, len(tags) * len(pads))
-        return [EncryptionCase(w, tag, pad) for tag in tags for pad in pads]
+        strings = _all_bitstrings(2 * self.qubits)
+        return [EncryptionCase(tag, pad) for tag in strings for pad in strings]
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if dk is None:
@@ -347,15 +337,13 @@ class QotpScheme(PauliTagScheme):
         return KeyPair(pad, pad)
 
     def key_cases(self):
-        pads = _all_bitstrings(2 * self.qubits)
-        w = Fraction(1, len(pads))
-        return [(w, KeyPair(p, p)) for p in pads]
+        return [KeyPair(p, p) for p in _all_bitstrings(2 * self.qubits)]
 
     def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        return EncryptionCase(Fraction(1), "", ek)
+        return EncryptionCase("", ek)
 
     def encrypt_cases(self, ek):
-        return [EncryptionCase(Fraction(1), "", ek)]
+        return [EncryptionCase("", ek)]
 
     def decrypt_pad(self, dk, tag: str) -> str:
         return dk
@@ -370,13 +358,13 @@ class IdentityScheme(PauliTagScheme):
         return KeyPair("", "")
 
     def key_cases(self):
-        return [(Fraction(1), KeyPair("", ""))]
+        return [KeyPair("", "")]
 
     def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        return EncryptionCase(Fraction(1), "", None)
+        return EncryptionCase("", None)
 
     def encrypt_cases(self, ek):
-        return [EncryptionCase(Fraction(1), "", None)]
+        return [EncryptionCase("", None)]
 
     def decrypt_pad(self, dk, tag: str):
         return None
@@ -428,19 +416,18 @@ class PermutationPublicScheme(PauliTagScheme):
 
     def sample_encryption(self, ek: TowpIndex, rng: Stream) -> EncryptionCase:
         d = self.family.sample(ek, rng)
-        return EncryptionCase(Fraction(1), self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
+        return EncryptionCase(self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
 
     def encrypt_cases(self, ek: TowpIndex):
-        """One case per domain element, all sharing one weight object.
+        """One case per domain element.
 
         `family.domain` checks the domain cap before any array is built;
         the cap keeps N <= 2^20, which the uint64 walk over the whole
         domain (`_domain_tags_and_pads`) relies on.
         """
         domain = self.family.domain(ek)
-        w = Fraction(1, len(domain))
         tags, pads = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return [EncryptionCase(w, tag, pad) for tag, pad in zip(tags, pads)]
+        return list(map(EncryptionCase, tags, pads))
 
     def decrypt_pad(self, dk: PkeSecret, tag: str) -> str:
         index, trapdoor = dk
@@ -507,21 +494,18 @@ class UniformPadPublicScheme(PermutationPublicScheme):
 
     def sample_encryption(self, ek: TowpIndex, rng: Stream) -> EncryptionCase:
         d = self.family.sample(ek, rng.child("d"))
-        return EncryptionCase(
-            Fraction(1), self._tag_from_seed(ek, d), rng.child("pad").bits(2 * self.qubits)
-        )
+        return EncryptionCase(self._tag_from_seed(ek, d), rng.child("pad").bits(2 * self.qubits))
 
     def encrypt_cases(self, ek: TowpIndex):
-        """Every (domain element, pad) pair, all sharing one weight object.
+        """Every (domain element, pad) pair.
 
         Tags come from the same uint64 domain walk as `pke-towp`, which
         relies on the domain cap's N <= 2^20, checked first by `family.domain`.
         """
         domain = self.family.domain(ek)
         pads = _all_bitstrings(2 * self.qubits)
-        w = Fraction(1, len(domain) * len(pads))
         tags, _ = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return [EncryptionCase(w, tag, pad) for tag in tags for pad in pads]
+        return [EncryptionCase(tag, pad) for tag in tags for pad in pads]
 
     def decrypt_pad(self, dk, tag):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")

@@ -205,6 +205,7 @@ def test_correctness_on_undecryptable_scheme_is_usage_error():
 _GAME = ["game", "--game", "ind", "--scheme", "identity", "--n", "1"]
 _CORRECTNESS = ["correctness", "--scheme", "identity", "--n", "1", "--qubits", "1"]
 _CORRECTNESS_SKE = ["correctness", "--scheme", "ske-prf", "--n", "2", "--keys", "1"]
+_QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
 
 
 @pytest.mark.parametrize(
@@ -217,9 +218,16 @@ _CORRECTNESS_SKE = ["correctness", "--scheme", "ske-prf", "--n", "2", "--keys", 
         (_CORRECTNESS + ["--keys", "-3"], "keys must be at least 1"),
         (_CORRECTNESS_SKE + ["--qubits", "6"], "correctness supports at most 5 qubits, got 6"),
         (_CORRECTNESS_SKE + ["--qubits", "9"], "correctness supports at most 5 qubits, got 9"),
+        (["qotp-mix", "--qubits", "-1"], "qotp-mix needs at least 1 qubit, got -1"),
+        (["qotp-mix", "--qubits", "0"], "qotp-mix needs at least 1 qubit, got 0"),
+        (_QOTP_TO_PRG + ["--n", "-3"], "security parameter -3 outside 1..12"),
+        (_QOTP_TO_PRG + ["--n", "0"], "security parameter 0 outside 1..12"),
+        (_QOTP_TO_PRG + ["--n", "13", "--exact"], "security parameter 13 outside 1..12"),
     ],
     ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
-         "correctness-6-qubits", "correctness-9-qubits"],
+         "correctness-6-qubits", "correctness-9-qubits", "qotp-mix-qubits-negative",
+         "qotp-mix-qubits-0", "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
+         "qotp-to-prg-n-13-exact"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]

@@ -265,11 +265,15 @@ def _brute_force_ind(scheme, message, p_one, first_tag_per_pad=False):
     arms = []
     for state in (message, replace_with_zero_state(message, "M")):
         total = Fraction(0)
-        for wk, kp in scheme.key_cases():
+        keys = scheme.key_cases()
+        wk = Fraction(1, len(keys))
+        for kp in keys:
             first = {}
-            for case in scheme.encrypt_cases(kp.ek):
+            cases = scheme.encrypt_cases(kp.ek)
+            for case in cases:
                 tag = first.setdefault(case.pad, case.tag) if first_tag_per_pad else case.tag
-                total += wk * case.weight * p_one(tag, apply_pauli(case.pad, state, "M"))
+                total += (wk * Fraction(1, len(cases))
+                          * p_one(tag, apply_pauli(case.pad, state, "M")))
         arms.append(total)
     return arms
 
@@ -311,7 +315,7 @@ def test_readout_role_is_measured_once_per_distinct_pad():
                   GameConfig(qubits=3, exact=True, seed=7))
     pads_per_key = [
         len({case.pad for case in scheme.encrypt_cases(kp.ek)})
-        for _, kp in scheme.key_cases()
+        for kp in scheme.key_cases()
     ]
     assert dist.calls == 2 * sum(pads_per_key) == 24
     assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(0), Fraction(183, 256))
@@ -377,15 +381,17 @@ def _brute_force_branches(scheme, message, keys, hidden_bit: bool):
 
     zero = replace_with_zero_state(state, "M")
     arms = [[], []]
-    for wk, kp in keys:
-        for case in scheme.encrypt_cases(kp.ek):
+    wk = Fraction(1, len(keys))
+    for kp in keys:
+        cases = scheme.encrypt_cases(kp.ek)
+        for case in cases:
             real, ideal = p_one(state, case.pad), p_one(zero, case.pad)
             if hidden_bit:
-                half = wk * case.weight / 2
+                half = wk * Fraction(1, len(cases)) / 2
                 arms[0] += [(half, real), (half, 1 - ideal)]
             else:
-                arms[0].append((wk * case.weight, real))
-                arms[1].append((wk * case.weight, ideal))
+                arms[0].append((wk * Fraction(1, len(cases)), real))
+                arms[1].append((wk * Fraction(1, len(cases)), ideal))
     return arms[:1] if hidden_bit else arms
 
 
@@ -400,7 +406,7 @@ def test_exact_ind_branches_equal_brute_force_enumeration(monkeypatch, name, n, 
         monkeypatch, run, scheme, BasisMessage(message),
         MeasureEqualsDistinguisher(message, "M"), None, config,
     )
-    keys = scheme.key_cases() or [(Fraction(1), scheme.keygen(config.stream("fixed-key")))]
+    keys = scheme.key_cases() or [scheme.keygen(config.stream("fixed-key"))]
     expected = _brute_force_branches(scheme, message, keys, hidden_bit=run is run_ind_prime)
     assert [Counter(arm) for arm in played] == [Counter(arm) for arm in expected]
 

@@ -75,11 +75,12 @@ def test_simulator_output_equals_zero_arm_exactly():
     manual = None
     from qelab.quantum import apply_pauli, tensor
 
-    for wk, kp in scheme.key_cases():
+    keys = scheme.key_cases()
+    for kp in keys:
         zero = basis_state("0", "M", exact=True)
         fake = apply_pauli(kp.ek, zero)
         out = adversary.transform("", tensor(fake, state_ef), ctx)
-        term = out.mat * wk
+        term = out.mat * Fraction(1, len(keys))
         manual = term if manual is None else manual + term
     assert (total == manual).all()
 

@@ -11,6 +11,7 @@ from qelab.errors import (
     MalformedKeyError,
     QelabError,
 )
+from qelab.games import uniform_cases
 from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, ConstantPrf
 from qelab.quantum import (
     TOL_ALGEBRA,
@@ -29,7 +30,6 @@ from qelab.rationals import as_fraction
 from qelab.rng import Stream
 from qelab.schemes import (
     SCHEME_BUILDERS,
-    EncryptionCase,
     IdentityScheme,
     PadSkippingDecryptScheme,
     PermutationPublicScheme,
@@ -99,7 +99,7 @@ def test_ske_tag_shape_and_freshness():
 def test_ske_maximally_mixed_payload_invariant():
     scheme = _ske()
     rho = maximally_mixed(2)
-    for w, kp in scheme.key_cases()[:4]:
+    for kp in scheme.key_cases()[:4]:
         for case in scheme.encrypt_cases(kp.ek)[:4]:
             ct = SkeCiphertext(case.tag, rho)
             payload = scheme.encrypt(kp.ek, rho, Stream(8).child(case.tag)).payload
@@ -116,7 +116,7 @@ def test_ske_constant_prf_leaves_payload_alone():
 
 def test_ske_wrong_key_disturbs_when_pads_differ():
     scheme = _ske(n=3, qubits=1, seed=101)
-    keys = [kp for _, kp in scheme.key_cases()]
+    keys = scheme.key_cases()
     rho = basis_state("0")
     rng = Stream(11)
     found = False
@@ -163,7 +163,7 @@ def test_pad_skipping_decrypt_detected():
     identity = lambda m: m
     worst = max(
         channel_choi_distance(scheme.roundtrip_map(kp), identity, 1)
-        for _, kp in scheme.key_cases()
+        for kp in scheme.key_cases()
     )
     assert worst >= 0.5
 
@@ -292,7 +292,7 @@ def test_pke_encrypt_cases_match_per_element_definitions(cls, n, qubits):
         ek = scheme.keygen(Stream(seed).child(f"kg{n}-{qubits}")).ek
         cases = scheme.encrypt_cases(ek)
         assert [(c.tag, c.pad) for c in cases] == _scalar_pke_pairs(scheme, ek)
-        (weight,) = {id(c.weight): c.weight for c in cases}.values()  # one shared object
+        (weight,) = {id(w): w for w, _ in uniform_cases(cases)}.values()  # one shared object
         assert weight == Fraction(1, len(cases))
 
 
@@ -327,11 +327,12 @@ def test_random_pad_scheme_round_trip_and_mixing():
     # pad-averaged payload is exactly maximally mixed (rational arithmetic)
     state = basis_state("1", "M", exact=True)
     total = None
-    for case in scheme.encrypt_cases(None):
+    cases = scheme.encrypt_cases(None)
+    for case in cases:
         from qelab.quantum import apply_pauli
 
         padded = apply_pauli(case.pad, state)
-        term = padded.mat * case.weight
+        term = padded.mat * Fraction(1, len(cases))
         total = term if total is None else total + term
     diag = [as_fraction(total[i, i]) for i in range(2)]
     assert diag == [Fraction(1, 2), Fraction(1, 2)]
@@ -342,7 +343,7 @@ def test_uniform_pad_pke_mixing_and_no_decrypt():
     scheme = UniformPadPublicScheme(1, 1)
     kp = scheme.keygen(Stream(53).child("kg"))
     cases = scheme.encrypt_cases(kp.ek)
-    assert sum(c.weight for c in cases) == 1
+    assert sum(w for w, _ in uniform_cases(cases)) == 1
     with pytest.raises(QelabError):
         scheme.decrypt_pad(kp.dk, cases[0].tag)
 
@@ -352,7 +353,7 @@ def test_uniform_pad_pke_mixing_and_no_decrypt():
 
     for case in cases:
         padded = apply_pauli(case.pad, state)
-        term = padded.mat * case.weight
+        term = padded.mat * Fraction(1, len(cases))
         total = term if total is None else total + term
     assert [as_fraction(total[i, i]) for i in range(2)] == [Fraction(1, 2)] * 2
 
@@ -394,6 +395,26 @@ def test_registry_builds_all_schemes():
         build_scheme("nope", 2, 1, Stream(71))
 
 
+@pytest.mark.parametrize("name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("n, qubits", [(2, 1), (3, 2)])
+def test_every_draw_lies_in_the_enumerated_list(name, n, qubits):
+    # The games weigh each listed key and encryption case 1/len
+    # (`games.uniform_cases`), which is only right if every draw is listed.
+    for seed in range(3):
+        scheme = build_scheme(name, n, qubits, Stream(seed).child("setup"))
+        drawn = [scheme.keygen(Stream(seed).child(f"kg{i}")) for i in range(8)]
+        keys = scheme.key_cases()
+        # `ske-randomfn` lists one stand-in key; its function's coins are
+        # the pads of `encrypt_cases`, which the draws below check.
+        if keys is not None and name != "ske-randomfn":
+            assert all(kp in keys for kp in drawn)
+        for k, kp in enumerate(drawn + (keys or [])):
+            cases = set(scheme.encrypt_cases(kp.ek))
+            for i in range(16):
+                rng = Stream(seed).child(f"enc{k}-{i}")
+                assert scheme.sample_encryption(kp.ek, rng) in cases
+
+
 def test_choi_round_trip_at_three_qubits():
     identity = lambda m: m
     ske = PrfSymmetricScheme(3, 3, setup_rng=Stream(105).child("setup"))
@@ -408,7 +429,7 @@ def test_choi_round_trip_at_three_qubits():
 def test_ske_round_trip_every_key_in_support():
     scheme = _ske(n=2, qubits=1, seed=106)
     rho = random_pure_state(1, Stream(62))
-    for _, kp in scheme.key_cases():  # all 4 keys at n=2
+    for kp in scheme.key_cases():  # all 4 keys at n=2
         ct = scheme.encrypt(kp.ek, rho, Stream(63).child(kp.ek))
         assert trace_distance(scheme.decrypt(kp.dk, ct), rho) < TOL_ALGEBRA
 
@@ -434,7 +455,7 @@ def _dense_roundtrip(scheme, kp, cases):
         enc = pauli_from_key(case.pad) if case.pad is not None else eye
         dec_pad = scheme.decrypt_pad(kp.dk, case.tag)
         dec = pauli_from_key(dec_pad) if dec_pad is not None else eye
-        ops.append((float(case.weight), dec @ enc))
+        ops.append((float(Fraction(1, len(cases))), dec @ enc))
 
     def channel(mat):
         out = np.zeros_like(mat, dtype=complex)
@@ -446,12 +467,7 @@ def _dense_roundtrip(scheme, kp, cases):
 
 
 def _sampled_cases(scheme, kp, rng, samples):
-    return [
-        EncryptionCase(Fraction(1, samples), drawn.tag, drawn.pad)
-        for drawn in (
-            scheme.sample_encryption(kp.ek, rng.child(f"coin{i}")) for i in range(samples)
-        )
-    ]
+    return [scheme.sample_encryption(kp.ek, rng.child(f"coin{i}")) for i in range(samples)]
 
 
 def _matrix_units(dim):
@@ -493,7 +509,7 @@ def _per_case_roundtrip(scheme, kp, cases):
             if pad is not None:
                 px, pz = pad_masks(pad)
                 x, z = x ^ px, z ^ pz
-        frames.append((float(case.weight), x, z))
+        frames.append((float(Fraction(1, len(cases))), x, z))
 
     def channel(mat):
         out = np.zeros_like(mat)
@@ -507,7 +523,7 @@ def _per_case_roundtrip(scheme, kp, cases):
 @pytest.mark.parametrize("name, n, qubits", [("ske-prf-skipdec", 2, 2), ("pke-towp", 4, 1)])
 def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
     scheme = build_scheme(name, n, qubits, Stream(7))
-    keys = scheme.key_cases() or [(1, scheme.keygen(Stream(116).child("kg")))]
+    keys = scheme.key_cases() or [scheme.keygen(Stream(116).child("kg"))]
     conjugations = []
     original = schemes.conjugate_by_masks
     monkeypatch.setattr(
@@ -515,7 +531,7 @@ def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
         lambda mat, x, z: conjugations.append((x, z)) or original(mat, x, z),
     )
     mask_sets = []
-    for _, kp in keys:
+    for kp in keys:
         cases = scheme.encrypt_cases(kp.ek)
         reference, masks = _per_case_roundtrip(scheme, kp, cases)
         assert len(masks) < len(cases)
