@@ -307,6 +307,8 @@ def cmd_game(args) -> tuple[dict, bool]:
 
 
 def cmd_reduce(args) -> tuple[dict, bool]:
+    if args.qubits < 1:
+        raise ParameterError(f"--qubits must be at least 1, got {args.qubits}")
     rng = Stream(args.seed)
     config = GameConfig(
         qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact

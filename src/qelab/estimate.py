@@ -101,18 +101,26 @@ class GameArm:
         Weights and probabilities are ints or Fractions.  Branches are
         counted against `cap` one by one, and each is tallied by its
         (weight, probability) pair as four ints, because hashing a Fraction
-        is slow.  The Fraction arithmetic then runs once per distinct pair.
-        The weights must sum to exactly 1.
+        is slow.  The ints are read again only when the weight or the
+        probability object differs from the previous branch's, since branches
+        share them (one weight per scope, one probability per pad).  The
+        Fraction arithmetic then runs once per distinct pair.  The weights
+        must sum to exactly 1.
         """
         if self._branches is None:
             raise EnumerationCapError("this arm does not support exact enumeration")
         tally = Counter()
         count = 0
+        last_weight = last_p = object()
         for weight, p in self._branches():
             count += 1
             if count > cap:
                 raise EnumerationCapError(f"enumeration exceeded the cap of {cap} branches")
-            tally[weight.numerator, weight.denominator, p.numerator, p.denominator] += 1
+            if weight is not last_weight:
+                last_weight, wn, wd = weight, weight.numerator, weight.denominator
+            if p is not last_p:
+                last_p, pn, pd = p, p.numerator, p.denominator
+            tally[wn, wd, pn, pd] += 1
         total = Fraction(0)
         weight_seen = Fraction(0)
         for (wn, wd, pn, pd), k in tally.items():

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DimensionMismatchError, EnumerationCapError, MalformedKeyError, QelabError
 from .rng import Stream
 
@@ -175,8 +177,8 @@ class ToyRsaPermutationFamily:
             raise EnumerationCapError(
                 f"domain of modulus {index.modulus} exceeds the cap {cap}"
             )
-        n = index.modulus
-        return [x for x in range(1, n) if math.gcd(x, n) == 1]
+        residues = np.arange(1, index.modulus, dtype=np.int64)
+        return residues[np.gcd(residues, index.modulus) == 1].tolist()
 
     def encode_element(self, index: TowpIndex, x: int) -> str:
         if not (0 <= x < (1 << index.element_width)):

@@ -223,11 +223,13 @@ _QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
         (_QOTP_TO_PRG + ["--n", "-3"], "security parameter -3 outside 1..12"),
         (_QOTP_TO_PRG + ["--n", "0"], "security parameter 0 outside 1..12"),
         (_QOTP_TO_PRG + ["--n", "13", "--exact"], "security parameter 13 outside 1..12"),
+        (_QOTP_TO_PRG + ["--qubits", "0"], "--qubits must be at least 1, got 0"),
+        (_QOTP_TO_PRG + ["--qubits", "-1"], "--qubits must be at least 1, got -1"),
     ],
     ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
          "correctness-6-qubits", "correctness-9-qubits", "qotp-mix-qubits-negative",
          "qotp-mix-qubits-0", "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
-         "qotp-to-prg-n-13-exact"],
+         "qotp-to-prg-n-13-exact", "qotp-to-prg-qubits-0", "qotp-to-prg-qubits-negative"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]

@@ -91,6 +91,17 @@ def test_domain_cap():
         fam.domain(index, cap=10)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_domain_is_every_unit_residue(n):
+    fam = ToyRsaPermutationFamily(n)
+    for seed in range(4):
+        index, _ = fam.generate(Stream(seed).child("g"))
+        units = [x for x in range(1, index.modulus) if math.gcd(x, index.modulus) == 1]
+        domain = fam.domain(index)
+        assert domain == units
+        assert all(type(x) is int for x in domain)
+
+
 def test_element_and_key_codecs():
     fam = ToyRsaPermutationFamily(4)
     index, trapdoor = fam.generate(Stream(5).child("g"))

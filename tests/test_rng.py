@@ -1,7 +1,12 @@
+import gc
+import hashlib
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qelab.rng import Stream
 
@@ -79,6 +84,7 @@ def test_known_answer_numpy_normal():
 
 
 def test_philox_is_built_on_first_draw_only(monkeypatch):
+    Stream(1).bits(1)  # make sure this thread's scratch generator exists
     built = []
     philox = np.random.Philox
 
@@ -88,13 +94,18 @@ def test_philox_is_built_on_first_draw_only(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     stream = Stream(7).child("a").child("b")
-    assert built == []
+    assert built == []  # a parent-only stream builds none
     stream.bits(8)
-    assert len(built) == 1
     stream.integer(5)
     stream.uniform()
+    Stream(7).child("c").integer(3)
+    assert built == []  # draws load their state into the thread's scratch
     stream.numpy()
-    assert len(built) == 1  # later draws reuse the generator
+    assert len(built) == 1  # numpy() hands out a private generator, once
+    stream.bits(8)
+    stream.integer(5)
+    stream.numpy().normal()
+    assert len(built) == 1  # later draws reuse it
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, Fraction(0), Fraction(1)])
@@ -109,3 +120,128 @@ def test_certain_bernoulli_builds_no_philox(monkeypatch, p):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     assert Stream(7).child("flip").bernoulli(p) == (p >= 1)
     assert built == []
+
+
+# Every stream draws through one scratch Philox per thread.  These check it
+# against a reference that builds one generator per stream, as `Philox(key)`
+# over the stream's SHA-256 key.
+
+
+def _reference(seed: int, path: tuple[str, ...]) -> np.random.Generator:
+    digest = hashlib.sha256(f"{seed}|{'/'.join(path)}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], np.uint64)))
+
+
+def _draw(op: str, arg: int, gen_or_stream):
+    """One draw by `op`, from a Stream or from a reference Generator."""
+    if isinstance(gen_or_stream, Stream):
+        stream = gen_or_stream
+        if op == "bits":
+            return stream.bits(arg)
+        if op == "integer":
+            return stream.integer(arg)
+        if op == "uniform":
+            return stream.uniform()
+        return float(stream.numpy().normal())
+    gen = gen_or_stream
+    if op == "bits":
+        return "".join("1" if b else "0" for b in gen.integers(0, 2, size=arg)) if arg else ""
+    if op == "integer":
+        return int(gen.integers(0, arg))
+    if op == "uniform":
+        return float(gen.random())
+    return float(gen.normal())
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("bits"), st.integers(0, 70)),
+    st.tuples(st.just("integer"), st.integers(1, 2**40)),
+    st.tuples(st.just("uniform"), st.just(0)),
+    st.tuples(st.just("normal"), st.just(0)),
+    st.tuples(st.just("child"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    live=st.integers(2, 4),
+    steps=st.lists(st.tuples(st.integers(0, 15), _OPS), min_size=1, max_size=40),
+)
+def test_interleaved_draws_match_one_generator_per_stream(seed, live, steps):
+    streams = [Stream(seed, (f"s{i}",)) for i in range(live)]
+    refs = [_reference(seed, s.path) for s in streams]
+    for pick, (op, arg) in steps:
+        i = pick % len(streams)
+        if op == "child":
+            child = streams[i].child(f"c{arg}")
+            # Replacing a stream drops it, so its owner may die mid-sequence.
+            slot = (i + 1) % len(streams)
+            streams[slot], refs[slot] = child, _reference(seed, child.path)
+            continue
+        assert _draw(op, arg, streams[i]) == _draw(op, arg, refs[i])
+
+
+def test_threads_draw_interleaved_as_one_thread_would():
+    ops = [("bits", 5), ("integer", 1000), ("uniform", 0), ("bits", 67), ("integer", 3)] * 20
+    labels = ("a", "b", "c", "d")  # more threads than cores
+
+    def run(label, barrier=None):
+        streams = [Stream(11, (label, str(k))) for k in range(3)]
+        out = []
+        for n, (op, arg) in enumerate(ops):
+            out.append(_draw(op, arg, streams[n % 3]))
+            if barrier is not None:
+                barrier.wait(timeout=30)  # every thread draws before any draws again
+        return out
+
+    expected = {label: run(label) for label in labels}
+    barrier = threading.Barrier(len(labels))
+    got = {}
+    threads = [
+        threading.Thread(target=lambda label=label: got.setdefault(label, run(label, barrier)))
+        for label in labels
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_dropped_owner_leaves_the_next_stream_intact():
+    owner = Stream(5).child("owner")
+    owner.bits(10)
+    del owner
+    gc.collect()
+    # A stream with the dead owner's path starts fresh, not where it stopped.
+    assert Stream(5).child("owner").bits(10) == _draw("bits", 10, _reference(5, ("owner",)))
+    other = Stream(5).child("other")
+    ref = _reference(5, ("other",))
+    assert [other.integer(99) for _ in range(5)] == [_draw("integer", 99, ref) for _ in range(5)]
+
+
+def test_numpy_continues_where_the_draws_left_off():
+    stream, ref = Stream(3).child("n"), _reference(3, ("n",))
+    assert stream.bits(9) == _draw("bits", 9, ref)
+    Stream(3).child("other").uniform()  # takes the scratch, saving the state
+    assert stream.integer(7) == _draw("integer", 7, ref)
+    gen = stream.numpy()
+    assert gen.normal() == ref.normal()
+    assert stream.uniform() == ref.random()  # later draws use the same generator
+    assert gen.normal() == ref.normal()
+
+
+def test_a_stream_loaded_in_another_thread_refuses_to_draw():
+    stream = Stream(4).child("shared")
+    worker = threading.Thread(target=stream.bits, args=(3,))
+    worker.start()
+    worker.join()
+    with pytest.raises(RuntimeError, match="another thread"):
+        stream.bits(3)
