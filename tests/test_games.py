@@ -648,6 +648,38 @@ def test_cpa_readout_breaks_constant_prf_scheme():
     assert est.ci_halfwidth <= 0.05
 
 
+class _OracleProbingMessage(MessageGenerator):
+    """Before the challenge: encrypts |0> twice and sends the parity of the two tags."""
+
+    def cases(self, pk, ctx):
+        first = ctx.oracles.encrypt(basis_state("0"))
+        second = ctx.oracles.encrypt(basis_state("0"))
+        bit = str((first.tag + second.tag).count("1") % 2)
+        return [MessageCase(Fraction(1), basis_state(bit, "M"))]
+
+
+class _OracleProbingReadout(Distinguisher):
+    """After the challenge: encrypts |1>; on a tag collision it compares the
+    challenge's readout with the oracle ciphertext's, otherwise it reads M for 1."""
+
+    def prob_one(self, tag, state, ctx):
+        ct = ctx.oracles.encrypt(basis_state("1"))
+        p = measurement_distribution(state, "M")["1"]
+        if ct.tag != tag:
+            return p
+        q = measurement_distribution(ct.payload, "M")["1"]
+        return p * q + (1 - p) * (1 - q)
+
+
+def test_sampled_cpa_estimate_with_oracle_calls_on_both_sides_is_pinned():
+    # The values pin the oracle streams' paths (`<role>-oracle/enc<k>`) and
+    # every draw the roles' oracle calls make, across commits.
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    est = run_ind(scheme, _OracleProbingMessage(), _OracleProbingReadout(),
+                  OraclePolicy.cpa(), GameConfig(qubits=1, trials=500, seed=7))
+    assert (est.p_real, est.p_ideal) == (0.466, 0.266)
+
+
 def test_all_games_null_on_random_pad_scheme():
     scheme = RandomPadSymmetricScheme(1, 1)
     adversary = CopyPayloadAdversary("M", "OUT")

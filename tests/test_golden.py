@@ -153,6 +153,20 @@ GOLDEN = {
         "game", "--game", "ind", "--scheme", "ske-prf", "--adversary", "constant-one",
         "--n", "2", "--qubits", "1", "--exact", "--seed", "7",
     ],
+    # Sampled paths no command above covers: an odd-length key draw, the
+    # entangled message and the lazily sampled random function.
+    "game-ind-ske-prf-n3": [
+        "game", "--game", "ind", "--scheme", "ske-prf", "--n", "3", "--qubits", "1",
+        "--trials", "1000", "--seed", "7",
+    ],
+    "game-ind-ske-prf-bell-readout": [
+        "game", "--game", "ind", "--scheme", "ske-prf", "--adversary", "bell-readout",
+        "--n", "2", "--qubits", "1", "--trials", "1000", "--seed", "7",
+    ],
+    "game-ind-ske-randomfn": [
+        "game", "--game", "ind", "--scheme", "ske-randomfn", "--n", "2", "--qubits", "1",
+        "--trials", "1000", "--seed", "7",
+    ],
 }
 
 
