@@ -24,7 +24,12 @@ distinct pad (`_challenge_probs`); every branch is still enumerated.
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
 may fan trials out concurrently.  Enumeration is single-threaded per
-game, but separate games can run side by side.
+game, but separate games can run side by side.  A game's trials share
+only one-entry memos (`_LastValueMemo`) of work that does not change
+between trials: the zeroed message state and the sem2 classical target.
+They hold only immutable values, keyed by the identity of the message
+state, so sharing them cannot couple two trials.  Oracle handles derive
+their stream on the first call.
 
 Scope note: semantic security quantifies over all adversaries and
 simulators; a finite harness can only check named tuples of roles plus
@@ -117,14 +122,20 @@ POLICIES = {
 
 
 class Oracles:
-    """Budgeted encryption/decryption handles for one role in one phase."""
+    """Budgeted encryption/decryption handles for one role in one phase.
+
+    Encryption call k draws its coins from `rng.child(label).child(f"enc{k}")`.
+    The `label` stream is derived on the first call, so a role that never
+    calls the oracle derives no stream.
+    """
 
     def __init__(self, scheme: PauliTagScheme, keypair: KeyPair, grants: frozenset,
-                 rng: Stream, budget: int):
+                 rng: Stream, label: str, budget: int):
         self._scheme = scheme
         self._keypair = keypair
         self.grants = frozenset(grants)
-        self._rng = rng
+        self._parent, self._label = rng, label
+        self._rng = None
         self._budget = budget
         self._calls = 0
 
@@ -137,6 +148,8 @@ class Oracles:
 
     def encrypt(self, rho: DensityMatrix) -> Ciphertext:
         self._tick("enc")
+        if self._rng is None:
+            self._rng = self._parent.child(self._label)
         return self._scheme.encrypt(
             self._keypair.ek, rho, self._rng.child(f"enc{self._calls}")
         )
@@ -205,6 +218,39 @@ def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix
     return apply_pauli(case_pad, state, "M") if case_pad is not None else state
 
 
+_EMPTY = (object(), None)
+
+
+class _LastValueMemo:
+    """`fn(value)`, remembered for the last `value` seen, by identity.
+
+    Meant for immutable values such as a message generator's states, which
+    a generator with fixed states hands out as one object in every trial.
+    The entry is one `(value, result)` tuple, read once per call, so trials
+    running side by side never pair one value with another's result; the
+    entry also keeps its value alive, so its id cannot be reused.
+    """
+
+    __slots__ = ("_fn", "_entry")
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._entry = _EMPTY
+
+    def __call__(self, value):
+        key, result = self._entry
+        if key is value:
+            return result
+        result = self._fn(value)
+        self._entry = (value, result)
+        return result
+
+
+def _zeroed_message_memo() -> _LastValueMemo:
+    """The message state with M swapped for |0...0>, per last state seen."""
+    return _LastValueMemo(lambda state: replace_with_zero_state(state, "M"))
+
+
 # ---------------------------------------------------------------------------
 # One arm, two interpreters
 # ---------------------------------------------------------------------------
@@ -260,7 +306,7 @@ def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dic
 def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> RoleContext:
     return play.context(
         f"{label}-coins",
-        lambda rng: Oracles(scheme, keypair, grants, rng.child(f"{label}-oracle"),
+        lambda rng: Oracles(scheme, keypair, grants, rng, f"{label}-oracle",
                             config.oracle_budget),
         pk=_pk_for(scheme, keypair),
         scheme=scheme,
@@ -333,14 +379,14 @@ def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryption
 
 
 def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -> GameArm:
+    zeroed = _zeroed_message_memo()
+
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                state = mcase.state
-                if zero_arm:
-                    state = replace_with_zero_state(state, "M")
+                state = zeroed(mcase.state) if zero_arm else mcase.state
                 encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
                 yield from _challenge_probs(play, dist, state, encryptions, ctx_post, wk * wm)
 
@@ -373,6 +419,7 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     config = config or GameConfig()
 
     shared = {}
+    zeroed = _zeroed_message_memo()
 
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
@@ -380,9 +427,7 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 for wb, hidden_bit in fair_bit(play, "bit"):
-                    state = mcase.state if hidden_bit == 1 else replace_with_zero_state(
-                        mcase.state, "M"
-                    )
+                    state = mcase.state if hidden_bit == 1 else zeroed(mcase.state)
                     encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
                     for w, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post,
                                                   wk * wm * wb):
@@ -549,9 +594,10 @@ def run_sem2(scheme, mgen, adversary, simulator,
     """
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
+    classical_target = _LastValueMemo(_classical_target)
 
     def success(out_state, mcase, ctx):
-        target = _classical_target(mcase.state)
+        target = classical_target(mcase.state)
         return _compare_out(out_state, target, out_state.exact)
 
     class _FBlindChannel(Channel):

@@ -366,7 +366,14 @@ def pauli_from_key(key: str, exact: bool = False) -> np.ndarray:
 
 def pad_masks(key: str) -> tuple[int, int]:
     """The (X, Z) bit masks of a pad key, qubit 0 as the most significant bit."""
-    _check_pad(key)
+    if not isinstance(key, str):
+        _check_pad(key)  # raises: the cache below takes str keys only
+    return _str_pad_masks(key)
+
+
+@lru_cache(maxsize=4096)
+def _str_pad_masks(key: str) -> tuple[int, int]:
+    _check_pad(key)  # a malformed key raises, and nothing is cached for it
     return int(key[0::2], 2), int(key[1::2], 2)
 
 
@@ -572,13 +579,13 @@ def measurement_distribution(state: DensityMatrix, targets) -> dict:
                 f"outcome probabilities sum to {Fraction(sum(sums), state.den)}"
             )
         return {label: Fraction(s, state.den) for label, s in zip(split.labels, sums)}
-    arr = split(state.mat)
     dist = {}
-    for t in range(split.t_dim):
+    # Left to right from 0.0, as Python floats: `sum` compensates on 3.12+.
+    for label, row in zip(split.labels, split.diagonal(state.mat).real.tolist()):
         p = 0.0
-        for j in range(split.r_dim):
-            p += arr[t, j, t, j].real
-        dist[split.labels[t]] = float(max(p, 0.0))
+        for v in row:
+            p += v
+        dist[label] = max(p, 0.0)
     total = sum(dist.values())
     if abs(total - 1.0) > TOL_PSD:
         raise MeasurementError(f"outcome probabilities sum to {total}")

@@ -34,6 +34,7 @@ from .games import (
     _encryptions,
     _keys,
     _pad_message,
+    _zeroed_message_memo,
     biased_bit,
     fair_bit,
     game_arm,
@@ -48,7 +49,6 @@ from .quantum import (
     apply_pauli,
     basis_state,
     partial_trace,
-    replace_with_zero_state,
     tensor,
 )
 from .rng import Stream
@@ -217,12 +217,18 @@ def sem_to_ind_identity_check(scheme, ind_mgen, ind_dist,
 
 
 class _OracleBackedHandles:
-    """Encrypt/decrypt built from a raw function oracle, with a call budget."""
+    """Encrypt/decrypt built from a raw function oracle, with a call budget.
 
-    def __init__(self, oracle: Callable[[str], str], qubits: int, rng: Stream, budget: int):
+    Encryption call k draws its tag from `rng.child(label).child(f"tag{k}")`;
+    the `label` stream is derived on the first encryption.
+    """
+
+    def __init__(self, oracle: Callable[[str], str], qubits: int, rng: Stream, label: str,
+                 budget: int):
         self._oracle = oracle
         self._qubits = qubits
-        self._rng = rng
+        self._parent, self._label = rng, label
+        self._rng = None
         self._budget = budget
         self._calls = 0
 
@@ -233,6 +239,8 @@ class _OracleBackedHandles:
 
     def encrypt(self, rho: DensityMatrix) -> SkeCiphertext:
         self._tick()
+        if self._rng is None:
+            self._rng = self._parent.child(self._label)
         tag = self._rng.child(f"tag{self._calls}").bits(2 * self._qubits)
         return SkeCiphertext(tag, apply_pauli(self._oracle(tag), rho))
 
@@ -282,19 +290,20 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
     challenge, runs the attack, and outputs 1 iff the attack's guess
     matches the coin.
     """
+    zeroed = _zeroed_message_memo()
 
     def branches(oracle: Callable[[str], str], play):
         ctx_pre = play.context(
-            "mgen", lambda rng: _OracleBackedHandles(oracle, qubits, rng.child("handles"), budget)
+            "mgen", lambda rng: _OracleBackedHandles(oracle, qubits, rng, "handles", budget)
         )
         ctx_post = play.context(
-            "dist", lambda rng: _EncryptOnlyHandles(oracle, qubits, rng.child("post"), budget)
+            "dist", lambda rng: _EncryptOnlyHandles(oracle, qubits, rng, "post", budget)
         )
         for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")
             for wc, coin in fair_bit(play, "coin"):
-                state = mcase.state if coin == 1 else replace_with_zero_state(mcase.state, "M")
+                state = mcase.state if coin == 1 else zeroed(mcase.state)
                 for wt, tag in _uniform_string(play, "challenge", 2 * qubits):
                     padded = apply_pauli(oracle(tag), state, "M")
                     p1 = play.prob(dist.prob_one(tag, padded, ctx_post))

@@ -15,6 +15,15 @@ owner's state back only when another stream takes over while the owner
 is still alive, so a short-lived child pays one state load and no save.
 A stream that is only ever a parent of other streams costs a tuple.
 `numpy()` hands out a private generator, which that stream then keeps.
+
+`bits` on a fresh stream with an even count reads raw 64-bit outputs
+instead of calling `integers(0, 2)`.  For a range of two, numpy's
+bounded draw (Lemire's method) returns the top bit of each 32-bit word,
+low half first, so bit i is the top bit of half i and the stream ends in
+the same Philox state.  An odd count, a stream drawn from before (it may
+hold a buffered half word) and a stream with a private generator take
+numpy's path.
+
 Draw each stream from one thread: per-trial streams keep concurrent
 trials safe, and a stream still loaded in another thread's scratch
 refuses to draw rather than repeat that thread's values.
@@ -33,6 +42,10 @@ import numpy as np
 from .errors import ParameterError
 
 _ZEROS = (0, 0, 0, 0)
+_INT64_BOUND = 2**63  # the largest bound numpy's int64 `integers` accepts
+# Bit 2i and bit 2i+1 of a raw `bits` draw, by the top bits of word i's
+# low and high 32-bit halves (low | high << 1).
+_BIT_PAIRS = ("00", "10", "01", "11")
 
 
 def _no_owner():
@@ -96,7 +109,7 @@ class Stream:
         if not 0 <= seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self.path = tuple(str(p) for p in path)
+        self.path = tuple(map(str, path))
         self._state = None  # the saved Philox state; None while fresh
         self._holder = None  # the scratch this stream was last loaded in
         self._gen = None  # the private generator, once `numpy()` built it
@@ -127,17 +140,44 @@ class Stream:
         return Stream(self.seed, self.path + (str(label),))
 
     def bits(self, count: int) -> str:
-        """A uniform bitstring of the given length, as a str of 0/1."""
+        """A uniform bitstring of the given length, as a str of 0/1.
+
+        The bits are those of `integers(0, 2, size=count)`.  A fresh stream
+        drawing an even count reads `count // 2` raw outputs instead, which
+        yield the same bits and leave the same Philox state.
+        """
+        count = int(count)
+        if count < 0:
+            raise ValueError(f"bit count must be non-negative, got {count}")
         if count == 0:
             return ""
-        draw = self._generator().integers(0, 2, size=int(count))
-        return "".join("1" if b else "0" for b in draw)
+        if count % 2 == 0 and self._holder is None and self._gen is None:
+            scratch = _scratch()
+            scratch.take(self)
+            words = scratch.philox.random_raw(count // 2).tolist()
+            return "".join([_BIT_PAIRS[(w >> 31 & 1) | (w >> 62 & 2)] for w in words])
+        return "".join(map(str, self._generator().integers(0, 2, size=count).tolist()))
 
     def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound).
+
+        A bound above 2^63, which numpy's int64 draw cannot take, is drawn
+        by rejection over whole 64-bit words.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
-        return int(self._generator().integers(0, bound))
+        if bound <= _INT64_BOUND:
+            return int(self._generator().integers(0, bound))
+        width = (bound - 1).bit_length()
+        words = -(-width // 64)
+        raw = self._generator().bit_generator.random_raw
+        while True:
+            value = 0
+            for word in raw(words).tolist():
+                value = value << 64 | word
+            value >>= 64 * words - width
+            if value < bound:
+                return value
 
     def choice(self, seq):
         return seq[self.integer(len(seq))]

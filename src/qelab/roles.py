@@ -158,40 +158,58 @@ class MessageGenerator:
         raise NotImplementedError
 
 
-class BasisMessage(MessageGenerator):
+class _FixedMessage(MessageGenerator):
+    """A generator with one fixed case per scalar mode.
+
+    The case is built on first use in each mode, and every later call
+    returns that same immutable `MessageCase`, so a game's memos keyed by
+    the state's identity serve all its trials.
+    """
+
+    def __init__(self):
+        self._by_mode = {}
+
+    def _case(self, exact: bool) -> MessageCase:
+        raise NotImplementedError
+
+    def cases(self, pk, ctx):
+        exact = ctx.exact
+        case = self._by_mode.get(exact)
+        if case is None:
+            case = self._by_mode[exact] = self._case(exact)
+        return [case]
+
+
+class BasisMessage(_FixedMessage):
     """Deterministic computational-basis plaintext, no side information."""
 
     def __init__(self, bits: str):
+        super().__init__()
         self.bits = bits
 
-    def cases(self, pk, ctx):
-        return [MessageCase(Fraction(1), basis_state(self.bits, "M", ctx.exact))]
+    def _case(self, exact):
+        return MessageCase(Fraction(1), basis_state(self.bits, "M", exact))
 
 
-class BasisMessageWithTarget(MessageGenerator):
+class BasisMessageWithTarget(_FixedMessage):
     """Basis plaintext plus a classical copy of it in the target register F."""
 
     def __init__(self, bits: str):
+        super().__init__()
         self.bits = bits
 
-    def cases(self, pk, ctx):
-        state = tensor(
-            basis_state(self.bits, "M", ctx.exact),
-            basis_state(self.bits, "F", ctx.exact),
-        )
-        return [MessageCase(Fraction(1), state, transcript=self.bits)]
+    def _case(self, exact):
+        state = tensor(basis_state(self.bits, "M", exact), basis_state(self.bits, "F", exact))
+        return MessageCase(Fraction(1), state, transcript=self.bits)
 
 
-class EntangledMessage(MessageGenerator):
+class EntangledMessage(_FixedMessage):
     """One plaintext qubit maximally entangled with the side-information register."""
 
-    def __init__(self):
-        pass
-
-    def cases(self, pk, ctx):
+    def _case(self, exact):
         from .quantum import bell_state
 
-        return [MessageCase(Fraction(1), bell_state("M", "E", ctx.exact))]
+        return MessageCase(Fraction(1), bell_state("M", "E", exact))
 
 
 class StateMessage(MessageGenerator):

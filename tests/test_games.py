@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,7 @@ from qelab.quantum import (
     tensor,
 )
 from qelab.rationals import QRat
-from qelab.reductions import reduction_ind_to_sem
+from qelab.reductions import reduction_cca1_to_prf, reduction_ind_to_sem
 from qelab.rng import Stream
 from qelab.roles import (
     BasisMessage,
@@ -41,6 +42,8 @@ from qelab.roles import (
     MessageCase,
     MessageGenerator,
     MeasureEqualsDistinguisher,
+    RoleContext,
+    SamplingPlay,
     UniformOutputChannel,
     constant_function,
     identity_function,
@@ -762,3 +765,78 @@ def test_sem2_accepts_target_register_in_any_position():
         EXACT,
     )
     assert est.p_real_exact == 1 and est.p_ideal_exact == 0
+
+
+# ---------------------------------------------------------------------------
+# Trial-invariant work: shared message cases and one-entry memos
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mgen", [BasisMessage("10"), BasisMessageWithTarget("1"),
+                                  EntangledMessage()])
+def test_fixed_generators_hand_out_one_case_per_mode(mgen):
+    float_ctx, exact_ctx = RoleContext(play=SamplingPlay(Stream(1))), RoleContext()
+    (first,) = mgen.cases(None, float_ctx)
+    assert mgen.cases(None, float_ctx)[0] is first
+    (exact,) = mgen.cases(None, exact_ctx)
+    assert mgen.cases(None, exact_ctx)[0] is exact
+    assert exact.state.exact and not first.state.exact
+
+
+class _AlternatingMessage(MessageGenerator):
+    """A fresh state object on every call: |1>_M |b>_side, b alternating 0, 1, 0, ..."""
+
+    def __init__(self, side: str = "E"):
+        self.side = side
+        self.calls = 0
+        self.last = None
+
+    def cases(self, pk, ctx):
+        bit = str(self.calls % 2)
+        self.calls += 1
+        self.last = tensor(basis_state("1", "M", ctx.exact), basis_state(bit, self.side, ctx.exact))
+        return [MessageCase(Fraction(1), self.last, transcript=bit)]
+
+
+class _ChecksLatestMessage(Distinguisher):
+    """1 on the generator's latest state, 0 on its zeroed form; anything else fails."""
+
+    reads_tag = False
+
+    def __init__(self, mgen: _AlternatingMessage):
+        self.mgen = mgen
+
+    def prob_one(self, tag, state, ctx):
+        last = self.mgen.last
+        for candidate, p in ((last, 1), (replace_with_zero_state(last, "M"), 0)):
+            if state.layout == candidate.layout and np.array_equal(
+                state.to_float().mat, candidate.to_float().mat
+            ):
+                return Fraction(p) if state.exact else float(p)
+        raise AssertionError("the challenge is not built from this trial's message state")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_zeroed_state_memo_follows_each_trials_message(exact):
+    config = GameConfig(qubits=1, trials=40, seed=3, exact=exact)
+    mgen = _AlternatingMessage()
+    est = run_ind(IdentityScheme(1, 1), mgen, _ChecksLatestMessage(mgen), None, config)
+    assert (est.p_real, est.p_ideal) == (1.0, 0.0)
+    mgen = _AlternatingMessage()
+    est = run_ind_prime(IdentityScheme(1, 1), mgen, _ChecksLatestMessage(mgen), None, config)
+    assert est.p_real == 1.0
+
+
+def test_zeroed_state_memo_follows_each_prf_experiment_trial():
+    mgen = _AlternatingMessage()
+    construction = reduction_cca1_to_prf(mgen, _ChecksLatestMessage(mgen), qubits=1)
+    identity_pad = lambda tag: "00"
+    assert all(construction(identity_pad, Stream(5).child(f"t{t}")) == 1 for t in range(40))
+
+
+def test_sem2_target_memo_follows_each_trials_message():
+    # Targets alternate 0, 1, ...: the copied message 1 matches the ones and
+    # the constant simulator 0 the zeros, each exactly half the trials.
+    est = run_sem2(IdentityScheme(1, 1), _AlternatingMessage("F"), CopyPayloadAdversary("M", "OUT"),
+                   ConstantOutputChannel("0"), None, GameConfig(qubits=1, trials=40, seed=3))
+    assert (est.p_real, est.p_ideal) == (0.5, 0.5)

@@ -6,7 +6,14 @@ from qelab import reductions
 from qelab.errors import ParameterError
 from qelab.games import GameConfig, OraclePolicy, run_ind, run_sem
 from qelab.primitives import ConstantPrf, ConstantPrg, prf_distinguisher_advantage
-from qelab.quantum import basis_state, bell_state, maximally_mixed, partial_trace, trace_distance
+from qelab.quantum import (
+    basis_state,
+    bell_state,
+    maximally_mixed,
+    measurement_distribution,
+    partial_trace,
+    trace_distance,
+)
 from qelab.reductions import (
     PaddedStatePair,
     cca1_to_prf_exact_check,
@@ -28,7 +35,10 @@ from qelab.roles import (
     ConstantDistinguisher,
     ConstantOutputChannel,
     CopyPayloadAdversary,
+    Distinguisher,
     MeasureEqualsDistinguisher,
+    MessageCase,
+    MessageGenerator,
     RoleContext,
     UnpadThenMeasureDistinguisher,
 )
@@ -219,6 +229,31 @@ def test_prf_reduction_breaks_constant_prf():
     est = prf_distinguisher_advantage(a0, prf, 1000, Stream(7))
     assert est.p_real == 1.0  # readout always wins when the pad is trivial
     assert est.advantage >= 0.4
+
+
+class _EncryptingMessage(MessageGenerator):
+    """Before the challenge: encrypts |0> twice and sends the parity of the two tags."""
+
+    def cases(self, pk, ctx):
+        tags = ctx.oracles.encrypt(basis_state("0")).tag + ctx.oracles.encrypt(basis_state("0")).tag
+        return [MessageCase(Fraction(1), basis_state(str(tags.count("1") % 2), "M"))]
+
+
+class _EncryptingReadout(Distinguisher):
+    """After the challenge: encrypts |1> and reads M for 1 unless the tags collide."""
+
+    def prob_one(self, tag, state, ctx):
+        collided = ctx.oracles.encrypt(basis_state("1")).tag == tag
+        return 0.5 if collided else measurement_distribution(state, "M")["1"]
+
+
+def test_prf_construction_with_oracle_calls_is_pinned():
+    # Pins the simulated handles' streams (`mgen/handles/tag<k>` and
+    # `dist/post/tag<k>`) across commits.
+    construction = reduction_cca1_to_prf(_EncryptingMessage(), _EncryptingReadout(), qubits=1)
+    oracle = lambda tag: tag[::-1]
+    bits = "".join(str(construction(oracle, Stream(9).child(f"t{t}"))) for t in range(64))
+    assert bits == "0100110110010100000110100100111101001001100110000011110110011100"
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,104 @@ def test_a_stream_loaded_in_another_thread_refuses_to_draw():
     worker.join()
     with pytest.raises(RuntimeError, match="another thread"):
         stream.bits(3)
+
+
+# `bits` reads raw Philox outputs on a fresh stream with an even count and
+# calls numpy's `integers(0, 2)` otherwise.  Both must give numpy's bits.
+
+
+def _numpy_bits(gen: np.random.Generator, k: int) -> str:
+    return "".join(map(str, gen.integers(0, 2, size=k).tolist()))
+
+
+_PRELUDE = st.lists(
+    st.one_of(
+        # A bound below 2^32 and an odd bit count each leave a buffered half word.
+        st.tuples(st.just("integer"), st.integers(1, 2**32)),
+        st.tuples(st.just("integer"), st.integers(2**32 + 1, 2**63)),
+        st.tuples(st.just("uniform"), st.just(0)),
+        st.tuples(st.just("bits"), st.integers(1, 9)),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    prelude=_PRELUDE,
+    displaced=st.booleans(),
+    counts=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+    cross_thread=st.booleans(),
+)
+def test_bits_match_numpy_integers(seed, prelude, displaced, counts, cross_thread):
+    stream = Stream(seed, ("bits",))
+    ref = _reference(seed, stream.path)
+    for op, arg in prelude:  # an empty prelude leaves the stream fresh
+        assert _draw(op, arg, stream) == _draw(op, arg, ref)
+    if displaced:
+        Stream(seed, ("other",)).bits(2)  # takes the scratch, saving the stream's state
+    for k in counts:
+        assert stream.bits(k) == _numpy_bits(ref, k)
+    # Both end in the same state, buffered half word included.
+    assert stream.integer(2**20) == int(ref.integers(0, 2**20))
+    assert stream.uniform() == float(ref.random())
+    if cross_thread:
+        fresh = Stream(seed, ("thread",))
+        worker = threading.Thread(target=fresh.bits, args=(2 * counts[0],))
+        worker.start()
+        worker.join()
+        with pytest.raises(RuntimeError, match="another thread"):
+            fresh.bits(2 * counts[0])
+
+
+def test_even_count_on_a_fresh_stream_reads_raw_outputs(monkeypatch):
+    from qelab import rng
+
+    scratch = rng._scratch()
+    monkeypatch.setattr(scratch, "gen", None)  # numpy's path would fail now
+    assert Stream(7).bits(64) == _numpy_bits(_reference(7, ()), 64)
+    with pytest.raises(AttributeError):
+        Stream(7).bits(63)
+
+
+def test_negative_bit_count_is_refused_by_name():
+    with pytest.raises(ValueError, match="bit count must be non-negative, got -2"):
+        Stream(1).bits(-2)
+
+
+def _rejection_reference(gen: np.random.Generator, bound: int) -> int:
+    width = (bound - 1).bit_length()
+    words = -(-width // 64)
+    while True:
+        value = 0
+        for word in gen.bit_generator.random_raw(words).tolist():
+            value = value << 64 | word
+        value >>= 64 * words - width
+        if value < bound:
+            return value
+
+
+@pytest.mark.parametrize("bound", [2**63 + 1, 3 * 2**62, 2**64, 2**64 + 1, 2**130 - 3])
+def test_integer_above_two_to_the_63_draws_by_rejection(bound):
+    stream, ref = Stream(21).child("big"), _reference(21, ("big",))
+    draws = [stream.integer(bound) for _ in range(20)]
+    assert draws == [_rejection_reference(ref, bound) for _ in range(20)]
+    assert all(0 <= d < bound for d in draws)
+    assert stream.uniform() == float(ref.random())
+
+
+@pytest.mark.parametrize("bound", [1, 2, 2**32, 2**32 + 1, 2**62 + 7, 2**63])
+def test_integer_up_to_two_to_the_63_keeps_numpys_draw(bound):
+    stream, ref = Stream(22).child("small"), _reference(22, ("small",))
+    assert [stream.integer(bound) for _ in range(20)] == [
+        int(ref.integers(0, bound)) for _ in range(20)
+    ]
+
+
+def test_exact_bernoulli_with_a_wide_denominator():
+    p = Fraction(1, 3 * 2**62)
+    flips = [Stream(23).child(f"c{i}").bernoulli(p) for i in range(200)]
+    assert flips == [Stream(23).child(f"c{i}").bernoulli(p) for i in range(200)]
+    assert not any(flips)  # each is 1 with probability 2^-63.6
+    assert Stream(23).bernoulli(Fraction(3 * 2**62 - 1, 3 * 2**62))
