@@ -33,6 +33,7 @@ from qelab.roles import (
     BasisMessage,
     BasisMessageWithTarget,
     CoinDistinguisher,
+    CoinMessageGenerator,
     CompareRegistersDistinguisher,
     ConstantDistinguisher,
     ConstantOutputChannel,
@@ -681,6 +682,50 @@ def test_sampled_cpa_estimate_with_oracle_calls_on_both_sides_is_pinned():
     est = run_ind(scheme, _OracleProbingMessage(), _OracleProbingReadout(),
                   OraclePolicy.cpa(), GameConfig(qubits=1, trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.466, 0.266)
+
+
+class _CoinGatedReadout(Distinguisher):
+    """Reads M for 1 on a private coin that comes up 2 times in 3, else for 0."""
+
+    def prob_one(self, tag, state, ctx):
+        p = measurement_distribution(state, "M")["1"]
+        return sum(
+            w * (p if read else 1 - p)
+            for w, read in ctx.coin(
+                "read",
+                lambda: ((Fraction(2, 3), True), (Fraction(1, 3), False)),
+                lambda r: r.integer(3) > 0,
+            )
+        )
+
+
+# Sampled estimates from the parent of the change that builds streams only
+# for coins that draw; each pins the paths of one kind of drawing coin.
+def test_sampled_sem3_with_a_two_case_message_generator_is_pinned():
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    adversary = CopyPayloadAdversary("M", "OUT")
+    mgen = CoinMessageGenerator(BasisMessageWithTarget("1"), include_f=False,
+                                include_transcript=True)  # `mpick` draws
+    est = run_sem3(scheme, GeneratorFunctionPair(mgen, last_bit_function(2)), adversary,
+                   reduction_ind_to_sem(adversary), None,
+                   GameConfig(qubits=1, trials=500, seed=7))
+    assert (est.p_real, est.p_ideal) == (0.62, 0.506)
+
+
+def test_sampled_ind_with_a_private_distinguisher_coin_is_pinned():
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    est = run_ind(scheme, BasisMessage("1"), _CoinGatedReadout(), None,
+                  GameConfig(qubits=1, trials=500, seed=7))
+    assert (est.p_real, est.p_ideal) == (0.552, 0.438)
+
+
+def test_sampled_cpa_sem_with_the_simulator_encrypting_through_the_oracle_is_pinned():
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    adversary = CopyPayloadAdversary("M", "OUT")
+    est = run_sem(scheme, BasisMessageWithTarget("1"), adversary,
+                  reduction_ind_to_sem(adversary), CompareRegistersDistinguisher("OUT", "F"),
+                  OraclePolicy.cpa(), GameConfig(qubits=1, trials=500, seed=7))
+    assert (est.p_real, est.p_ideal) == (0.648, 0.412)
 
 
 def test_all_games_null_on_random_pad_scheme():

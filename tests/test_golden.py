@@ -167,6 +167,12 @@ GOLDEN = {
         "game", "--game", "ind", "--scheme", "ske-randomfn", "--n", "2", "--qubits", "1",
         "--trials", "1000", "--seed", "7",
     ],
+    # A two-qubit pke-towp round trip over thousands of tags, whose
+    # decryption pads `roundtrip_map` computes.
+    "correctness-pke-towp-n7-q2": [
+        "correctness", "--scheme", "pke-towp", "--n", "7", "--qubits", "2",
+        "--keys", "1", "--seed", "7",
+    ],
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -546,6 +547,28 @@ def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
         assert max(map(len, mask_sets)) > 1  # skipdec keeps each pad's masks: several on key 01
     else:
         assert mask_sets == [{(0, 0)}]  # a correct pke-towp key leaves only (0, 0)
+
+
+def _fixed_input(dim):
+    idx = np.arange(dim * dim, dtype=float).reshape(dim, dim)
+    return idx / 7 + 1j * (idx.T - idx) / 11
+
+
+# SHA-256 of the channel's output bytes on `_fixed_input`, every key in turn,
+# from the per-case decryption walk.  The bytes pin each frame's summed float
+# weight and the order in which frames are added.
+@pytest.mark.parametrize("name, n, qubits, digest", [
+    ("ske-prf-skipdec", 2, 2, "751213e1978bab396c2ccd58fa2298aaf476ee1c84e0b34d8ae7916a6d978f70"),
+    ("pke-towp", 4, 1, "c03e0f55ac7de7bf98ebaf4548798ed25eb18d53c950c18ce4ec928446df34bd"),
+    ("pke-towp", 4, 2, "54a5f7c0e4d8ebaad25987438915eb25b85f9435336ab14cbe96ceb2d2ffd702"),
+])
+def test_roundtrip_map_output_bytes_are_pinned(name, n, qubits, digest):
+    scheme = build_scheme(name, n, qubits, Stream(7))
+    keys = scheme.key_cases() or [scheme.keygen(Stream(116).child("kg"))]
+    h = hashlib.sha256()
+    for kp in keys:
+        h.update(scheme.roundtrip_map(kp)(_fixed_input(2**qubits)).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_roundtrip_map_checks_pads_and_input_shape():
