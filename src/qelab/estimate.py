@@ -132,9 +132,18 @@ class GameArm:
         return total
 
     def sample(self, rng: Stream) -> int:
+        """One trial: the realized branch's success probability, then one coin.
+
+        The coin's `bernoulli` stream is built only when 0 < p < 1, the only
+        case in which `Stream.bernoulli` draws.
+        """
         if self._sampler is None:
             raise EnumerationCapError("this arm does not support sampling")
         p = self._sampler(rng)
+        if p <= 0:
+            return 0
+        if p >= 1:
+            return 1
         return 1 if rng.child("bernoulli").bernoulli(p) else 0
 
 

@@ -25,11 +25,18 @@ Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
 may fan trials out concurrently.  Enumeration is single-threaded per
 game, but separate games can run side by side.  A game's trials share
-only one-entry memos (`_LastValueMemo`) of work that does not change
-between trials: the zeroed message state and the sem2 classical target.
-They hold only immutable values, keyed by the identity of the message
-state, so sharing them cannot couple two trials.  Oracle handles derive
-their stream on the first call.
+only results of work that does not change between trials: the kernel
+results a shared message state keeps in its own memo (its zeroed form,
+its padded forms, their measurement distributions), and the sem2
+classical target in a one-entry `_LastValueMemo`.  The memos hold only
+immutable results of immutable inputs, so sharing them cannot couple two
+trials.
+
+A sampled trial builds a stream only for a coin that draws: a role's
+`<role>-coins` stream on the role's first coin, `mpick` only when the
+message generator has more than one case (a coin without a `draw` is
+certain), `bernoulli` only when the branch's success probability lies
+strictly between 0 and 1, and an oracle handle's stream on its first call.
 
 Scope note: semantic security quantifies over all adversaries and
 simulators; a finite harness can only check named tuples of roles plus
@@ -246,11 +253,6 @@ class _LastValueMemo:
         return result
 
 
-def _zeroed_message_memo() -> _LastValueMemo:
-    """The message state with M swapped for |0...0>, per last state seen."""
-    return _LastValueMemo(lambda state: replace_with_zero_state(state, "M"))
-
-
 # ---------------------------------------------------------------------------
 # One arm, two interpreters
 # ---------------------------------------------------------------------------
@@ -314,10 +316,9 @@ def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> R
 
 
 def message_coin(play, cases: list[MessageCase]):
-    """The `mpick` coin over a message generator's weighted cases."""
-    return play.coin(
-        "mpick", lambda: [(c.weight, c) for c in cases], lambda r: sample_case(cases, r)
-    )
+    """The `mpick` coin over a message generator's weighted cases; one case is certain."""
+    draw = (lambda r: sample_case(cases, r)) if len(cases) > 1 else None
+    return play.coin("mpick", lambda: [(c.weight, c) for c in cases], draw)
 
 
 def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
@@ -379,14 +380,12 @@ def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryption
 
 
 def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -> GameArm:
-    zeroed = _zeroed_message_memo()
-
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                state = zeroed(mcase.state) if zero_arm else mcase.state
+                state = replace_with_zero_state(mcase.state, "M") if zero_arm else mcase.state
                 encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
                 yield from _challenge_probs(play, dist, state, encryptions, ctx_post, wk * wm)
 
@@ -419,7 +418,6 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     config = config or GameConfig()
 
     shared = {}
-    zeroed = _zeroed_message_memo()
 
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
@@ -427,7 +425,8 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 for wb, hidden_bit in fair_bit(play, "bit"):
-                    state = mcase.state if hidden_bit == 1 else zeroed(mcase.state)
+                    state = (mcase.state if hidden_bit == 1
+                             else replace_with_zero_state(mcase.state, "M"))
                     encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
                     for w, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post,
                                                   wk * wm * wb):

@@ -56,6 +56,11 @@ MAX_EXHAUSTIVE_QUBITS = 3
 # A q-qubit channel's Choi matrix is 4^q x 4^q complex128: 16 MiB at 5
 # qubits, 256 MiB at 6 and 1 TiB at 9.
 MAX_CHOI_QUBITS = 5
+# A state keeps the results of its unary kernels (`_memoized`) only up to 4
+# qubits, and at most 64 of them: every pad of a 3-qubit register.  At 8
+# qubits, 64 padded states would take 64 MB.
+_MEMO_MAX_DIM = 2**4
+_MEMO_MAX_ENTRIES = 64
 
 
 class Register(NamedTuple):
@@ -141,9 +146,14 @@ class DensityMatrix:
 
     Treat instances as immutable: operations return new states and never
     mutate a part in place, which keeps them safe to share across threads.
+    A state of at most 4 qubits also keeps its unary kernels' results in a
+    private memo (`_memoized`), so a state shared by many trials is padded,
+    traced or measured once per distinct argument.  The memo holds only
+    immutable results of immutable inputs, and it lives and dies with the
+    state, so sharing it couples no two callers.
     """
 
-    __slots__ = ("parts", "den", "layout", "_view")
+    __slots__ = ("parts", "den", "layout", "_view", "_memo")
 
     def __init__(self, mat, layout, validate: bool = True):
         layout = _normalize_layout(layout)
@@ -161,6 +171,7 @@ class DensityMatrix:
         self.den = den
         self.layout = layout
         self._view = None
+        self._memo = None  # kernel results by (kernel, arguments), once first stored
 
     @classmethod
     def _of(cls, parts, den, layout: tuple[Register, ...]) -> "DensityMatrix":
@@ -230,6 +241,28 @@ class DensityMatrix:
         regs = ", ".join(f"{r.name}:{r.qubits}" for r in self.layout)
         mode = "exact" if self.exact else "float"
         return f"DensityMatrix([{regs}], dim={self.dim}, {mode})"
+
+
+def _memoized(state: DensityMatrix, key: tuple, compute, *args):
+    """`compute(*args)`, a unary kernel's result on `state`, kept on `state` by `key`.
+
+    Only states of at most `_MEMO_MAX_DIM` dimensions keep results, at most
+    `_MEMO_MAX_ENTRIES` each.  A call that raises stores nothing.  Callers
+    must treat a kept result as immutable, as they treat every state.
+    """
+    memo = state._memo
+    if memo is None:
+        if state.parts[0].shape[0] > _MEMO_MAX_DIM:
+            return compute(*args)
+        memo = state._memo = {}
+    else:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    result = compute(*args)
+    if len(memo) < _MEMO_MAX_ENTRIES:
+        memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +410,23 @@ def _str_pad_masks(key: str) -> tuple[int, int]:
     return int(key[0::2], 2), int(key[1::2], 2)
 
 
-@lru_cache(maxsize=256)
-def _pad_frame(dim: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat gather index and the +-1.0 and +-1 (int) signs of conjugation by X^x Z^z."""
+def _pad_frame(dim: int, x: int, z: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather index and the signs of conjugation by X^x Z^z: +-1 ints
+    (object dtype) for exact numerators, +-1.0 otherwise."""
     perm = np.arange(dim) ^ x
     parity = np.array([bin(i & z).count("1") % 2 for i in range(dim)], dtype=bool)
     index = perm[:, None] * dim + perm[None, :]
     flip = parity[:, None] ^ parity[None, :]
-    sign = np.where(flip, -1.0, 1.0)
-    int_sign = np.where(flip, -1, 1).astype(object)
-    for arr in (index, sign, int_sign):
-        arr.flags.writeable = False
-    return index, sign, int_sign
+    sign = np.where(flip, -1, 1).astype(object) if exact else np.where(flip, -1.0, 1.0)
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+# Frames of at most 4 qubits, by (dim, x, z, exact), with masks below dim:
+# at most 2 * 16^2 per dimension, so the dict stays small.  A larger frame
+# holds O(dim^2) arrays, about 1 MB at 8 qubits, and large states rarely
+# meet the same pad twice, so it is built for its one call.
+_pad_frames: dict = {}
 
 
 def conjugate_by_masks(mat: np.ndarray, x: int, z: int) -> np.ndarray:
@@ -397,10 +435,16 @@ def conjugate_by_masks(mat: np.ndarray, x: int, z: int) -> np.ndarray:
     Entry (i, k) of the result is (-1)^{z.i + z.k} mat[i^x, k^x], so the
     result holds the input's entries, some negated, and never a product.
     """
-    index, sign, int_sign = _pad_frame(mat.shape[0], x, z)
+    dim, exact = mat.shape[0], mat.dtype == object
+    frame = _pad_frames.get((dim, x, z, exact))
+    if frame is None:
+        frame = _pad_frame(dim, x, z, exact)
+        if dim <= _MEMO_MAX_DIM and 0 <= x < dim and 0 <= z < dim:
+            _pad_frames[dim, x, z, exact] = frame
+    index, sign = frame
     out = mat.take(index)
-    if out.dtype == object:
-        return out * int_sign  # int numerators times +-1: no rational arithmetic
+    if exact:
+        return out * sign  # int numerators times +-1: no rational arithmetic
     out *= sign
     return out
 
@@ -409,8 +453,15 @@ def apply_pauli(key: str, state: DensityMatrix, target: str | None = None) -> De
     """Conjugate the target register (default: the whole state) by the pad.
 
     Applying the same key twice returns the input, since every pad
-    operator squares to the identity up to a global phase.
+    operator squares to the identity up to a global phase.  Results for
+    `str` keys are memoized on the state.
     """
+    if not isinstance(key, str):
+        _check_pad(key)  # raises: only str keys are memo keys
+    return _memoized(state, ("pauli", key, target), _apply_pauli, key, state, target)
+
+
+def _apply_pauli(key: str, state: DensityMatrix, target: str | None) -> DensityMatrix:
     x, z = pad_masks(key)
     if target is None:
         if len(key) != 2 * state.qubits:
@@ -552,6 +603,10 @@ def partial_trace(state: DensityMatrix, drop) -> DensityMatrix:
     targets = _as_names(drop)
     if not targets:
         return state
+    return _memoized(state, ("trace", targets), _partial_trace, state, targets)
+
+
+def _partial_trace(state: DensityMatrix, targets: tuple[str, ...]) -> DensityMatrix:
     split = _split_targets(state, targets)
 
     def trace_out(part: np.ndarray) -> np.ndarray:
@@ -568,9 +623,16 @@ def measurement_distribution(state: DensityMatrix, targets) -> dict:
     """Exact computational-basis outcome probabilities for the target registers.
 
     Keys are the concatenated outcome bits in the order the targets were
-    given; values are Fractions for exact states, floats otherwise.
+    given; values are Fractions for exact states, floats otherwise.  The
+    distribution is memoized on the state, and each call returns a fresh
+    dict.
     """
-    split = _split_targets(state, _as_names(targets))
+    names = _as_names(targets)
+    return dict(_memoized(state, ("distribution", names), _distribution, state, names))
+
+
+def _distribution(state: DensityMatrix, names: tuple[str, ...]) -> dict:
+    split = _split_targets(state, names)
     if state.exact:
         # Outcome t weighs the sum of the diagonal numerators in block (t, t).
         sums = split.diagonal(state.parts[0]).sum(axis=1)
@@ -673,6 +735,10 @@ def measure_registers_into(
 
 
 def rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:
+    return _memoized(state, ("rename", old, new), _rename_register, state, old, new)
+
+
+def _rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:
     state.register(old)
     if old != new and state.has_register(new):
         raise LayoutError(f"register {new!r} already exists")
@@ -684,6 +750,10 @@ def rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:
 
 def replace_with_zero_state(state: DensityMatrix, name: str) -> DensityMatrix:
     """Swap the named register for a fresh all-zeros basis state (placed first)."""
+    return _memoized(state, ("zero", name), _replace_with_zero_state, state, name)
+
+
+def _replace_with_zero_state(state: DensityMatrix, name: str) -> DensityMatrix:
     reg = state.register(name)
     rest = partial_trace(state, name)
     zero = basis_state("0" * reg.qubits, name, exact=state.exact)

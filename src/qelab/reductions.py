@@ -34,7 +34,6 @@ from .games import (
     _encryptions,
     _keys,
     _pad_message,
-    _zeroed_message_memo,
     biased_bit,
     fair_bit,
     game_arm,
@@ -49,6 +48,7 @@ from .quantum import (
     apply_pauli,
     basis_state,
     partial_trace,
+    replace_with_zero_state,
     tensor,
 )
 from .rng import Stream
@@ -85,12 +85,21 @@ class ZeroEncryptionSimulator(Channel):
 
     def __init__(self, adversary: Channel):
         self.adversary = adversary
+        self._zeros = {}
+
+    def _zero(self, qubits: int, exact: bool) -> DensityMatrix:
+        """The zero plaintext, built once per (qubits, mode), so its padded forms
+        stay in its kernel memo across trials."""
+        zero = self._zeros.get((qubits, exact))
+        if zero is None:
+            zero = self._zeros[qubits, exact] = basis_state("0" * qubits, "M", exact)
+        return zero
 
     def outputs(self, tag, state, ctx: RoleContext):
         scheme: PauliTagScheme = ctx.scheme
         if scheme is None:
             raise RoleError("simulator needs the scheme in its context")
-        zero = basis_state("0" * scheme.qubits, "M", state.exact)
+        zero = self._zero(scheme.qubits, state.exact)
         if "enc" in getattr(ctx.oracles, "grants", frozenset()):
             ct = ctx.oracles.encrypt(zero)
             yield from self.adversary.outputs(ct.tag, tensor(ct.payload, state), ctx)
@@ -290,7 +299,6 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
     challenge, runs the attack, and outputs 1 iff the attack's guess
     matches the coin.
     """
-    zeroed = _zeroed_message_memo()
 
     def branches(oracle: Callable[[str], str], play):
         ctx_pre = play.context(
@@ -303,7 +311,7 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")
             for wc, coin in fair_bit(play, "coin"):
-                state = mcase.state if coin == 1 else zeroed(mcase.state)
+                state = mcase.state if coin == 1 else replace_with_zero_state(mcase.state, "M")
                 for wt, tag in _uniform_string(play, "challenge", 2 * qubits):
                     padded = apply_pauli(oracle(tag), state, "M")
                     p1 = play.prob(dist.prob_one(tag, padded, ctx_post))

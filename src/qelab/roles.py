@@ -5,8 +5,10 @@ what lets the enumeration-mode games compute probabilities as exact
 Fractions.  A role that wants private coins draws them with
 `ctx.coin(label, cases, draw)`: the exact interpreter yields every
 declared case, the sampling interpreter one case drawn from the role's
-own stream, so the role is written once for both modes.  Only oracle
-interaction through `ctx.oracles` is limited to sampling mode.
+own stream, so the role is written once for both modes.  A coin passed
+without a `draw` is certain: it declares one case, and neither
+interpreter draws for it.  Only oracle interaction through `ctx.oracles`
+is limited to sampling mode.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class ExactPlay:
 
     exact = True
 
-    def coin(self, label: str, cases, draw):
+    def coin(self, label: str, cases, draw=None):
         return cases()
 
     def child(self, label: str) -> "ExactPlay":
@@ -74,19 +76,32 @@ class SamplingPlay:
     """Sampling interpreter: every coin yields one case, drawn from its own stream.
 
     A coin labelled `label` draws from `rng.child(label)` with weight 1,
-    so an arm's branches collapse to the single branch of one trial.
+    so an arm's branches collapse to the single branch of one trial.  A
+    certain coin (no `draw`) yields its one case and builds no stream.
+    `SamplingPlay(parent, label)` plays under `parent.child(label)`, built
+    on first use, so a role that never draws builds no stream.
     """
 
     exact = False
 
-    def __init__(self, rng: Stream):
-        self.rng = rng
+    def __init__(self, rng: Stream, label: Optional[str] = None):
+        self._parent, self._label = rng, label
+        self._rng = rng if label is None else None
 
-    def coin(self, label: str, cases, draw):
+    @property
+    def rng(self) -> Stream:
+        if self._rng is None:
+            self._rng = self._parent.child(self._label)
+        return self._rng
+
+    def coin(self, label: str, cases, draw=None):
+        if draw is None:
+            ((_, value),) = cases()
+            return ((1, value),)
         return ((1, draw(self.rng.child(label))),)
 
     def child(self, label: str) -> "SamplingPlay":
-        return SamplingPlay(self.rng.child(label))
+        return SamplingPlay(self.rng, label)
 
     def context(self, coins: str, oracles=None, **fields) -> "RoleContext":
         """Private coins under `rng.child(coins)`; handles from `oracles(rng)`."""
@@ -120,8 +135,11 @@ class RoleContext:
     def exact(self) -> bool:
         return self.play.exact
 
-    def coin(self, label: str, cases, draw):
-        """A private coin: (weight, value) pairs from `cases()` or one `draw(rng)`."""
+    def coin(self, label: str, cases, draw=None):
+        """A private coin: (weight, value) pairs from `cases()` or one `draw(rng)`.
+
+        Without `draw` the coin is certain: `cases()` holds its one case.
+        """
         return self.play.coin(label, cases, draw)
 
 
@@ -135,8 +153,7 @@ class MessageCase:
 
 
 def sample_case(cases: list[MessageCase], rng: Stream) -> MessageCase:
-    if len(cases) == 1:
-        return cases[0]
+    """One case drawn by weight; a one-case list is a certain coin and never drawn."""
     r = rng.uniform()
     acc = 0.0
     for case in cases:

@@ -24,6 +24,7 @@ stream, so concurrent trials with per-trial streams are safe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -125,6 +126,11 @@ class PauliTagScheme:
     def decrypt_pad(self, dk, tag: str) -> Optional[str]:
         raise NotImplementedError
 
+    def decrypt_pads(self, dk, tags: list[str]) -> list[Optional[str]]:
+        """`decrypt_pad` of every tag, in order; a scheme that decrypts a batch
+        in one walk overrides this and makes `decrypt_pad` its one-tag case."""
+        return [self.decrypt_pad(dk, tag) for tag in tags]
+
     def make_ciphertext(self, tag: str, payload: DensityMatrix) -> Ciphertext:
         return Ciphertext(tag, payload)
 
@@ -158,9 +164,12 @@ class PauliTagScheme:
         Averages over the scheme's encryption coins: the full case list
         when it is enumerable (and `enumerate_coins` is left on),
         otherwise `coin_samples` draws from `rng`; each case weighs 1/len.
-        Cases whose round trip leaves the same masks are merged, their
-        float weights summed in case order, so the channel conjugates once
-        per distinct mask pair (a correct scheme has the single pair (0, 0)).
+        Every tag is decrypted in one `decrypt_pads` call, and the masks are
+        computed once per distinct (pad, decryption pad) pair.  Cases whose
+        round trip leaves the same masks are merged into one frame, whose
+        float weight is 1/len added once per case, so the channel conjugates
+        once per distinct mask pair (a correct scheme has the single pair
+        (0, 0)).  Frames keep the order of their first case.
         """
         cases = self.encrypt_cases(keypair.ek) if enumerate_coins else None
         if cases is None:
@@ -173,13 +182,13 @@ class PauliTagScheme:
                 for i in range(coin_samples)
             ]
         case_weight = 1 / len(cases)
+        dec_pads = self.decrypt_pads(keypair.dk, [case.tag for case in cases])
         frames: dict[tuple[int, int], float] = {}
-        for case in cases:
-            dec_pad = self.decrypt_pad(keypair.dk, case.tag)
+        for (enc_pad, dec_pad), count in Counter(zip((c.pad for c in cases), dec_pads)).items():
             # Pads compose up to a global phase, which conjugation drops, so
             # decrypt-after-encrypt is the pad with the XOR of both masks.
             x, z = 0, 0
-            for pad in (case.pad, dec_pad):
+            for pad in (enc_pad, dec_pad):
                 if pad is not None:
                     px, pz = pad_masks(pad)
                     if len(pad) != 2 * self.qubits:
@@ -187,7 +196,10 @@ class PauliTagScheme:
                             f"pad of length {len(pad)} cannot drive {self.qubits} qubits"
                         )
                     x, z = x ^ px, z ^ pz
-            frames[x, z] = frames.get((x, z), 0.0) + case_weight
+            weight = frames.get((x, z), 0.0)
+            for _ in range(count):  # the float that one addition per case gives
+                weight += case_weight
+            frames[x, z] = weight
 
         dim = 2**self.qubits
 
@@ -430,54 +442,96 @@ class PermutationPublicScheme(PauliTagScheme):
         return list(map(EncryptionCase, tags, pads))
 
     def decrypt_pad(self, dk: PkeSecret, tag: str) -> str:
+        return self.decrypt_pads(dk, [tag])[0]
+
+    def decrypt_pads(self, dk: PkeSecret, tags: list[str]) -> list[str]:
+        """Walk every tag backwards with the trapdoor, as one uint64 array.
+
+        Step i inverts the permutation and reads pad bit i off the hard-core
+        predicate, as `_domain_tags_and_pads` walks forwards.  The first tag
+        that is not the encoding of a unit raises `InvalidCiphertextError`.
+        """
         index, trapdoor = dk
-        try:
-            s = self.family.decode_element(index, tag)
-        except MalformedKeyError as exc:
-            raise InvalidCiphertextError(str(exc)) from exc
-        if not self.family.contains(index, s):
-            raise InvalidCiphertextError(
-                f"tag decodes to {s}, outside the domain of {index.modulus}"
-            )
-        bits = []
-        x = s
-        for _ in range(2 * self.qubits):
-            x = self.family.invert(x, trapdoor)
-            bits.append(str(self.hc.evaluate(index, x)))
-        return "".join(bits)
+        x = self._decode_units(index, tags)
+        steps = 2 * self.qubits
+        modulus, mask = np.uint64(index.modulus), np.uint64(index.mask)
+        pad = np.zeros_like(x)
+        for i in range(steps):
+            x = _powmod(x, trapdoor.inverse_exponent, modulus)
+            pad |= _parity(x & mask) << np.uint64(steps - 1 - i)
+        table = _all_bitstrings(steps)
+        return [table[v] for v in pad.tolist()]
+
+    def _decode_units(self, index: TowpIndex, tags: list[str]) -> np.ndarray:
+        """The domain element each tag encodes, as uint64.
+
+        A batch of well-formed unit encodings is checked as one byte string
+        and one array.  Otherwise the tags are decoded one by one, so the
+        error names the first bad tag exactly as a one-tag decryption does.
+        """
+        width = index.element_width
+        raw = "".join(tags).encode()
+        if (len(raw) == width * len(tags) and not raw.translate(None, b"01")
+                and all(len(tag) == width for tag in tags)):
+            x = np.array([int(tag, 2) for tag in tags], dtype=np.uint64)
+            modulus = np.uint64(index.modulus)
+            if ((x >= 1) & (x < modulus) & (np.gcd(x, modulus) == 1)).all():
+                return x
+        units = []
+        for tag in tags:
+            try:
+                s = self.family.decode_element(index, tag)
+            except MalformedKeyError as exc:
+                raise InvalidCiphertextError(str(exc)) from exc
+            if not self.family.contains(index, s):
+                raise InvalidCiphertextError(
+                    f"tag decodes to {s}, outside the domain of {index.modulus}"
+                )
+            units.append(s)
+        return np.array(units, dtype=np.uint64)
 
     def make_ciphertext(self, tag, payload):
         return PkeCiphertext(tag, payload)
 
 
+def _powmod(x: np.ndarray, exponent: int, modulus: np.uint64) -> np.ndarray:
+    """x^exponent mod N of a uint64 array, by square-and-multiply.
+
+    `MAX_SECURITY` keeps N < 2^28, so a product of two residues stays
+    below 2^56.  Every operand is uint64, because numpy 1.x turns an
+    np.uint64 scalar combined with a Python int into a float64.
+    """
+    power, base, e = np.ones_like(x), x, exponent
+    while e:
+        if e & 1:
+            power = power * base % modulus
+        e >>= 1
+        if e:
+            base = base * base % modulus
+    return power
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    """The parity of each entry of a uint64 array as 0 or 1, folding `v` in place."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        v ^= v >> np.uint64(shift)
+    return v & np.uint64(1)
+
+
 def _domain_tags_and_pads(index: TowpIndex, domain: list[int], steps: int):
     """`_tag_from_seed` and `_pad_from_seed` of every domain element, as two lists.
 
-    Walks the whole domain `steps` times as uint64 arrays: x^e mod N by
-    square-and-multiply, and the inner-product hard-core bit of each
-    iterate as the parity of x & mask, by xor-folding shifts.  The domain cap keeps
-    N <= 2^20, so a product of two residues stays below 2^40.  Every
-    operand is uint64, because numpy 1.x turns an np.uint64 scalar
-    combined with a Python int into a float64.
+    Walks the whole domain `steps` times as uint64 arrays: x^e mod N
+    (`_powmod`), and the inner-product hard-core bit of each iterate as
+    the parity of x & mask (`_parity`).
     """
     modulus = np.uint64(index.modulus)
     mask = np.uint64(index.mask)
-    one = np.uint64(1)
     x = np.array(domain, dtype=np.uint64)
     pad = np.zeros_like(x)
     for i in range(steps):
-        bit = x & mask
-        for shift in (32, 16, 8, 4, 2, 1):
-            bit ^= bit >> np.uint64(shift)
-        pad |= (bit & one) << np.uint64(i)
-        power, base, e = np.ones_like(x), x, index.exponent
-        while e:
-            if e & 1:
-                power = power * base % modulus
-            e >>= 1
-            if e:
-                base = base * base % modulus
-        x = power
+        pad |= _parity(x & mask) << np.uint64(i)
+        x = _powmod(x, index.exponent, modulus)
     fmt = f"0{index.element_width}b"
     table = _all_bitstrings(steps)
     return [format(v, fmt) for v in x.tolist()], [table[v] for v in pad.tolist()]
@@ -507,7 +561,7 @@ class UniformPadPublicScheme(PermutationPublicScheme):
         tags, _ = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
         return [EncryptionCase(tag, pad) for tag in tags for pad in pads]
 
-    def decrypt_pad(self, dk, tag):
+    def decrypt_pads(self, dk, tags):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")
 
 

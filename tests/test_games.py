@@ -728,6 +728,24 @@ def test_sampled_cpa_sem_with_the_simulator_encrypting_through_the_oracle_is_pin
     assert (est.p_real, est.p_ideal) == (0.648, 0.412)
 
 
+def test_a_sampled_readout_trial_builds_only_streams_that_draw(built_streams):
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None,
+                  GameConfig(qubits=1, trials=50, seed=7))
+    labels = {path[-1] for path in built_streams if path}
+    assert {"key", "enc"} <= labels
+    assert labels.isdisjoint({"mpick", "mgen-coins", "dist-coins", "bernoulli"})
+    assert est.trials == 50
+
+
+def test_two_case_generators_and_private_coins_still_build_their_streams(built_streams):
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    mgen = CoinMessageGenerator(BasisMessage("1"), include_f=False)
+    run_ind(scheme, mgen, _CoinGatedReadout(), None, GameConfig(qubits=1, trials=5, seed=7))
+    assert ("dist-coins", "read") in {path[-2:] for path in built_streams}
+    assert "mpick" in {path[-1] for path in built_streams if path}
+
+
 def test_all_games_null_on_random_pad_scheme():
     scheme = RandomPadSymmetricScheme(1, 1)
     adversary = CopyPayloadAdversary("M", "OUT")

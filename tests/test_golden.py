@@ -184,3 +184,13 @@ def test_golden_report(name, capsysbinary):
 
 def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(GOLDEN)
+
+
+def test_bell_readout_still_draws_its_bernoulli_coin(built_streams, capsysbinary):
+    # A real-arm branch succeeds with probability 1/2, so each real trial draws
+    # the coin; the ideal arm reads a zeroed M, certain to fail, and draws none.
+    name = "game-ind-ske-prf-bell-readout"
+    assert main(GOLDEN[name]) == 0
+    assert capsysbinary.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    coins = [path for path in built_streams if path[-1:] == ("bernoulli",)]
+    assert len(coins) == 1000 and all("real" in path for path in coins)

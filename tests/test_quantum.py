@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -763,3 +765,125 @@ def test_exact_state_keeps_denominators_beyond_int64():
     assert measurement_distribution(post, "B") == {"0": wb, "1": 1 - wb}
     assert partial_trace(ab, "B").mat[0, 0] == QRat(wa)
     assert _close(ab, tensor(a.to_float(), b.to_float()))
+
+
+# ---------------------------------------------------------------------------
+# Kernel results kept on the state
+# ---------------------------------------------------------------------------
+
+
+def _copy(state: DensityMatrix) -> DensityMatrix:
+    """An equal state with copied parts and an empty memo."""
+    return DensityMatrix._of([part.copy() for part in state.parts], state.den, state.layout)
+
+
+def _same_state(a: DensityMatrix, b: DensityMatrix) -> bool:
+    return (a.layout == b.layout and a.den == b.den
+            and all(np.array_equal(x, y) for x, y in zip(a.parts, b.parts)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_register_cases(), st.data())
+def test_memoized_kernels_return_the_kept_result_equal_to_a_fresh_one(case, data):
+    values, layout, targets = case
+    exact = _measurable_state(values, layout, data)
+    name = targets[0]
+    key = data.draw(key_strings(dict(layout)[name]))
+    whole = data.draw(key_strings(sum(q for _, q in layout)))
+    kernels = [
+        lambda s: apply_pauli(key, s, name),
+        lambda s: apply_pauli(whole, s),
+        lambda s: partial_trace(s, targets),
+        lambda s: rename_register(s, name, "R"),
+        lambda s: replace_with_zero_state(s, name),
+    ]
+    for state in (exact, exact.to_float()):
+        for kernel in kernels:
+            kept = kernel(state)
+            assert kernel(state) is kept
+            fresh = kernel(_copy(state))
+            assert fresh is not kept and _same_state(fresh, kept)
+        dist = measurement_distribution(state, targets)
+        again = measurement_distribution(state, targets)
+        assert again == dist and again is not dist
+        assert measurement_distribution(_copy(state), targets) == dist
+
+
+def test_mutating_a_returned_distribution_leaves_the_next_one_alone():
+    for state in (bell_state(), bell_state(exact=True)):
+        first = measurement_distribution(state, "M")
+        expected = dict(first)
+        first["0"] = 7
+        first["2"] = 0
+        assert measurement_distribution(state, "M") == expected
+
+
+def test_pad_keys_that_are_no_memo_keys_still_raise():
+    state = basis_state("01")
+    for key in (None, 5, b"0101", ["0", "1", "0", "1"]):
+        with pytest.raises(MalformedKeyError):
+            apply_pauli(key, state)
+    for key in ("01x1", "010", "", "01"):  # bad bit, odd, empty, too short for 2 qubits
+        for _ in range(2):  # every time: a failed call stores nothing
+            with pytest.raises(MalformedKeyError):
+                apply_pauli(key, state)
+    assert not state._memo
+
+
+def test_memo_keeps_at_most_64_results_and_none_above_four_qubits():
+    from qelab.quantum import _pad_frames, conjugate_by_masks
+
+    four = maximally_mixed(4)
+    results = [apply_pauli(format(k, "08b"), four) for k in range(100)]
+    assert len(four._memo) == 64
+    assert apply_pauli(format(63, "08b"), four) is results[63]  # kept
+    assert apply_pauli(format(64, "08b"), four) is not results[64]  # past the bound
+
+    for exact in (False, True):
+        five = tensor(maximally_mixed(4, exact=exact), basis_state("0", "E", exact))
+        kept = dict(_pad_frames)
+        for kernel in (
+            lambda s: apply_pauli("01" * 4, s, "M"),
+            lambda s: partial_trace(s, "E"),
+            lambda s: rename_register(s, "M", "R"),
+            lambda s: replace_with_zero_state(s, "M"),
+        ):
+            assert kernel(five) is not kernel(five)
+        measurement_distribution(five, "M")
+        assert five._memo is None
+        assert _pad_frames.keys() == kept.keys()  # no 5-qubit frame kept
+    with pytest.raises(IndexError):
+        conjugate_by_masks(np.eye(2), 5, 0)  # masks outside the matrix
+    assert (2, 5, 0, False) not in _pad_frames
+
+
+def test_threads_sharing_a_state_get_the_results_one_thread_gets():
+    shared = bell_state("M", "E", exact=True)
+    keys = [format(k, "02b") for k in range(4)]
+
+    def run(results):
+        for _ in range(50):
+            for key in keys:
+                padded = apply_pauli(key, shared, "M")
+                results.append((key, padded, measurement_distribution(padded, ("M", "E"))))
+
+    fresh = {key: apply_pauli(key, _copy(shared), "M") for key in keys}
+    expected = {key: measurement_distribution(fresh[key], ("M", "E")) for key in keys}
+    outputs = [[] for _ in range(4)]  # more threads than cores
+    threads = [threading.Thread(target=run, args=(out,)) for out in outputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 200 for out in outputs)
+    for out in outputs:
+        for key, padded, dist in out:
+            # Two threads may both compute a missing result; either one is kept.
+            assert _same_state(padded, fresh[key]) and dist == expected[key]
+    assert len(shared._memo) == len(keys)

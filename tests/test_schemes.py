@@ -13,7 +13,7 @@ from qelab.errors import (
     QelabError,
 )
 from qelab.games import uniform_cases
-from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, ConstantPrf
+from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, MAX_SECURITY, ConstantPrf
 from qelab.quantum import (
     TOL_ALGEBRA,
     basis_state,
@@ -253,6 +253,71 @@ def test_pke_invalid_tag_rejected():
         scheme.decrypt_pad(kp.dk, "0" * kp.ek.element_width)  # zero is no unit
     with pytest.raises(InvalidCiphertextError):
         scheme.decrypt_pad(kp.dk, "01")  # wrong width
+
+
+def _pads_one_by_one(scheme, dk, tags):
+    """Decryption pads from `family.invert` and `hc.evaluate`, one tag at a time."""
+    index, trapdoor = dk
+    pads = []
+    for tag in tags:
+        x, bits = int(tag, 2), []
+        for _ in range(2 * scheme.qubits):
+            x = scheme.family.invert(x, trapdoor)
+            bits.append(str(scheme.hc.evaluate(index, x)))
+        pads.append("".join(bits))
+    return pads
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+@pytest.mark.parametrize("n", range(1, MAX_SECURITY + 1))
+def test_pke_batched_pads_match_a_per_element_walk(n, qubits):
+    # n <= 9 fits the domain cap; beyond it the tags come from sampled elements.
+    scheme = PermutationPublicScheme(n, qubits)
+    for seed in range(4):
+        kp = scheme.keygen(Stream(seed).child(f"kg{n}"))
+        if kp.ek.modulus <= 1 << 13:
+            seeds = scheme.family.domain(kp.ek)
+        else:
+            seeds = [scheme.family.sample(kp.ek, Stream(seed).child(f"d{i}")) for i in range(300)]
+        tags = [scheme._tag_from_seed(kp.ek, d) for d in seeds]
+        pads = scheme.decrypt_pads(kp.dk, tags)
+        assert pads == _pads_one_by_one(scheme, kp.dk, tags)
+        assert pads == [scheme._pad_from_seed(kp.ek, d) for d in seeds]
+        assert scheme.decrypt_pad(kp.dk, tags[-1]) == pads[-1]
+
+
+def test_pke_malformed_tag_in_a_batch_raises_the_one_tag_error():
+    scheme = PermutationPublicScheme(4, 1)
+    kp = scheme.keygen(Stream(40).child("kg"))
+    width, modulus = kp.ek.element_width, kp.ek.modulus
+    factor = next(p for p in range(2, modulus) if modulus % p == 0)
+    good = [case.tag for case in scheme.encrypt_cases(kp.ek)[:4]]
+    accented = "\u00e9" * width  # as long as a tag, but not ASCII
+    bad_tags = {
+        good[0][:-1]: f"tag must be {width} bits of 0/1, got {good[0][:-1]!r}",
+        good[0] + "1": f"tag must be {width} bits of 0/1, got {good[0] + '1'!r}",
+        good[0][:-1] + "2": f"tag must be {width} bits of 0/1, got {good[0][:-1] + '2'!r}",
+        accented: f"tag must be {width} bits of 0/1, got {accented!r}",
+        "0" * width: f"tag decodes to 0, outside the domain of {modulus}",
+        format(modulus, f"0{width}b"): f"tag decodes to {modulus}, outside the domain of {modulus}",
+        format(factor, f"0{width}b"): f"tag decodes to {factor}, outside the domain of {modulus}",
+    }
+    for tag, message in bad_tags.items():
+        with pytest.raises(InvalidCiphertextError) as one:
+            scheme.decrypt_pad(kp.dk, tag)
+        assert str(one.value) == message
+        # A later bad tag does not mask the first one.
+        batch = good[:2] + [tag] + good[2:] + ["0" * width]
+        with pytest.raises(InvalidCiphertextError) as many:
+            scheme.decrypt_pads(kp.dk, batch)
+        assert str(many.value) == message
+
+
+def test_uniform_pad_pke_roundtrip_map_still_refuses():
+    scheme = UniformPadPublicScheme(2, 1)
+    kp = scheme.keygen(Stream(54).child("kg"))
+    with pytest.raises(QelabError, match="discards the pad"):
+        scheme.roundtrip_map(kp)
 
 
 def test_pke_choi_round_trip_channel():
