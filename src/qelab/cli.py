@@ -12,6 +12,7 @@ assertion failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from .games import (
 from .primitives import MAX_SECURITY, ConstantPrg, prf_distinguisher_advantage
 from .quantum import (
     MAX_CHOI_QUBITS,
+    MAX_EXHAUSTIVE_QUBITS,
     TOL_ALGEBRA,
     apply_pauli,
     basis_state,
@@ -252,6 +254,11 @@ def cmd_correctness(args) -> tuple[dict, bool]:
 def cmd_qotp_mix(args) -> tuple[dict, bool]:
     if args.qubits < 1:
         raise ParameterError(f"qotp-mix needs at least 1 qubit, got {args.qubits}")
+    if args.qubits > MAX_EXHAUSTIVE_QUBITS:
+        raise ParameterError(
+            f"exhaustive pad average covers at most {MAX_EXHAUSTIVE_QUBITS} qubits, "
+            f"got {args.qubits}"
+        )
     rng = Stream(args.seed)
     mixed = maximally_mixed(args.qubits)
     results = []
@@ -424,7 +431,14 @@ def _add_common(p, scheme: bool = True):
     p.add_argument("--csv", default=None, help="also write a CSV mirror here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later one.
+
+    Parsing does not change the parser, so one instance serves every `main`
+    call in a process; building it (over 1 ms: argparse makes a help
+    formatter per argument) would otherwise be paid on every call.
+    """
     parser = argparse.ArgumentParser(
         prog="qelab",
         description="desk-scale quantum encryption laboratory",

@@ -120,6 +120,22 @@ def test_qotp_mix_empty_battery(tmp_path):
     assert code == 0 and doc["results"] == [] and doc["pass"] is True
 
 
+@pytest.mark.parametrize("qubits", ["4", "40"])
+def test_qotp_mix_above_the_cap_is_refused_before_any_state_is_built(
+    monkeypatch, capsys, qubits
+):
+    def no_state(*args):
+        raise AssertionError("qotp-mix built a state before refusing")
+
+    monkeypatch.setattr(cli, "maximally_mixed", no_state)
+    monkeypatch.setattr(cli, "_state_battery", no_state)
+    for battery in ("default", "none"):
+        with pytest.raises(SystemExit) as err:
+            main(["qotp-mix", "--qubits", qubits, "--battery", battery])
+        assert err.value.code == 2
+        assert f"covers at most 3 qubits, got {qubits}" in capsys.readouterr().err
+
+
 def test_reduce_sem_to_ind_exact(tmp_path):
     code, blob = run_cli(
         ["reduce", "--reduction", "sem-to-ind", "--scheme", "identity", "--n", "1",
@@ -220,6 +236,9 @@ _QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
         (_CORRECTNESS_SKE + ["--qubits", "9"], "correctness supports at most 5 qubits, got 9"),
         (["qotp-mix", "--qubits", "-1"], "qotp-mix needs at least 1 qubit, got -1"),
         (["qotp-mix", "--qubits", "0"], "qotp-mix needs at least 1 qubit, got 0"),
+        (["qotp-mix", "--qubits", "4"], "pad average covers at most 3 qubits, got 4"),
+        (["qotp-mix", "--qubits", "40", "--battery", "none"],
+         "pad average covers at most 3 qubits, got 40"),
         (_QOTP_TO_PRG + ["--n", "-3"], "security parameter -3 outside 1..12"),
         (_QOTP_TO_PRG + ["--n", "0"], "security parameter 0 outside 1..12"),
         (_QOTP_TO_PRG + ["--n", "13", "--exact"], "security parameter 13 outside 1..12"),
@@ -228,7 +247,8 @@ _QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
     ],
     ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
          "correctness-6-qubits", "correctness-9-qubits", "qotp-mix-qubits-negative",
-         "qotp-mix-qubits-0", "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
+         "qotp-mix-qubits-0", "qotp-mix-qubits-4", "qotp-mix-qubits-40-no-battery",
+         "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
          "qotp-to-prg-n-13-exact", "qotp-to-prg-qubits-0", "qotp-to-prg-qubits-negative"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
@@ -243,6 +263,32 @@ def test_out_of_range_parameter_is_usage_error(argv, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_the_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsysbinary):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    argv = ["game", "--game", "ind", "--scheme", "identity", "--n", "1", "--qubits", "1",
+            "--exact", "--seed", "7"]
+    golden = Path(__file__).parent / "data" / "golden" / "game-ind-identity-exact.json"
+    golden = golden.read_bytes()
+
+    assert main(argv + ["--out", "report.json", "--csv", "report.csv"]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert (tmp_path / "report.json").read_bytes() == golden
+    for path in tmp_path.iterdir():
+        path.unlink()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == golden
+    assert list(tmp_path.iterdir()) == []
+
+    for argv_before, code in ([["game", "--game", "nope"], 2], [["game", "--help"], 0]):
+        with pytest.raises(SystemExit) as err:
+            main(argv_before)
+        assert err.value.code == code
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == golden
 
 
 def test_python_dash_m_runs_the_cli():
