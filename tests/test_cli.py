@@ -58,6 +58,22 @@ def test_incompatible_bundle_is_usage_error():
     assert err.value.code == 2
 
 
+_LISTED = json.loads(
+    (Path(__file__).parent / "data" / "golden" / "list.json").read_text()
+)["results"][2]["bundles"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sample", "exact"])
+@pytest.mark.parametrize(
+    "game, bundle",
+    [(game, bundle) for game, bundles in _LISTED.items() for bundle in bundles],
+)
+def test_every_listed_bundle_runs(game, bundle, mode, capsys):
+    assert main(["game", "--game", game, "--scheme", "ske-prf", "--adversary", bundle,
+                 "--n", "2", "--qubits", "1", "--trials", "20", "--seed", "7", *mode]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["roles"] == bundle
+
+
 def test_no_command_prints_help():
     assert main([]) == 2
 
@@ -179,6 +195,17 @@ def test_reduce_ind_to_sem_exact_bound_has_no_slack(tmp_path, monkeypatch, exces
     check = json.loads(blob)["results"][-1]
     assert got == code
     assert check == {"stage": "bound-check", "bound": 0.25, "holds": code == 0}
+
+
+def test_reduce_exact_above_the_cap_is_refused_before_any_sampled_stage(monkeypatch, capsys):
+    def no_stage(*args):
+        raise AssertionError("cca1-to-prf ran a sampled stage before refusing")
+
+    monkeypatch.setattr(cli, "run_ind_prime", no_stage)
+    with pytest.raises(SystemExit) as err:
+        main(["reduce", "--reduction", "cca1-to-prf", "--exact", "--qubits", "4"])
+    assert err.value.code == 2
+    assert "exact mode supports at most 3 plaintext qubits, got 4" in capsys.readouterr().err
 
 
 def test_reduce_cca1_needs_prf_scheme():

@@ -173,6 +173,19 @@ GOLDEN = {
         "correctness", "--scheme", "pke-towp", "--n", "7", "--qubits", "2",
         "--keys", "1", "--seed", "7",
     ],
+    # The semantic bundles whose simulator is a fixed channel, in each mode.
+    **{
+        f"game-{game}-ske-prf-{bundle}{suffix}": [
+            "game", "--game", game, "--scheme", "ske-prf", "--adversary", bundle,
+            "--n", "2", "--qubits", "1", "--trials", "1000", *flags, "--seed", "7",
+        ]
+        for game, bundle in (
+            ("sem", "copy-vs-zero"),
+            ("sem2", "copy-vs-uniform"),
+            ("sem3", "transcript-copy"),
+        )
+        for suffix, flags in (("", ()), ("-exact", ("--exact",)))
+    },
 }
 
 
