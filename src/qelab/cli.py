@@ -17,10 +17,9 @@ import sys
 from dataclasses import replace
 
 from .errors import ParameterError, QelabError
-from .estimate import AdvantageEstimate
 from .games import (
     GAME_NAMES,
-    POLICIES,
+    GAMES,
     GameConfig,
     GeneratorFunctionPair,
     OraclePolicy,
@@ -29,6 +28,7 @@ from .games import (
     run_sem,
     run_sem2,
     run_sem3,
+    _check_exact_qubits,
 )
 from .primitives import MAX_SECURITY, ConstantPrg, prf_distinguisher_advantage
 from .quantum import (
@@ -84,85 +84,79 @@ from .serialize import (
     results_to_csv,
 )
 
-IND_BUNDLES = ("readout", "bell-readout", "coin", "constant-one")
-SEM_BUNDLES = ("copy-vs-zero", "copy-vs-sim")
-SEM2_BUNDLES = ("copy-vs-uniform", "copy-vs-sim")
-SEM3_BUNDLES = ("transcript-copy", "transcript-sim")
-
 REDUCTIONS = ("cca1-to-prf", "ind-to-sem", "sem-to-ind", "qotp-to-prg")
 
-_GAME_POLICIES = {
-    "ind": "plain",
-    "ind-prime": "plain",
-    "ind-cpa": "cpa",
-    "ind-cca1": "cca1",
-    "sem": "plain",
-    "sem2": "plain",
-    "sem3": "plain",
+
+def _readout(qubits: int):
+    ones = "1" * qubits
+    return BasisMessage(ones), MeasureEqualsDistinguisher(ones, "M")
+
+
+def _bell_readout(qubits: int):
+    if qubits != 1:
+        raise QelabError("bell-readout needs a one-qubit plaintext")
+    return EntangledMessage(), MeasureEqualsDistinguisher("1", "M")
+
+
+def _copy_vs(simulator):
+    """Semantic roles: the all-ones message with target F, an adversary that
+    copies the padded payload to OUT, and `simulator(qubits, adversary)`."""
+
+    def roles(qubits: int):
+        adversary = CopyPayloadAdversary("M", "OUT")
+        return BasisMessageWithTarget("1" * qubits), adversary, simulator(qubits, adversary)
+
+    return roles
+
+
+def _with_comparison(roles):
+    """`run_sem`'s roles: `roles` plus a distinguisher comparing OUT with F."""
+    return lambda qubits: (*roles(qubits), CompareRegistersDistinguisher("OUT", "F"))
+
+
+def _with_identity(roles):
+    """`run_sem3`'s roles: the message generator paired with the identity function."""
+
+    def pair(qubits: int):
+        mgen, adversary, simulator = roles(qubits)
+        return GeneratorFunctionPair(mgen, identity_function(qubits)), adversary, simulator
+
+    return pair
+
+
+def _zero_output(qubits, adversary):
+    return ConstantOutputChannel("0" * qubits)
+
+
+def _built_simulator(qubits, adversary):
+    return reduction_ind_to_sem(adversary)
+
+
+_IND_ROLES = {
+    "readout": _readout,
+    "bell-readout": _bell_readout,
+    "coin": lambda qubits: (BasisMessage("1" * qubits), CoinDistinguisher()),
+    "constant-one": lambda qubits: (BasisMessage("1" * qubits), ConstantDistinguisher(1)),
 }
 
-
-def _bundles_for(game: str) -> tuple[str, ...]:
-    if game in ("ind", "ind-prime", "ind-cpa", "ind-cca1"):
-        return IND_BUNDLES
-    return {"sem": SEM_BUNDLES, "sem2": SEM2_BUNDLES, "sem3": SEM3_BUNDLES}[game]
-
-
-def _ind_roles(bundle: str, qubits: int):
-    ones = "1" * qubits
-    if bundle == "readout":
-        return BasisMessage(ones), MeasureEqualsDistinguisher(ones, "M")
-    if bundle == "bell-readout":
-        if qubits != 1:
-            raise QelabError("bell-readout needs a one-qubit plaintext")
-        return EntangledMessage(), MeasureEqualsDistinguisher("1", "M")
-    if bundle == "coin":
-        return BasisMessage(ones), CoinDistinguisher()
-    if bundle == "constant-one":
-        return BasisMessage(ones), ConstantDistinguisher(1)
-    raise QelabError(f"unknown bundle {bundle!r}")
-
-
-def _run_game(game: str, scheme, bundle: str, config: GameConfig) -> AdvantageEstimate:
-    qubits = scheme.qubits
-    policy = POLICIES[_GAME_POLICIES[game]]()
-    if game in ("ind", "ind-cpa", "ind-cca1"):
-        mgen, dist = _ind_roles(bundle, qubits)
-        return run_ind(scheme, mgen, dist, policy, config)
-    if game == "ind-prime":
-        mgen, dist = _ind_roles(bundle, qubits)
-        return run_ind_prime(scheme, mgen, dist, policy, config)
-
-    ones = "1" * qubits
-    mgen = BasisMessageWithTarget(ones)
-    adversary = CopyPayloadAdversary("M", "OUT")
-    if game == "sem":
-        if bundle == "copy-vs-zero":
-            simulator = ConstantOutputChannel("0" * qubits)
-        elif bundle == "copy-vs-sim":
-            simulator = reduction_ind_to_sem(adversary)
-        else:
-            raise QelabError(f"unknown bundle {bundle!r}")
-        dist = CompareRegistersDistinguisher("OUT", "F")
-        return run_sem(scheme, mgen, adversary, simulator, dist, policy, config)
-    if game == "sem2":
-        if bundle == "copy-vs-uniform":
-            simulator = UniformOutputChannel(qubits)
-        elif bundle == "copy-vs-sim":
-            simulator = reduction_ind_to_sem(adversary)
-        else:
-            raise QelabError(f"unknown bundle {bundle!r}")
-        return run_sem2(scheme, mgen, adversary, simulator, policy, config)
-    if game == "sem3":
-        pair = GeneratorFunctionPair(mgen, identity_function(qubits))
-        if bundle == "transcript-copy":
-            simulator = ConstantOutputChannel("0" * qubits)
-        elif bundle == "transcript-sim":
-            simulator = reduction_ind_to_sem(adversary)
-        else:
-            raise QelabError(f"unknown bundle {bundle!r}")
-        return run_sem3(scheme, pair, adversary, simulator, policy, config)
-    raise QelabError(f"unknown game {game!r}")
+# The role bundles of each game runner (`games.GAMES`), in `list` order: each
+# maps the plaintext size to the runner's role arguments.
+BUNDLES = {
+    run_ind: _IND_ROLES,
+    run_ind_prime: _IND_ROLES,
+    run_sem: {
+        "copy-vs-zero": _with_comparison(_copy_vs(_zero_output)),
+        "copy-vs-sim": _with_comparison(_copy_vs(_built_simulator)),
+    },
+    run_sem2: {
+        "copy-vs-uniform": _copy_vs(lambda qubits, adversary: UniformOutputChannel(qubits)),
+        "copy-vs-sim": _copy_vs(_built_simulator),
+    },
+    run_sem3: {
+        "transcript-copy": _with_identity(_copy_vs(_zero_output)),
+        "transcript-sim": _with_identity(_copy_vs(_built_simulator)),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +281,15 @@ def cmd_qotp_mix(args) -> tuple[dict, bool]:
 def cmd_game(args) -> tuple[dict, bool]:
     rng = Stream(args.seed)
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
-    config = GameConfig(
-        qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
-    )
-    est = _run_game(args.game, scheme, args.adversary, config)
+    config = GameConfig(trials=args.trials, seed=args.seed, exact=args.exact)
+    run, policy = GAMES[args.game]
+    est = run(scheme, *BUNDLES[run][args.adversary](scheme.qubits), policy, config)
     row = {
         "game": args.game,
         "scheme": args.scheme,
         "roles": args.adversary,
         "mode": "exact" if args.exact else "sample",
-        "policy": _GAME_POLICIES[args.game],
+        "policy": policy.name,
         "seed": args.seed,
         **est.to_dict(),
     }
@@ -316,10 +309,10 @@ def cmd_game(args) -> tuple[dict, bool]:
 def cmd_reduce(args) -> tuple[dict, bool]:
     if args.qubits < 1:
         raise ParameterError(f"--qubits must be at least 1, got {args.qubits}")
+    if args.exact:
+        _check_exact_qubits(args.qubits)
     rng = Stream(args.seed)
-    config = GameConfig(
-        qubits=args.qubits, trials=args.trials, seed=args.seed, exact=args.exact
-    )
+    config = GameConfig(trials=args.trials, seed=args.seed, exact=args.exact)
     results = []
     ok = True
     qubits = args.qubits
@@ -329,7 +322,7 @@ def cmd_reduce(args) -> tuple[dict, bool]:
         scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
         if not isinstance(scheme, PrfSymmetricScheme):
             raise QelabError("cca1-to-prf needs a PRF-padded symmetric scheme")
-        mgen, dist = _ind_roles("readout", qubits)
+        mgen, dist = _readout(qubits)
         attack = run_ind_prime(
             scheme, mgen, dist, OraclePolicy.cca1(), replace(config, exact=False)
         )
@@ -363,7 +356,7 @@ def cmd_reduce(args) -> tuple[dict, bool]:
 
     elif args.reduction == "sem-to-ind":
         scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
-        mgen, dist = _ind_roles("readout", qubits)
+        mgen, dist = _readout(qubits)
         report = sem_to_ind_identity_check(scheme, mgen, dist, config)
         ok = report["identity_holds"] and report["baselines_are_half"]
         results.append({"stage": "epsilon-identity", **report})
@@ -404,11 +397,7 @@ def cmd_list(args) -> tuple[dict, bool]:
     results = [
         {"schemes": sorted(SCHEME_BUILDERS)},
         {"games": list(GAME_NAMES)},
-        {
-            "bundles": {
-                game: list(_bundles_for(game)) for game in GAME_NAMES
-            }
-        },
+        {"bundles": {game: list(BUNDLES[run]) for game, (run, _) in GAMES.items()}},
         {"reductions": list(REDUCTIONS)},
     ]
     return result_document("list", {}, results, True), True
@@ -489,7 +478,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    if args.command == "game" and args.adversary not in _bundles_for(args.game):
+    if args.command == "game" and args.adversary not in BUNDLES[GAMES[args.game][0]]:
         parser.error(
             f"bundle {args.adversary!r} is not registered for game {args.game!r}"
         )

@@ -68,7 +68,6 @@ from .quantum import (
 from .rng import Stream
 from .roles import (
     EXACT,
-    Channel,
     Distinguisher,
     MessageCase,
     MessageGenerator,
@@ -94,7 +93,8 @@ class OraclePolicy:
     `pre` applies to the message generator (before the challenge), `post`
     to the adversary, simulator and distinguisher.  A decryption grant
     after the challenge is rejected outright: pre-challenge decryption
-    access is the ceiling implemented here.
+    access is the ceiling implemented here.  A policy is frozen, so one
+    instance can serve every run of a game (`GAMES`).
     """
 
     name: str
@@ -119,13 +119,6 @@ class OraclePolicy:
     @classmethod
     def cca1(cls) -> "OraclePolicy":
         return cls("cca1", frozenset({"enc", "dec"}), frozenset({"enc"}))
-
-
-POLICIES = {
-    "plain": OraclePolicy.plain,
-    "cpa": OraclePolicy.cpa,
-    "cca1": OraclePolicy.cca1,
-}
 
 
 class Oracles:
@@ -173,7 +166,6 @@ class Oracles:
 
 @dataclass(frozen=True)
 class GameConfig:
-    qubits: int = 1
     trials: int = 1000
     seed: int = 0
     exact: bool = False
@@ -182,8 +174,6 @@ class GameConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ParameterError("trials must be at least 1")
-        if self.exact:
-            _check_exact_qubits(self.qubits)
 
     def stream(self, label: str) -> Stream:
         return Stream(self.seed).child(label)
@@ -479,16 +469,27 @@ def ind_prime_ind_identity_check(scheme, mgen, dist, config: Optional[GameConfig
 # ---------------------------------------------------------------------------
 
 
-def _sem_real_arm(scheme, mgen, adversary, success_fn, policy, config) -> GameArm:
-    """success_fn(out_state, mcase, ctx) -> probability of the real arm's event."""
+def _without(state: DensityMatrix, registers) -> DensityMatrix:
+    """`state` with those of `registers` that it holds traced out."""
+    held = [r for r in registers if state.has_register(r)]
+    return partial_trace(state, held) if held else state
+
+
+def _sem_real_arm(scheme, mgen, adversary, success_fn, hide, policy, config) -> GameArm:
+    """Real arm: the adversary sees the encrypted message case with `hide` traced out.
+
+    `hide` is traced out before padding, which acts on M alone and so commutes
+    with the trace.  success_fn(out_state, mcase, ctx) -> probability of the event.
+    """
 
     def branches(play):
         for wk, keypair in _keys(play, scheme, config):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "adv")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
+                seen = _without(mcase.state, hide)
                 for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
-                    padded = _pad_message(mcase.state, ecase.pad)
+                    padded = _pad_message(seen, ecase.pad)
                     for wa, out in adversary.outputs(ecase.tag, padded, ctx_post):
                         yield (wk * wm * we * wa, play.prob(success_fn(out, mcase, ctx_post)))
 
@@ -503,10 +504,7 @@ def _sem_ideal_arm(scheme, mgen, simulator, success_fn, drop, policy, config) ->
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
             ctx_post = _context(play, scheme, keypair, policy.post, config, "sim")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                visible = partial_trace(
-                    mcase.state, [r for r in drop if mcase.state.has_register(r)]
-                )
-                for ws, out in simulator.outputs(None, visible, ctx_post):
+                for ws, out in simulator.outputs(None, _without(mcase.state, drop), ctx_post):
                     yield (wk * wm * ws, play.prob(success_fn(out, mcase, ctx_post)))
 
     return game_arm(branches)
@@ -527,7 +525,7 @@ def run_sem(scheme, mgen, adversary, simulator, dist,
     def success(out_state, mcase, ctx):
         return dist.prob_one(None, out_state, ctx)
 
-    real = _sem_real_arm(scheme, mgen, adversary, success, policy, config)
+    real = _sem_real_arm(scheme, mgen, adversary, success, (), policy, config)
     ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M",), policy, config)
     return estimate(
         real, ideal,
@@ -599,18 +597,8 @@ def run_sem2(scheme, mgen, adversary, simulator,
         target = classical_target(mcase.state)
         return _compare_out(out_state, target, out_state.exact)
 
-    class _FBlindChannel(Channel):
-        def __init__(self, inner):
-            self.inner = inner
-
-        def outputs(self, tag, state, ctx):
-            me = partial_trace(state, "F") if state.has_register("F") else state
-            return self.inner.outputs(tag, me, ctx)
-
-    real = _sem_real_arm(scheme, mgen, _FBlindChannel(adversary), success, policy, config)
-    ideal = _sem_ideal_arm(
-        scheme, mgen, _FBlindChannel(simulator), success, ("M", "F"), policy, config
-    )
+    real = _sem_real_arm(scheme, mgen, adversary, success, ("F",), policy, config)
+    ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M", "F"), policy, config)
     return estimate(
         real, ideal,
         exact=config.exact, trials=config.trials,
@@ -645,7 +633,7 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
         target = fn.evaluate(ctx.pk, mcase.transcript)
         return _compare_out(out_state, target, out_state.exact)
 
-    real = _sem_real_arm(scheme, mgen, adversary, success, policy, config)
+    real = _sem_real_arm(scheme, mgen, adversary, success, (), policy, config)
     ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M", "F"), policy, config)
     return estimate(
         real, ideal,
@@ -654,4 +642,14 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
     )
 
 
-GAME_NAMES = ("ind", "ind-prime", "ind-cpa", "ind-cca1", "sem", "sem2", "sem3")
+# Each game's runner and oracle policy.
+GAMES = {
+    "ind": (run_ind, OraclePolicy.plain()),
+    "ind-prime": (run_ind_prime, OraclePolicy.plain()),
+    "ind-cpa": (run_ind, OraclePolicy.cpa()),
+    "ind-cca1": (run_ind, OraclePolicy.cca1()),
+    "sem": (run_sem, OraclePolicy.plain()),
+    "sem2": (run_sem2, OraclePolicy.plain()),
+    "sem3": (run_sem3, OraclePolicy.plain()),
+}
+GAME_NAMES = tuple(GAMES)

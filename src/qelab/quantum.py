@@ -321,13 +321,6 @@ def minus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
     return _state(mat, 2, [(name, 1)])
 
 
-def scalar_state(exact: bool = False) -> DensityMatrix:
-    """The empty (zero-register) state; identity element for `tensor`."""
-    mat = _zeros(1, exact)
-    mat[0, 0] = 1
-    return _state(mat, 1, [])
-
-
 def random_pure_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatrix:
     gen = rng.numpy()
     dim = 2**qubits
@@ -529,10 +522,6 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
         im = _kron(a_re, b_im) + _kron(a_im, b_re)
         layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
         return DensityMatrix._of((re, im), a.den * b.den, layout)
-    if a.qubits == 0:
-        return DensityMatrix._of((b.mat * a.mat[0, 0],), None, b.layout)
-    if b.qubits == 0:
-        return DensityMatrix._of((a.mat * b.mat[0, 0],), None, a.layout)
     layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
     return DensityMatrix._of((_kron(a.mat, b.mat),), None, layout)
 
@@ -806,7 +795,3 @@ def channel_choi_distance(
         return out / dim
 
     return _trace_distance_raw(choi(channel), choi(reference))
-
-
-def states_close(a: DensityMatrix, b: DensityMatrix, tol: float = TOL_ALGEBRA) -> bool:
-    return trace_distance(a, b) <= tol

@@ -229,22 +229,6 @@ class EntangledMessage(_FixedMessage):
         return MessageCase(Fraction(1), bell_state("M", "E", exact))
 
 
-class StateMessage(MessageGenerator):
-    """Wrap a fixed prepared state (register M required)."""
-
-    def __init__(self, state: DensityMatrix, transcript: Optional[str] = None):
-        if not state.has_register("M"):
-            raise RoleError("message state must contain a register named M")
-        self.state = state
-        self.transcript = transcript
-
-    def cases(self, pk, ctx):
-        state = self.state.to_exact() if ctx.exact and not self.state.exact else self.state
-        if not ctx.exact and state.exact:
-            state = state.to_float()
-        return [MessageCase(Fraction(1), state, transcript=self.transcript)]
-
-
 class CoinMessageGenerator(MessageGenerator):
     """Emit the base generator's state or its zeroed-M variant, a fair coin each.
 

@@ -216,9 +216,6 @@ class PauliTagScheme:
 
         return channel
 
-    def describe(self) -> str:
-        return f"{self.name} (flavor={self.flavor}, n={self.n}, qubits={self.qubits})"
-
 
 def _all_bitstrings(length: int) -> list[str]:
     return [format(v, f"0{length}b") for v in range(1 << length)] if length else [""]

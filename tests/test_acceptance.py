@@ -203,7 +203,7 @@ def test_criterion_5_permutation_inversion_exhaustive():
 
 
 def test_criterion_6_broken_scheme_detection():
-    exact = GameConfig(qubits=1, exact=True, seed=1)
+    exact = GameConfig(exact=True, seed=1)
     identity = IdentityScheme(1, 1)
     mgen = BasisMessage("1")
     dist = MeasureEqualsDistinguisher("1", "M")
@@ -213,7 +213,7 @@ def test_criterion_6_broken_scheme_detection():
     constant = PrfSymmetricScheme(2, 1, prf=ConstantPrf(2, 2, 2))
     cpa = run_ind(
         constant, mgen, dist, OraclePolicy.cpa(),
-        GameConfig(qubits=1, trials=1000, seed=2),
+        GameConfig(trials=1000, seed=2),
     )
     ok = (
         ind.advantage_exact == 1
@@ -232,7 +232,7 @@ def test_criterion_6_broken_scheme_detection():
 
 
 def test_criterion_7_true_randomness_gives_exactly_zero():
-    exact = GameConfig(qubits=1, exact=True, seed=0)
+    exact = GameConfig(exact=True, seed=0)
     mgen = BasisMessage("1")
     mgen_target = BasisMessageWithTarget("1")
     dist = MeasureEqualsDistinguisher("1", "M")
@@ -274,7 +274,7 @@ def test_criterion_8_reduction_pipelines():
     # (b) built simulator keeps semantic advantage within the sampled
     #     distinguishing advantage plus both intervals, on the PRF scheme
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(91).child("s"))
-    config = GameConfig(qubits=1, trials=600, seed=92)
+    config = GameConfig(trials=600, seed=92)
     pipe = ind_to_sem_pipeline(
         scheme,
         BasisMessageWithTarget("1"),
@@ -287,7 +287,7 @@ def test_criterion_8_reduction_pipelines():
     ok_b = pipe["sem"].advantage <= pipe["ind"].advantage + slack
 
     # (c) both exact identities at n=1 with deterministic roles
-    exact = GameConfig(qubits=1, exact=True, seed=93)
+    exact = GameConfig(exact=True, seed=93)
     eps = sem_to_ind_identity_check(IdentityScheme(1, 1), mgen, dist, exact)
     algebra = ind_prime_ind_identity_check(IdentityScheme(1, 1), mgen, dist, exact)
     ok_c = (

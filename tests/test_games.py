@@ -59,7 +59,7 @@ from qelab.schemes import (
     build_scheme,
 )
 
-EXACT = GameConfig(qubits=1, exact=True, seed=5)
+EXACT = GameConfig(exact=True, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ class _DecryptingDistinguisher(Distinguisher):
 
 def test_post_challenge_decryption_aborts():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(7).child("s"))
-    config = GameConfig(qubits=1, trials=2, seed=8)
+    config = GameConfig(trials=2, seed=8)
     with pytest.raises(OraclePolicyError):
         run_ind(scheme, BasisMessage("1"), _DecryptingDistinguisher(),
                 OraclePolicy.cca1(), config)
@@ -190,7 +190,7 @@ class _GreedyEncrypting(MessageGenerator):
 
 def test_oracle_budget_enforced():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(9).child("s"))
-    config = GameConfig(qubits=1, trials=1, seed=10, oracle_budget=16)
+    config = GameConfig(trials=1, seed=10, oracle_budget=16)
     with pytest.raises(OraclePolicyError):
         run_ind(scheme, _GreedyEncrypting(), ConstantDistinguisher(1),
                 OraclePolicy.cpa(), config)
@@ -215,11 +215,11 @@ class _CountingMessage(BasisMessage):
 
 @pytest.mark.parametrize("game", [run_ind, run_ind_prime])
 def test_exact_size_guard_reads_the_scheme_qubits(game):
-    # The config claims one qubit; the scheme has four.
+    # The scheme has four qubits: refused before any message case is built.
     mgen = _CountingMessage("1111")
     with pytest.raises(ParameterError, match="at most 3 plaintext qubits, got 4"):
         game(IdentityScheme(1, 4), mgen, ConstantDistinguisher(1),
-             config=GameConfig(qubits=1, exact=True))
+             config=GameConfig(exact=True))
     assert mgen.calls == 0
 
 
@@ -234,7 +234,7 @@ def test_exact_ind_builds_no_qrat(monkeypatch):
     monkeypatch.setattr(QRat, "__init__", counting_init)
     scheme = PrfSymmetricScheme(2, 3, setup_rng=Stream(7))
     est = run_ind(scheme, BasisMessage("111"), MeasureEqualsDistinguisher("111", "M"),
-                  None, GameConfig(qubits=3, exact=True, seed=7))
+                  None, GameConfig(exact=True, seed=7))
     assert isinstance(est.p_real_exact, Fraction) and isinstance(est.p_ideal_exact, Fraction)
     assert built == []
     QRat(1)
@@ -316,7 +316,7 @@ def test_readout_role_is_measured_once_per_distinct_pad():
     dist = _CountingReadout("111")
     assert dist.reads_tag is False
     est = run_ind(scheme, BasisMessage("111"), dist, None,
-                  GameConfig(qubits=3, exact=True, seed=7))
+                  GameConfig(exact=True, seed=7))
     pads_per_key = [
         len({case.pad for case in scheme.encrypt_cases(kp.ek)})
         for kp in scheme.key_cases()
@@ -403,7 +403,7 @@ def _brute_force_branches(scheme, message, keys, hidden_bit: bool):
 @pytest.mark.parametrize("run", [run_ind, run_ind_prime])
 def test_exact_ind_branches_equal_brute_force_enumeration(monkeypatch, name, n, run):
     qubits = 2 if name == "ske-prf" else 1
-    config = GameConfig(qubits=qubits, exact=True, seed=7)
+    config = GameConfig(exact=True, seed=7)
     scheme = build_scheme(name, n, qubits, Stream(7))
     message = "1" * qubits
     played = _played_branches(
@@ -452,12 +452,12 @@ def test_register_mismatch_rejected():
     scheme = IdentityScheme(1, 2)
     with pytest.raises(RoleError):
         run_ind(scheme, BasisMessage("1"), ConstantDistinguisher(1), None,
-                GameConfig(qubits=2, exact=True, seed=1))
+                GameConfig(exact=True, seed=1))
 
 
 def test_sampled_matches_exact_on_identity_scheme():
     scheme = IdentityScheme(1, 1)
-    config = GameConfig(qubits=1, trials=200, seed=12)
+    config = GameConfig(trials=200, seed=12)
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"),
                   None, config)
     assert est.p_real == 1.0 and est.p_ideal == 0.0
@@ -645,7 +645,7 @@ def test_cpa_readout_breaks_constant_prf_scheme():
     from qelab.primitives import ConstantPrf
 
     scheme = PrfSymmetricScheme(2, 1, prf=ConstantPrf(2, 2, 2))
-    config = GameConfig(qubits=1, trials=1000, seed=13)
+    config = GameConfig(trials=1000, seed=13)
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"),
                   OraclePolicy.cpa(), config)
     assert est.advantage >= 0.9
@@ -680,7 +680,7 @@ def test_sampled_cpa_estimate_with_oracle_calls_on_both_sides_is_pinned():
     # every draw the roles' oracle calls make, across commits.
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
     est = run_ind(scheme, _OracleProbingMessage(), _OracleProbingReadout(),
-                  OraclePolicy.cpa(), GameConfig(qubits=1, trials=500, seed=7))
+                  OraclePolicy.cpa(), GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.466, 0.266)
 
 
@@ -708,14 +708,14 @@ def test_sampled_sem3_with_a_two_case_message_generator_is_pinned():
                                 include_transcript=True)  # `mpick` draws
     est = run_sem3(scheme, GeneratorFunctionPair(mgen, last_bit_function(2)), adversary,
                    reduction_ind_to_sem(adversary), None,
-                   GameConfig(qubits=1, trials=500, seed=7))
+                   GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.62, 0.506)
 
 
 def test_sampled_ind_with_a_private_distinguisher_coin_is_pinned():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
     est = run_ind(scheme, BasisMessage("1"), _CoinGatedReadout(), None,
-                  GameConfig(qubits=1, trials=500, seed=7))
+                  GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.552, 0.438)
 
 
@@ -724,14 +724,14 @@ def test_sampled_cpa_sem_with_the_simulator_encrypting_through_the_oracle_is_pin
     adversary = CopyPayloadAdversary("M", "OUT")
     est = run_sem(scheme, BasisMessageWithTarget("1"), adversary,
                   reduction_ind_to_sem(adversary), CompareRegistersDistinguisher("OUT", "F"),
-                  OraclePolicy.cpa(), GameConfig(qubits=1, trials=500, seed=7))
+                  OraclePolicy.cpa(), GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.648, 0.412)
 
 
 def test_a_sampled_readout_trial_builds_only_streams_that_draw(built_streams):
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None,
-                  GameConfig(qubits=1, trials=50, seed=7))
+                  GameConfig(trials=50, seed=7))
     labels = {path[-1] for path in built_streams if path}
     assert {"key", "enc"} <= labels
     assert labels.isdisjoint({"mpick", "mgen-coins", "dist-coins", "bernoulli"})
@@ -741,7 +741,7 @@ def test_a_sampled_readout_trial_builds_only_streams_that_draw(built_streams):
 def test_two_case_generators_and_private_coins_still_build_their_streams(built_streams):
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
     mgen = CoinMessageGenerator(BasisMessage("1"), include_f=False)
-    run_ind(scheme, mgen, _CoinGatedReadout(), None, GameConfig(qubits=1, trials=5, seed=7))
+    run_ind(scheme, mgen, _CoinGatedReadout(), None, GameConfig(trials=5, seed=7))
     assert ("dist-coins", "read") in {path[-2:] for path in built_streams}
     assert "mpick" in {path[-1] for path in built_streams if path}
 
@@ -775,8 +775,9 @@ def test_public_scheme_hands_pk_to_roles():
 
 
 def test_exact_mode_qubit_cap():
-    with pytest.raises(ValueError):
-        GameConfig(qubits=4, exact=True)
+    with pytest.raises(ParameterError):
+        run_ind(IdentityScheme(1, 4), BasisMessage("1111"), ConstantDistinguisher(1),
+                config=GameConfig(exact=True))
     with pytest.raises(ValueError):
         GameConfig(trials=0)
 
@@ -881,7 +882,7 @@ class _ChecksLatestMessage(Distinguisher):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_zeroed_state_memo_follows_each_trials_message(exact):
-    config = GameConfig(qubits=1, trials=40, seed=3, exact=exact)
+    config = GameConfig(trials=40, seed=3, exact=exact)
     mgen = _AlternatingMessage()
     est = run_ind(IdentityScheme(1, 1), mgen, _ChecksLatestMessage(mgen), None, config)
     assert (est.p_real, est.p_ideal) == (1.0, 0.0)
@@ -901,5 +902,5 @@ def test_sem2_target_memo_follows_each_trials_message():
     # Targets alternate 0, 1, ...: the copied message 1 matches the ones and
     # the constant simulator 0 the zeros, each exactly half the trials.
     est = run_sem2(IdentityScheme(1, 1), _AlternatingMessage("F"), CopyPayloadAdversary("M", "OUT"),
-                   ConstantOutputChannel("0"), None, GameConfig(qubits=1, trials=40, seed=3))
+                   ConstantOutputChannel("0"), None, GameConfig(trials=40, seed=3))
     assert (est.p_real, est.p_ideal) == (0.5, 0.5)

@@ -44,7 +44,7 @@ from qelab.roles import (
 )
 from qelab.schemes import IdentityScheme, PrfSymmetricScheme, QotpScheme
 
-EXACT = GameConfig(qubits=1, exact=True, seed=6)
+EXACT = GameConfig(exact=True, seed=6)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_simulator_uses_encryption_oracle_when_granted():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(1).child("s"))
     adversary = CopyPayloadAdversary("M", "OUT")
     simulator = reduction_ind_to_sem(adversary)
-    config = GameConfig(qubits=1, trials=50, seed=2)
+    config = GameConfig(trials=50, seed=2)
     est = run_sem(
         scheme,
         BasisMessageWithTarget("1"),
@@ -131,7 +131,7 @@ def test_simulator_oracle_route_is_pinned(policy):
 
 def test_pipeline_bound_on_prf_scheme():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(3).child("s"))
-    config = GameConfig(qubits=1, trials=400, seed=4)
+    config = GameConfig(trials=400, seed=4)
     out = ind_to_sem_pipeline(
         scheme,
         BasisMessageWithTarget("1"),
@@ -303,7 +303,7 @@ def test_second_case_keeps_b_marginal():
 def test_sampled_reduction_matches_exact():
     dist = UnpadThenMeasureDistinguisher("11", "1", "A")
     sampled = run_prg_pad_reduction(
-        ConstantPrg(1, "11"), dist, _pair(), GameConfig(qubits=1, trials=400, seed=8)
+        ConstantPrg(1, "11"), dist, _pair(), GameConfig(trials=400, seed=8)
     )
     assert sampled.p_real == 1.0
     assert abs(sampled.p_ideal - 0.5) <= sampled.ci_halfwidth + 0.05
