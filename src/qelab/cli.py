@@ -15,6 +15,7 @@ import argparse
 import functools
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 from .errors import ParameterError, QelabError
 from .games import (
@@ -83,9 +84,6 @@ from .serialize import (
     result_document,
     results_to_csv,
 )
-
-REDUCTIONS = ("cca1-to-prf", "ind-to-sem", "sem-to-ind", "qotp-to-prg")
-
 
 def _readout(qubits: int):
     ones = "1" * qubits
@@ -306,81 +304,85 @@ def cmd_game(args) -> tuple[dict, bool]:
     return result_document("game", config_doc, [row], True), True
 
 
+def _reduce_cca1_to_prf(args, rng: Stream, config: GameConfig):
+    scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
+    if not isinstance(scheme, PrfSymmetricScheme):
+        raise QelabError("cca1-to-prf needs a PRF-padded symmetric scheme")
+    mgen, dist = _readout(args.qubits)
+    attack = run_ind_prime(scheme, mgen, dist, OraclePolicy.cca1(), replace(config, exact=False))
+    results = [{"stage": "scheme-attack", **attack.to_dict()}]
+    distinguisher = reduction_cca1_to_prf(mgen, dist, args.qubits)
+    est = prf_distinguisher_advantage(distinguisher, scheme.prf, args.trials, rng.child("prf-adv"))
+    results.append({"stage": "prf-distinguisher", **est.to_dict()})
+    if not args.exact:
+        return results, True
+    check = cca1_to_prf_exact_check(mgen, dist, scheme, config)
+    results.append({"stage": "exact-identity", **check})
+    return results, check["identity_holds"]
+
+
+def _reduce_ind_to_sem(args, rng: Stream, config: GameConfig):
+    scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
+    mgen = BasisMessageWithTarget("1" * args.qubits)
+    adversary = CopyPayloadAdversary("M", "OUT")
+    dist = CompareRegistersDistinguisher("OUT", "F")
+    out = ind_to_sem_pipeline(scheme, mgen, adversary, dist, OraclePolicy.plain(), config)
+    sem, ind = out["sem"], out["ind"]
+    if args.exact:
+        bound = float(ind.advantage_exact)
+        ok = sem.advantage_exact <= ind.advantage_exact
+    else:
+        bound = ind.advantage + sem.ci_halfwidth + ind.ci_halfwidth + 1e-12
+        ok = sem.advantage <= bound
+    return [
+        {"stage": "sem-with-built-simulator", **sem.to_dict()},
+        {"stage": "ind-combined-distinguisher", **ind.to_dict()},
+        {"stage": "bound-check", "bound": bound, "holds": ok},
+    ], ok
+
+
+def _reduce_sem_to_ind(args, rng: Stream, config: GameConfig):
+    scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
+    mgen, dist = _readout(args.qubits)
+    report = sem_to_ind_identity_check(scheme, mgen, dist, config)
+    ok = report["identity_holds"] and report["baselines_are_half"]
+    return [{"stage": "epsilon-identity", **report}], ok
+
+
+def _reduce_qotp_to_prg(args, rng: Stream, config: GameConfig):
+    if not 1 <= args.n <= MAX_SECURITY:
+        raise ParameterError(f"security parameter {args.n} outside 1..{MAX_SECURITY}")
+    ones = "1" * args.qubits
+    pair = PaddedStatePair(
+        joint=basis_state(ones, "A"), product_a=basis_state("0" * args.qubits, "A")
+    )
+    fixed = "1" * (2 * args.qubits)
+    dist = UnpadThenMeasureDistinguisher(fixed, ones, "A")
+    est = run_prg_pad_reduction(ConstantPrg(args.n, fixed), dist, pair, config)
+    results = [{"stage": "constant-generator", **est.to_dict()}]
+    if not args.exact:
+        return results, True
+    ok = est.p_ideal_exact == Fraction(1, 2)
+    results.append({"stage": "uniform-arm-half", "holds": ok})
+    return results, ok
+
+
+# Each reduction's pipeline: (args, stream, config) -> (result rows, pass).
+REDUCTIONS = {
+    "cca1-to-prf": _reduce_cca1_to_prf,
+    "ind-to-sem": _reduce_ind_to_sem,
+    "sem-to-ind": _reduce_sem_to_ind,
+    "qotp-to-prg": _reduce_qotp_to_prg,
+}
+
+
 def cmd_reduce(args) -> tuple[dict, bool]:
     if args.qubits < 1:
         raise ParameterError(f"--qubits must be at least 1, got {args.qubits}")
     if args.exact:
         _check_exact_qubits(args.qubits)
-    rng = Stream(args.seed)
     config = GameConfig(trials=args.trials, seed=args.seed, exact=args.exact)
-    results = []
-    ok = True
-    qubits = args.qubits
-    ones = "1" * qubits
-
-    if args.reduction == "cca1-to-prf":
-        scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
-        if not isinstance(scheme, PrfSymmetricScheme):
-            raise QelabError("cca1-to-prf needs a PRF-padded symmetric scheme")
-        mgen, dist = _readout(qubits)
-        attack = run_ind_prime(
-            scheme, mgen, dist, OraclePolicy.cca1(), replace(config, exact=False)
-        )
-        results.append({"stage": "scheme-attack", **attack.to_dict()})
-        distinguisher = reduction_cca1_to_prf(mgen, dist, qubits)
-        est = prf_distinguisher_advantage(
-            distinguisher, scheme.prf, args.trials, rng.child("prf-adv")
-        )
-        results.append({"stage": "prf-distinguisher", **est.to_dict()})
-        if args.exact:
-            check = cca1_to_prf_exact_check(mgen, dist, scheme, config)
-            ok = ok and check["identity_holds"]
-            results.append({"stage": "exact-identity", **check})
-
-    elif args.reduction == "ind-to-sem":
-        scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
-        mgen = BasisMessageWithTarget(ones)
-        adversary = CopyPayloadAdversary("M", "OUT")
-        dist = CompareRegistersDistinguisher("OUT", "F")
-        out = ind_to_sem_pipeline(scheme, mgen, adversary, dist, OraclePolicy.plain(), config)
-        results.append({"stage": "sem-with-built-simulator", **out["sem"].to_dict()})
-        results.append({"stage": "ind-combined-distinguisher", **out["ind"].to_dict()})
-        sem, ind = out["sem"], out["ind"]
-        if args.exact:
-            bound = float(ind.advantage_exact)
-            ok = sem.advantage_exact <= ind.advantage_exact
-        else:
-            bound = ind.advantage + sem.ci_halfwidth + ind.ci_halfwidth + 1e-12
-            ok = sem.advantage <= bound
-        results.append({"stage": "bound-check", "bound": bound, "holds": ok})
-
-    elif args.reduction == "sem-to-ind":
-        scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
-        mgen, dist = _readout(qubits)
-        report = sem_to_ind_identity_check(scheme, mgen, dist, config)
-        ok = report["identity_holds"] and report["baselines_are_half"]
-        results.append({"stage": "epsilon-identity", **report})
-
-    elif args.reduction == "qotp-to-prg":
-        if not 1 <= args.n <= MAX_SECURITY:
-            raise ParameterError(f"security parameter {args.n} outside 1..{MAX_SECURITY}")
-        pad_len = 2 * qubits
-        pair = PaddedStatePair(
-            joint=basis_state(ones, "A"), product_a=basis_state("0" * qubits, "A")
-        )
-        fixed = "1" * pad_len
-        dist = UnpadThenMeasureDistinguisher(fixed, ones, "A")
-        prg = ConstantPrg(args.n, fixed)
-        est = run_prg_pad_reduction(prg, dist, pair, config)
-        results.append({"stage": "constant-generator", **est.to_dict()})
-        if args.exact:
-            from fractions import Fraction
-
-            ok = est.p_ideal_exact == Fraction(1, 2)
-            results.append({"stage": "uniform-arm-half", "holds": ok})
-    else:  # pragma: no cover - argparse restricts choices
-        raise QelabError(f"unknown reduction {args.reduction!r}")
-
+    results, ok = REDUCTIONS[args.reduction](args, Stream(args.seed), config)
     config_doc = {
         "reduction": args.reduction,
         "scheme": args.scheme,

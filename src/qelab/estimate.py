@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from .errors import EnumerationCapError
@@ -98,29 +99,40 @@ class GameArm:
     def exact_probability(self, cap: int = ENUM_CAP_DEFAULT) -> Fraction:
         """Sum weight x probability over every branch, as a Fraction.
 
-        Weights and probabilities are ints or Fractions.  Branches are
-        counted against `cap` one by one, and each is tallied by its
-        (weight, probability) pair as four ints, because hashing a Fraction
-        is slow.  The ints are read again only when the weight or the
-        probability object differs from the previous branch's, since branches
-        share them (one weight per scope, one probability per pad).  The
-        Fraction arithmetic then runs once per distinct pair.  The weights
-        must sum to exactly 1.
+        Weights and probabilities are ints or Fractions, and the weights must
+        sum to exactly 1.  Branches share their weight and probability
+        objects (one weight per scope, one probability per pad), so a branch
+        whose two objects are those of the branch before it only lengthens
+        the current run.  Each run is tallied once, by its (weight,
+        probability) pair as four ints, because hashing a Fraction is slow,
+        and the Fraction arithmetic then runs once per distinct pair.  At
+        most `cap + 1` branches are pulled; pulling the last one refuses the
+        enumeration.
         """
         if self._branches is None:
             raise EnumerationCapError("this arm does not support exact enumeration")
         tally = Counter()
-        count = 0
+        leaves = run = 0
+        key = None
         last_weight = last_p = object()
-        for weight, p in self._branches():
-            count += 1
-            if count > cap:
-                raise EnumerationCapError(f"enumeration exceeded the cap of {cap} branches")
+        for weight, p in islice(self._branches(), cap + 1):
+            if p is last_p and weight is last_weight:
+                run += 1
+                continue
+            if run:
+                tally[key] += run
+                leaves += run
             if weight is not last_weight:
                 last_weight, wn, wd = weight, weight.numerator, weight.denominator
             if p is not last_p:
                 last_p, pn, pd = p, p.numerator, p.denominator
-            tally[wn, wd, pn, pd] += 1
+            key = wn, wd, pn, pd
+            run = 1
+        if run:
+            tally[key] += run
+            leaves += run
+        if leaves > cap:
+            raise EnumerationCapError(f"enumeration exceeded the cap of {cap} branches")
         total = Fraction(0)
         weight_seen = Fraction(0)
         for (wn, wd, pn, pd), k in tally.items():

@@ -17,9 +17,12 @@ probabilities; it refuses oracle calls.  The sampling interpreter
 child named by the coin's label, and the game reports Wilson intervals.
 Both live in `roles`, next to the `RoleContext` through which a role
 draws its own coins from the same tree.  In exact mode an ind game
-builds its key and encryption cases once for all its arms, and a
-distinguisher that declares `reads_tag = False` is measured once per
-distinct pad (`_challenge_probs`); every branch is still enumerated.
+builds its key and encryption cases once for all its arms.  For a
+distinguisher that declares `reads_tag = False` it also counts each
+key's cases by pad once, and measures each distinct pad once per game
+and challenge state (`_challenge_probs`).  Every branch is still
+yielded: a pad's cases come as a run of one shared branch tuple, which
+`GameArm.exact_probability` tallies once.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
@@ -197,7 +200,8 @@ def _check_exact_qubits(qubits: int) -> None:
 
 def uniform_cases(values: list) -> list:
     """(weight, value) pairs of a uniform draw from `values`, all sharing one
-    `Fraction(1, len(values))`, so `_challenge_probs` multiplies it once per scope."""
+    `Fraction(1, len(values))`, so `_challenge_probs` can group a key's cases by
+    pad and multiply the weight once per scope."""
     return list(zip(repeat(Fraction(1, len(values))), values))
 
 
@@ -337,31 +341,70 @@ def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
     )
 
 
-def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, encryptions,
-                     ctx: RoleContext, scope_weight):
-    """(branch weight, Pr[dist outputs 1]) for each encryption case of one challenge state.
+def _pad_groups(encryptions):
+    """One key's encryption cases grouped by pad: `(weight, {pad: [first tag, count]})`.
 
-    The branch weight is `scope_weight` times the case's weight.  The
-    product is taken only when the case's weight object differs from the
-    previous case's, and `uniform_cases` gives a key's cases one weight
-    object, so it is taken once per scope (one key and challenge state).
-    A distinguisher that declares `reads_tag = False` sees only the padded
-    state, so within the scope each distinct pad is applied and measured
-    once and its value serves every tag with that pad.  Every case is
-    still yielded.  Sampling yields one case per scope, so nothing is
-    reused there.
+    `weight` is the one weight object every case carries, as `uniform_cases`
+    gives; cases with more than one weight object are not grouped (None).
     """
-    by_pad = {}
+    weight = encryptions[0][0]
+    groups = {}
+    for we, (tag, pad) in encryptions:
+        if we is not weight:
+            return None
+        group = groups.get(pad)
+        if group is None:
+            groups[pad] = [tag, 1]
+        else:
+            group[1] += 1
+    return weight, groups
+
+
+def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, scheme: PauliTagScheme,
+                     ek, ctx: RoleContext, scope_weight, shared: Optional[dict],
+                     complement: bool = False):
+    """(branch weight, probability) for each encryption case of one challenge state.
+
+    The probability is Pr[dist outputs 1], or its complement with
+    `complement`.  The branch weight is `scope_weight` times the case's
+    weight, and every case is yielded, so the branches and the cap count
+    leaves.
+
+    A distinguisher that declares `reads_tag = False` sees only the padded
+    state.  In exact mode its cases are grouped by pad, once per key and
+    game (`_pad_groups`, kept in `shared` next to the cases), and each
+    distinct pad is measured once per game: the value is kept in `shared`
+    under the challenge-state object, the pad and `ctx.pk`, and the role
+    is given the first tag with that pad.  Each pad's cases are then
+    yielded as a run of one `(weight, probability)` tuple, which
+    `GameArm.exact_probability` folds into one tally update.  A role that
+    reads the tag, cases with more than one weight object and sampling
+    mode (one case per scope) are evaluated case by case.
+    """
+    encryptions = _encryptions(play, scheme, ek, "enc", shared)
+    grouped = None
+    if play.exact and not dist.reads_tag:
+        grouped = _shared(shared, ("pads", "enc", ek), lambda: _pad_groups(encryptions))
+    if grouped is None:
+        return _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement)
+    we, groups = grouped
+    weight = scope_weight * we
+    runs = []
+    for pad, (tag, count) in groups.items():
+        p1 = _shared(shared, ("prob", state, pad, ctx.pk),
+                     lambda: play.prob(dist.prob_one(tag, _pad_message(state, pad), ctx)))
+        runs.append(repeat((weight, 1 - p1 if complement else p1), count))
+    return chain.from_iterable(runs)
+
+
+def _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement):
+    """`_challenge_probs` with one evaluation of `dist` per case."""
     last_we = weight = None
     for we, ecase in encryptions:
         if we is not last_we:
             last_we, weight = we, scope_weight * we
-        p1 = by_pad.get(ecase.pad)
-        if p1 is None:
-            p1 = play.prob(dist.prob_one(ecase.tag, _pad_message(state, ecase.pad), ctx))
-            if not dist.reads_tag:
-                by_pad[ecase.pad] = p1
-        yield weight, p1
+        p1 = play.prob(dist.prob_one(ecase.tag, _pad_message(state, ecase.pad), ctx))
+        yield weight, 1 - p1 if complement else p1
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +419,8 @@ def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -
             ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 state = replace_with_zero_state(mcase.state, "M") if zero_arm else mcase.state
-                encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
-                yield from _challenge_probs(play, dist, state, encryptions, ctx_post, wk * wm)
+                yield from _challenge_probs(play, dist, state, scheme, keypair.ek, ctx_post,
+                                            wk * wm, shared)
 
     return game_arm(branches)
 
@@ -417,10 +460,10 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
                 for wb, hidden_bit in fair_bit(play, "bit"):
                     state = (mcase.state if hidden_bit == 1
                              else replace_with_zero_state(mcase.state, "M"))
-                    encryptions = _encryptions(play, scheme, keypair.ek, "enc", shared)
-                    for w, p1 in _challenge_probs(play, dist, state, encryptions, ctx_post,
-                                                  wk * wm * wb):
-                        yield (w, p1 if hidden_bit == 1 else 1 - p1)
+                    # Bit 0 is guessed right when the distinguisher outputs 0.
+                    yield from _challenge_probs(play, dist, state, scheme, keypair.ek,
+                                                ctx_post, wk * wm * wb, shared,
+                                                complement=hidden_bit == 0)
 
     return estimate(
         game_arm(branches), None,

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, EnumerationCapError, MalformedKeyError, QelabError
-from .rng import Stream
+from .rng import Stream, is_bitstring
 
 EXHAUSTIVE_DOMAIN_CAP = 1 << 20
 MAX_SECURITY = 12
@@ -86,7 +86,7 @@ class TowpIndex:
 
     @classmethod
     def from_bits(cls, bits: str) -> "TowpIndex":
-        if len(bits) != 3 * _INDEX_FIELD_BITS or any(b not in "01" for b in bits):
+        if len(bits) != 3 * _INDEX_FIELD_BITS or not is_bitstring(bits):
             raise MalformedKeyError(f"bad index encoding of length {len(bits)}")
         w = _INDEX_FIELD_BITS
         return cls(int(bits[:w], 2), int(bits[w : 2 * w], 2), int(bits[2 * w :], 2))
@@ -107,7 +107,7 @@ class TowpTrapdoor:
 
     @classmethod
     def from_bits(cls, bits: str) -> "TowpTrapdoor":
-        if len(bits) != 2 * _INDEX_FIELD_BITS or any(b not in "01" for b in bits):
+        if len(bits) != 2 * _INDEX_FIELD_BITS or not is_bitstring(bits):
             raise MalformedKeyError(f"bad trapdoor encoding of length {len(bits)}")
         w = _INDEX_FIELD_BITS
         return cls(int(bits[:w], 2), int(bits[w:], 2))
@@ -186,7 +186,7 @@ class ToyRsaPermutationFamily:
         return format(x, f"0{index.element_width}b")
 
     def decode_element(self, index: TowpIndex, bits: str) -> int:
-        if len(bits) != index.element_width or any(b not in "01" for b in bits):
+        if len(bits) != index.element_width or not is_bitstring(bits):
             raise MalformedKeyError(
                 f"tag must be {index.element_width} bits of 0/1, got {bits!r}"
             )
@@ -250,7 +250,7 @@ def prg_iterated(
 
 def embed_seed(index: TowpIndex, bits: str) -> int:
     """Deterministically map an arbitrary bitstring into the domain."""
-    if bits == "" or any(b not in "01" for b in bits):
+    if bits == "" or not is_bitstring(bits):
         raise MalformedKeyError(f"seed must be a nonempty 0/1 string, got {bits!r}")
     n = index.modulus
     x = int(bits, 2) % (n - 1) + 1
@@ -291,7 +291,7 @@ class IteratedPermutationPrg:
     def expand(self, seed: str) -> str:
         hit = self._memo.get(seed)
         if hit is None:
-            if len(seed) != self.seed_len or any(b not in "01" for b in seed):
+            if len(seed) != self.seed_len or not is_bitstring(seed):
                 raise MalformedKeyError(
                     f"seed must be {self.seed_len} bits of 0/1, got {seed!r}"
                 )
@@ -344,7 +344,7 @@ class GgmPrf:
 
     def evaluate(self, key: str, x: str) -> str:
         self._check_key(key)
-        if len(x) != self.in_len or any(b not in "01" for b in x):
+        if len(x) != self.in_len or not is_bitstring(x):
             raise MalformedKeyError(f"input must be {self.in_len} bits, got {x!r}")
         state = key
         s = self.key_len
@@ -354,21 +354,25 @@ class GgmPrf:
         return self._leaf_output(state)
 
     def evaluate_all(self, key: str) -> list[str]:
-        """`evaluate(key, x)` for every input x, in lexicographic order of x."""
+        """`evaluate(key, x)` for every input x, in lexicographic order of x.
+
+        A level holds at most 2^key_len distinct states however deep the
+        tree is, so each level expands its distinct states once.
+        """
         self._check_key(key)
         s = self.key_len
         level = [key]
         for _ in range(self.in_len):
-            children = []
-            for state in level:
+            halves = {}
+            for state in dict.fromkeys(level):
                 expansion = self.prg.expand(state)
-                children += (expansion[:s], expansion[s:])
-            level = children
-        outputs = {state: self._leaf_output(state) for state in set(level)}
+                halves[state] = (expansion[:s], expansion[s:])
+            level = [child for state in level for child in halves[state]]
+        outputs = {state: self._leaf_output(state) for state in dict.fromkeys(level)}
         return [outputs[state] for state in level]
 
     def _check_key(self, key: str) -> None:
-        if len(key) != self.key_len or any(b not in "01" for b in key):
+        if len(key) != self.key_len or not is_bitstring(key):
             raise MalformedKeyError(f"key must be {self.key_len} bits, got {key!r}")
 
     def _leaf_output(self, state: str) -> str:
@@ -439,7 +443,7 @@ class RandomFunctionOracle:
         self._memo: dict[str, str] = {}
 
     def query(self, x: str) -> str:
-        if len(x) != self.in_len or any(b not in "01" for b in x):
+        if len(x) != self.in_len or not is_bitstring(x):
             raise MalformedKeyError(f"query must be {self.in_len} bits, got {x!r}")
         hit = self._memo.get(x)
         if hit is None:

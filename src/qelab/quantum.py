@@ -48,7 +48,7 @@ from .errors import (
     MeasurementError,
 )
 from .rationals import QRat
-from .rng import Stream
+from .rng import Stream, is_bitstring
 
 TOL_PSD = 1e-9        # invariant checks (hermiticity, trace, positivity)
 TOL_ALGEBRA = 1e-10   # algebraic identities (involutions, mixing, round trips)
@@ -285,7 +285,7 @@ def _state(mat: np.ndarray, den: int, layout) -> DensityMatrix:
 
 def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatrix:
     """|bits><bits| on a register named `name`."""
-    if not bits or any(b not in "01" for b in bits):
+    if not bits or not is_bitstring(bits):
         raise MalformedKeyError(f"basis label must be a nonempty 0/1 string, got {bits!r}")
     dim = 2 ** len(bits)
     idx = int(bits, 2)
@@ -350,7 +350,7 @@ def random_mixed_state(
 
 
 def _check_pad(key: str) -> None:
-    if not isinstance(key, str) or any(b not in "01" for b in key):
+    if not isinstance(key, str) or not is_bitstring(key):
         raise MalformedKeyError(f"pad key must be a 0/1 string, got {key!r}")
     if len(key) == 0 or len(key) % 2 != 0:
         raise MalformedKeyError(f"pad key length must be a positive even number, got {len(key)}")
@@ -705,7 +705,7 @@ def measure_registers_into(
     labels = []
     for t in range(split.t_dim):
         label = fn(split.labels[t])
-        if len(label) != out_qubits or any(b not in "01" for b in label):
+        if len(label) != out_qubits or not is_bitstring(label):
             raise MalformedKeyError(
                 f"outcome function returned {label!r}, expected {out_qubits} bits"
             )

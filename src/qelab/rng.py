@@ -48,6 +48,17 @@ _INT64_BOUND = 2**63  # the largest bound numpy's int64 `integers` accepts
 _BIT_PAIRS = ("00", "10", "01", "11")
 
 
+def is_bitstring(bits) -> bool:
+    """Whether every element of `bits` is "0" or "1"; an empty `bits` is one.
+
+    Any iterable is checked element by element, and one that is not
+    iterable raises `TypeError`; a str is checked in one C call.
+    """
+    if isinstance(bits, str):
+        return not bits.strip("01")
+    return all(b in "01" for b in bits)
+
+
 def _no_owner():
     return None
 

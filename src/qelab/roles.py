@@ -28,7 +28,7 @@ from .quantum import (
     replace_with_zero_state,
     tensor,
 )
-from .rng import Stream
+from .rng import Stream, is_bitstring
 
 
 class _DeniedOracles:
@@ -274,9 +274,9 @@ class Distinguisher:
     `reads_tag` is a contract the role class declares, not an option:
     `False` promises that `prob_one(tag, state, ctx)` depends only on
     `state` and `ctx`.  Exact IND enumeration then measures each distinct
-    pad once per key and challenge state, and reuses that value for every
-    tag with the same pad.  The default `True` is always safe: such a role is
-    evaluated on every branch.
+    pad once per game, challenge state and `ctx.pk`, with the first tag that
+    has the pad, and reuses that value for every tag with the same pad.  The
+    default `True` is always safe: such a role is evaluated on every branch.
     """
 
     measured: tuple[str, ...] = ("M",)
@@ -526,7 +526,7 @@ class ClassicalFunction:
                 f"transcript has {len(x)} bits but the function consumes {self.in_len}"
             )
         y = self.fn(pk, x)
-        if len(y) != self.out_len or any(b not in "01" for b in y):
+        if len(y) != self.out_len or not is_bitstring(y):
             raise RoleError(f"classical function returned {y!r}, expected {self.out_len} bits")
         return y
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -55,7 +57,7 @@ from .quantum import (
     pad_masks,
     tensor,
 )
-from .rng import Stream
+from .rng import Stream, is_bitstring
 
 
 class KeyPair(NamedTuple):
@@ -84,7 +86,7 @@ class SkeCiphertext(Ciphertext):
 @dataclass(frozen=True, eq=False)
 class PkeCiphertext(Ciphertext):
     def __post_init__(self):
-        if not self.tag or any(b not in "01" for b in self.tag):
+        if not self.tag or not is_bitstring(self.tag):
             raise InvalidCiphertextError("tag must be a nonempty 0/1 string")
 
 
@@ -93,6 +95,15 @@ class EncryptionCase(NamedTuple):
 
     tag: str
     pad: Optional[str]  # None means the payload is passed through untouched
+
+
+def _encryption_cases(pairs) -> list[EncryptionCase]:
+    """An `EncryptionCase` of each (tag, pad) pair, built by `tuple.__new__`.
+
+    A NamedTuple's own constructor is a Python function; this path stays in
+    C, which counts when a scheme lists every case of a domain.
+    """
+    return list(map(tuple.__new__, repeat(EncryptionCase), pairs))
 
 
 class PauliTagScheme:
@@ -217,8 +228,15 @@ class PauliTagScheme:
         return channel
 
 
+@lru_cache(maxsize=16)
+def _bitstring_table(length: int) -> tuple[str, ...]:
+    """Every `length`-bit string in lexicographic order, built once per length."""
+    return tuple(format(v, f"0{length}b") for v in range(1 << length)) if length else ("",)
+
+
 def _all_bitstrings(length: int) -> list[str]:
-    return [format(v, f"0{length}b") for v in range(1 << length)] if length else [""]
+    """`_bitstring_table(length)` as a list of the caller's own."""
+    return list(_bitstring_table(length))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +287,10 @@ class PrfSymmetricScheme(PauliTagScheme):
     def encrypt_cases(self, ek):
         """Every tag with its pad, from one `evaluate_all` walk of the key's tree."""
         tags = _all_bitstrings(2 * self.qubits)
-        return list(map(EncryptionCase, tags, self.prf.evaluate_all(ek)))
+        return _encryption_cases(zip(tags, self.prf.evaluate_all(ek)))
 
     def decrypt_pad(self, dk, tag: str) -> str:
-        if len(tag) != 2 * self.qubits or any(b not in "01" for b in tag):
+        if len(tag) != 2 * self.qubits or not is_bitstring(tag):
             raise InvalidCiphertextError(
                 f"tag must be {2 * self.qubits} bits of 0/1, got {tag!r}"
             )
@@ -319,7 +337,7 @@ class RandomPadSymmetricScheme(PauliTagScheme):
 
     def encrypt_cases(self, ek):
         strings = _all_bitstrings(2 * self.qubits)
-        return [EncryptionCase(tag, pad) for tag in strings for pad in strings]
+        return _encryption_cases(product(strings, strings))
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if dk is None:
@@ -436,7 +454,7 @@ class PermutationPublicScheme(PauliTagScheme):
         """
         domain = self.family.domain(ek)
         tags, pads = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return list(map(EncryptionCase, tags, pads))
+        return _encryption_cases(zip(tags, pads))
 
     def decrypt_pad(self, dk: PkeSecret, tag: str) -> str:
         """Walk one tag backwards with the trapdoor, in Python ints.
@@ -468,7 +486,7 @@ class PermutationPublicScheme(PauliTagScheme):
         for i in range(steps):
             x = _powmod(x, trapdoor.inverse_exponent, modulus)
             pad |= _parity(x & mask) << np.uint64(steps - 1 - i)
-        table = _all_bitstrings(steps)
+        table = _bitstring_table(steps)
         return [table[v] for v in pad.tolist()]
 
     def _decode_units(self, index: TowpIndex, tags: list[str]) -> np.ndarray:
@@ -543,7 +561,7 @@ def _domain_tags_and_pads(index: TowpIndex, domain: list[int], steps: int):
         pad |= _parity(x & mask) << np.uint64(i)
         x = _powmod(x, index.exponent, modulus)
     fmt = f"0{index.element_width}b"
-    table = _all_bitstrings(steps)
+    table = _bitstring_table(steps)
     return [format(v, fmt) for v in x.tolist()], [table[v] for v in pad.tolist()]
 
 
@@ -569,7 +587,7 @@ class UniformPadPublicScheme(PermutationPublicScheme):
         domain = self.family.domain(ek)
         pads = _all_bitstrings(2 * self.qubits)
         tags, _ = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return [EncryptionCase(tag, pad) for tag in tags for pad in pads]
+        return _encryption_cases(product(tags, pads))
 
     def decrypt_pad(self, dk, tag):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import MalformedKeyError
 from .quantum import DensityMatrix
+from .rng import is_bitstring
 from .schemes import Ciphertext, PkeCiphertext, SkeCiphertext
 
 SCHEMA_VERSION = 1
@@ -47,7 +48,7 @@ def state_from_json(data: dict) -> DensityMatrix:
 
 
 def bits_to_base64(bits: str) -> str:
-    if any(b not in "01" for b in bits):
+    if not is_bitstring(bits):
         raise MalformedKeyError(f"expected a 0/1 string, got {bits!r}")
     padded = bits + "0" * (-len(bits) % 8)
     raw = bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))

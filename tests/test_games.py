@@ -52,6 +52,7 @@ from qelab.roles import (
 )
 from qelab.schemes import (
     IdentityScheme,
+    KeyPair,
     PrfSymmetricScheme,
     QotpScheme,
     RandomPadSymmetricScheme,
@@ -311,18 +312,87 @@ class _CountingReadout(MeasureEqualsDistinguisher):
 
 
 def test_readout_role_is_measured_once_per_distinct_pad():
-    # The exact-ske-q3 benchmark command: 4 keys x 64 tags per arm.
+    # The exact-ske-q3 benchmark command: 4 keys x 64 tags per arm.  Each
+    # arm's challenge state is measured once per pad that any key gives.
     scheme = build_scheme("ske-prf", 2, 3, Stream(7))
     dist = _CountingReadout("111")
     assert dist.reads_tag is False
     est = run_ind(scheme, BasisMessage("111"), dist, None,
                   GameConfig(exact=True, seed=7))
-    pads_per_key = [
-        len({case.pad for case in scheme.encrypt_cases(kp.ek)})
-        for kp in scheme.key_cases()
-    ]
-    assert dist.calls == 2 * sum(pads_per_key) == 24
+    pads = {case.pad for kp in scheme.key_cases() for case in scheme.encrypt_cases(kp.ek)}
+    assert dist.calls == 2 * len(pads) == 6
     assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(0), Fraction(183, 256))
+
+
+def test_cap_fires_inside_a_grouped_run(monkeypatch):
+    # A pad's cases arrive as a run of one shared branch tuple; the cap still
+    # counts every leaf, so it refuses on pull cap + 1 in the middle of a run.
+    scheme = build_scheme("ske-prf", 2, 3, Stream(7))
+    real, _ = _played_arms(monkeypatch, run_ind, scheme, BasisMessage("111"),
+                           MeasureEqualsDistinguisher("111", "M"), None,
+                           GameConfig(exact=True, seed=7))
+    leaves = list(real._branches())
+    assert len(leaves) == 256
+    cap = next(i for i in range(100, len(leaves)) if leaves[i] is leaves[i - 1])
+    pulled = []
+
+    def counted():
+        for branch in real._branches():
+            pulled.append(branch)
+            yield branch
+
+    with pytest.raises(EnumerationCapError, match=f"cap of {cap} branches"):
+        GameArm(branches=counted).exact_probability(cap=cap)
+    assert len(pulled) == cap + 1
+    assert pulled[cap] is pulled[cap - 1]
+    assert GameArm(branches=counted).exact_probability(cap=256) == 0
+
+
+class _PublicIdentityScheme(IdentityScheme):
+    """Public-key and unpadded: two keys whose encryptions share the pad None."""
+
+    flavor = "public"
+
+    def key_cases(self):
+        return [KeyPair("0", "0"), KeyPair("1", "1")]
+
+
+class _PublicKeyReadout(CoinDistinguisher):
+    """Tag-blind, but its value depends on the public key."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return Fraction(int(ctx.pk) + 1, 4)
+
+
+def test_tag_blind_role_is_not_shared_between_public_keys():
+    dist = _PublicKeyReadout()
+    assert dist.reads_tag is False
+    est = run_ind(_PublicIdentityScheme(1, 1), BasisMessage("1"), dist, None, EXACT)
+    assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(3, 8), Fraction(3, 8))
+    assert dist.calls == 2 * 2  # arms x public keys
+
+
+def test_mixed_weight_scopes_are_evaluated_case_by_case(monkeypatch):
+    import qelab.games as games
+
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7).child("s"))
+    grouped = _CountingReadout("1")
+    expected = run_ind(scheme, BasisMessage("1"), grouped, None, EXACT)
+    assert grouped.calls < 2 * 4 * 4
+
+    def one_weight_object_per_case(values):
+        return [(Fraction(1, len(values)), v) for v in values]
+
+    monkeypatch.setattr(games, "uniform_cases", one_weight_object_per_case)
+    per_case = _CountingReadout("1")
+    est = run_ind(scheme, BasisMessage("1"), per_case, None, EXACT)
+    assert per_case.calls == 2 * 4 * 4  # arms x keys x tags
+    assert (est.p_real_exact, est.p_ideal_exact) == (expected.p_real_exact,
+                                                     expected.p_ideal_exact)
 
 
 def test_exact_ind_enumerates_encryption_coins_once_per_key(monkeypatch):
@@ -355,20 +425,25 @@ def test_exact_ind_draws_the_fixed_keypair_once(monkeypatch):
     assert len(calls) == 1
 
 
-def _played_branches(monkeypatch, run, *args):
-    """The (weight, p) branches of every arm that `run(*args)` hands to `estimate`."""
+def _played_arms(monkeypatch, run, *args):
+    """Every arm that `run(*args)` hands to `estimate`."""
     import qelab.games as games
 
     played = []
     original = games.estimate
 
     def capture(real, ideal=None, **kwargs):
-        played.extend(list(arm._branches()) for arm in (real, ideal) if arm is not None)
+        played.extend(arm for arm in (real, ideal) if arm is not None)
         return original(real, ideal, **kwargs)
 
     monkeypatch.setattr(games, "estimate", capture)
     run(*args)
     return played
+
+
+def _played_branches(monkeypatch, run, *args):
+    """The (weight, p) branches of every arm that `run(*args)` hands to `estimate`."""
+    return [list(arm._branches()) for arm in _played_arms(monkeypatch, run, *args)]
 
 
 def _brute_force_branches(scheme, message, keys, hidden_bit: bool):

@@ -389,6 +389,35 @@ def test_evaluate_all_matches_evaluate_on_every_input(key_len, in_len, out_len, 
     assert fresh.evaluate_all(key) == every  # an empty expansion cache gives the same
 
 
+def _tree_states(prf, key):
+    """Every node state of `key`'s tree, root first, level by level."""
+    states, level = [key], [key]
+    for _ in range(prf.in_len):
+        level = [half for state in level
+                 for half in (prf.prg.expand(state)[:prf.key_len],
+                              prf.prg.expand(state)[prf.key_len:])]
+        states += level
+    return states
+
+
+@pytest.mark.parametrize("shape", ["scheme-n2", "wide-seed"])
+def test_evaluate_all_equals_evaluate_for_every_key(shape):
+    # At n=2 the 64-leaf tree has at most 4 distinct states per level; with
+    # 6-bit seeds and 2-bit inputs some keys' trees repeat no state at all.
+    if shape == "scheme-n2":
+        prf = build_scheme("ske-prf", 2, 3, Stream(7)).prf
+    else:
+        prf, _ = _tree_prf(seed_len=6, in_len=2, out_len=6)
+    repeats = set()
+    for v in range(1 << prf.key_len):
+        key = format(v, f"0{prf.key_len}b")
+        inputs = [format(x, f"0{prf.in_len}b") for x in range(1 << prf.in_len)]
+        assert prf.evaluate_all(key) == [prf.evaluate(key, x) for x in inputs]
+        states = _tree_states(prf, key)
+        repeats.add(len(set(states)) < len(states))
+    assert repeats == ({True} if shape == "scheme-n2" else {True, False})
+
+
 @pytest.mark.parametrize("bad", ["", "101", "10101", "1a10", "10 1"])
 def test_evaluate_all_rejects_bad_keys_like_evaluate(bad):
     prf, _ = _tree_prf()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qelab.rng import Stream
+from qelab.rng import Stream, is_bitstring
 
 
 def test_same_seed_same_output():
@@ -346,3 +346,18 @@ def test_exact_bernoulli_with_a_wide_denominator():
     assert flips == [Stream(23).child(f"c{i}").bernoulli(p) for i in range(200)]
     assert not any(flips)  # each is 1 with probability 2^-63.6
     assert Stream(23).bernoulli(Fraction(3 * 2**62 - 1, 3 * 2**62))
+
+
+@pytest.mark.parametrize("bits", ["", "0", "0110", "012", "a", " 01", "01 ", "1\n",
+                                  ["0", "1"], ["01"], ("1", "2"), []])
+def test_is_bitstring_agrees_with_the_elementwise_check(bits):
+    assert is_bitstring(bits) == (not any(b not in "01" for b in bits))
+
+
+@pytest.mark.parametrize("bits", [None, 5, b"01"])
+def test_is_bitstring_raises_like_the_elementwise_check(bits):
+    with pytest.raises(TypeError) as elementwise:
+        any(b not in "01" for b in bits)
+    with pytest.raises(TypeError) as helper:
+        is_bitstring(bits)
+    assert str(helper.value) == str(elementwise.value)

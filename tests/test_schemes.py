@@ -648,3 +648,11 @@ def test_roundtrip_map_checks_pads_and_input_shape():
     channel = QotpScheme(1, 1).roundtrip_map(kp)
     with pytest.raises(DimensionMismatchError):
         channel(np.eye(4))
+
+
+def test_all_bitstrings_hands_out_a_fresh_list_per_call():
+    first = schemes._all_bitstrings(3)
+    assert first == [format(v, "03b") for v in range(8)]
+    first.append("mutated")
+    assert schemes._all_bitstrings(3) == [format(v, "03b") for v in range(8)]
+    assert schemes._all_bitstrings(0) == [""]
