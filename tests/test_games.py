@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qelab.cli import main
 from qelab.errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from qelab.estimate import GameArm, estimate
 from qelab.games import (
@@ -819,6 +820,82 @@ def test_two_case_generators_and_private_coins_still_build_their_streams(built_s
     run_ind(scheme, mgen, _CoinGatedReadout(), None, GameConfig(trials=5, seed=7))
     assert ("dist-coins", "read") in {path[-2:] for path in built_streams}
     assert "mpick" in {path[-1] for path in built_streams if path}
+
+
+# Every stream a `--trials 2 --seed 7` game run builds, "/"-joined and sorted, with
+# repeats.  The goldens miss a stream that is built but never changes a result;
+# these lists do not.
+SAMPLED_STREAM_PATHS = {
+    ('ind', 'ske-prf', 'readout'): [
+        '', '', 'ind', 'ind/ideal', 'ind/ideal/t0', 'ind/ideal/t0/enc',
+        'ind/ideal/t0/key', 'ind/ideal/t1', 'ind/ideal/t1/enc', 'ind/ideal/t1/key',
+        'ind/real', 'ind/real/t0', 'ind/real/t0/enc', 'ind/real/t0/key', 'ind/real/t1',
+        'ind/real/t1/enc', 'ind/real/t1/key', 'scheme-setup', 'scheme-setup/prf-family'
+    ],
+    ('ind-prime', 'ske-prf', 'readout'): [
+        '', '', 'ind-prime', 'ind-prime/real', 'ind-prime/real/t0',
+        'ind-prime/real/t0/bit', 'ind-prime/real/t0/enc', 'ind-prime/real/t0/key',
+        'ind-prime/real/t1', 'ind-prime/real/t1/bit', 'ind-prime/real/t1/enc',
+        'ind-prime/real/t1/key', 'scheme-setup', 'scheme-setup/prf-family'
+    ],
+    ('ind-cpa', 'ske-prf', 'readout'): [
+        '', '', 'ind', 'ind/ideal', 'ind/ideal/t0', 'ind/ideal/t0/enc',
+        'ind/ideal/t0/key', 'ind/ideal/t1', 'ind/ideal/t1/enc', 'ind/ideal/t1/key',
+        'ind/real', 'ind/real/t0', 'ind/real/t0/enc', 'ind/real/t0/key', 'ind/real/t1',
+        'ind/real/t1/enc', 'ind/real/t1/key', 'scheme-setup', 'scheme-setup/prf-family'
+    ],
+    ('ind-cca1', 'ske-prf', 'readout'): [
+        '', '', 'ind', 'ind/ideal', 'ind/ideal/t0', 'ind/ideal/t0/enc',
+        'ind/ideal/t0/key', 'ind/ideal/t1', 'ind/ideal/t1/enc', 'ind/ideal/t1/key',
+        'ind/real', 'ind/real/t0', 'ind/real/t0/enc', 'ind/real/t0/key', 'ind/real/t1',
+        'ind/real/t1/enc', 'ind/real/t1/key', 'scheme-setup', 'scheme-setup/prf-family'
+    ],
+    ('sem', 'ske-prf', 'copy-vs-sim'): [
+        '', '', 'scheme-setup', 'scheme-setup/prf-family', 'sem', 'sem/ideal',
+        'sem/ideal/t0', 'sem/ideal/t0/key', 'sem/ideal/t0/sim-coins',
+        'sem/ideal/t0/sim-coins/sim-enc', 'sem/ideal/t0/sim-coins/sim-key',
+        'sem/ideal/t1', 'sem/ideal/t1/key', 'sem/ideal/t1/sim-coins',
+        'sem/ideal/t1/sim-coins/sim-enc', 'sem/ideal/t1/sim-coins/sim-key', 'sem/real',
+        'sem/real/t0', 'sem/real/t0/enc', 'sem/real/t0/key', 'sem/real/t1',
+        'sem/real/t1/enc', 'sem/real/t1/key'
+    ],
+    ('sem2', 'ske-prf', 'copy-vs-sim'): [
+        '', '', 'scheme-setup', 'scheme-setup/prf-family', 'sem2', 'sem2/ideal',
+        'sem2/ideal/t0', 'sem2/ideal/t0/key', 'sem2/ideal/t0/sim-coins',
+        'sem2/ideal/t0/sim-coins/sim-enc', 'sem2/ideal/t0/sim-coins/sim-key',
+        'sem2/ideal/t1', 'sem2/ideal/t1/key', 'sem2/ideal/t1/sim-coins',
+        'sem2/ideal/t1/sim-coins/sim-enc', 'sem2/ideal/t1/sim-coins/sim-key',
+        'sem2/real', 'sem2/real/t0', 'sem2/real/t0/enc', 'sem2/real/t0/key',
+        'sem2/real/t1', 'sem2/real/t1/enc', 'sem2/real/t1/key'
+    ],
+    ('sem3', 'ske-prf', 'transcript-sim'): [
+        '', '', 'scheme-setup', 'scheme-setup/prf-family', 'sem3', 'sem3/ideal',
+        'sem3/ideal/t0', 'sem3/ideal/t0/key', 'sem3/ideal/t0/sim-coins',
+        'sem3/ideal/t0/sim-coins/sim-enc', 'sem3/ideal/t0/sim-coins/sim-key',
+        'sem3/ideal/t1', 'sem3/ideal/t1/key', 'sem3/ideal/t1/sim-coins',
+        'sem3/ideal/t1/sim-coins/sim-enc', 'sem3/ideal/t1/sim-coins/sim-key',
+        'sem3/real', 'sem3/real/t0', 'sem3/real/t0/enc', 'sem3/real/t0/key',
+        'sem3/real/t1', 'sem3/real/t1/enc', 'sem3/real/t1/key'
+    ],
+    ('sem', 'pke-towp', 'copy-vs-sim'): [
+        '', '', 'scheme-setup', 'sem', 'sem/ideal', 'sem/ideal/t0', 'sem/ideal/t0/key',
+        'sem/ideal/t0/sim-coins', 'sem/ideal/t0/sim-coins/sim-enc', 'sem/ideal/t1',
+        'sem/ideal/t1/key', 'sem/ideal/t1/sim-coins', 'sem/ideal/t1/sim-coins/sim-enc',
+        'sem/real', 'sem/real/t0', 'sem/real/t0/enc', 'sem/real/t0/key', 'sem/real/t1',
+        'sem/real/t1/enc', 'sem/real/t1/key'
+    ],
+
+}
+
+
+@pytest.mark.parametrize("game, scheme, bundle", sorted(SAMPLED_STREAM_PATHS))
+def test_each_sampled_game_builds_its_pinned_streams(game, scheme, bundle, built_streams,
+                                                     capsys):
+    size = ["--n", "2", "--qubits", "1"] if scheme == "ske-prf" else ["--n", "4"]
+    assert main(["game", "--game", game, "--scheme", scheme, *size, "--adversary", bundle,
+                 "--trials", "2", "--seed", "7"]) == 0
+    paths = sorted("/".join(path) for path in built_streams)
+    assert paths == SAMPLED_STREAM_PATHS[game, scheme, bundle]
 
 
 def test_all_games_null_on_random_pad_scheme():
