@@ -221,8 +221,7 @@ def cmd_correctness(args) -> tuple[dict, bool]:
     plaintext = basis_state("1" * args.qubits)
     ct = scheme.encrypt(keypair.ek, plaintext, rng.child("fixture-enc"))
     blob = ciphertext_to_json(ct)
-    kind = "pke" if scheme.flavor == "public" else ("ske" if ct.tag else "plain")
-    restored = ciphertext_from_json(blob, kind)
+    restored = ciphertext_from_json(blob, type(ct))
     fixture_distance = trace_distance(scheme.decrypt(keypair.dk, restored), plaintext)
     ok = ok and fixture_distance <= TOL_ALGEBRA
     results.append(

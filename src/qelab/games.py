@@ -6,23 +6,27 @@ hidden-bit variant, and three flavors of semantic security (distinguisher
 with a target register, classical-target comparison, transcript-function
 comparison).
 
-One arm, two interpreters: each arm is written once, as a generator
-`branches(play)` that loops over `play.coin(label, cases, draw)` at every
-coin (key, message case, hidden bit, encryption coins, a role's private
-coins) and yields (weight, probability) pairs.  The exact interpreter
-`EXACT` returns each coin's declared cases, so the arm multiplies out key
-space x encryption coins x role cases and sums Fraction-exact
-probabilities; it refuses oracle calls.  The sampling interpreter
-`SamplingPlay` returns one case per coin, drawn from the trial stream's
-child named by the coin's label, and the game reports Wilson intervals.
-Both live in `roles`, next to the `RoleContext` through which a role
-draws its own coins from the same tree.  In exact mode an ind game
-builds its key and encryption cases once for all its arms.  For a
-distinguisher that declares `reads_tag = False` it also counts each
-key's cases by pad once, and measures each distinct pad once per game
-and challenge state (`_challenge_probs`).  Every branch is still
-yielded: a pad's cases come as a run of one shared branch tuple, which
-`GameArm.exact_probability` tallies once.
+One arm, two interpreters, one skeleton.  Every arm of every game is
+built by `_arm`: the key coin, the message generator's `mgen` context,
+the answering role's context (`dist`, `adv` or `sim`) and the `mpick`
+message coin, then the game's view of the challenge, which loops over
+its own coins (hidden bit, encryption coins, a role's private coins) and
+yields (weight, probability) pairs.  The games differ only in that view,
+and every game ends through `_play`.  Each coin is `play.coin(label,
+cases, draw)`.  The exact interpreter `EXACT` returns each coin's
+declared cases, so the arm multiplies out key space x encryption coins x
+role cases and sums Fraction-exact probabilities; it refuses oracle
+calls.  The sampling interpreter `SamplingPlay` returns one case per
+coin, drawn from the trial stream's child named by the coin's label, and
+the game reports Wilson intervals.  Both live in `roles`, next to the
+`RoleContext` through which a role draws its own coins from the same
+tree.  In exact mode a game builds its key and encryption cases once for
+both its arms, in one `shared` dict.  For a distinguisher that declares
+`reads_tag = False` it also counts each key's cases by pad once, and
+measures each distinct pad once per game and challenge state
+(`_challenge_probs`).  Every branch is still yielded: a pad's cases come
+as a run of one shared branch tuple, which `GameArm.exact_probability`
+tallies once.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -61,6 +65,7 @@ from .quantum import (
     DensityMatrix,
     Register,
     _split_targets,
+    basis_state,
     apply_pauli,
     measurement_distribution,
     partial_trace,
@@ -74,14 +79,14 @@ from .roles import (
     Distinguisher,
     MessageCase,
     MessageGenerator,
+    NegatedDistinguisher,
     RoleContext,
     SamplingPlay,
     sample_case,
 )
 from .schemes import Ciphertext, KeyPair, PauliTagScheme
 
-PRE_CHALLENGE = "pre"
-POST_CHALLENGE = "post"
+ORACLE_BUDGET = 64  # oracle calls one role may make in one phase, by default
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +177,7 @@ class GameConfig:
     trials: int = 1000
     seed: int = 0
     exact: bool = False
-    oracle_budget: int = 64
+    oracle_budget: int = ORACLE_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -185,10 +190,6 @@ class GameConfig:
 # ---------------------------------------------------------------------------
 # Shared engine pieces
 # ---------------------------------------------------------------------------
-
-
-def _pk_for(scheme: PauliTagScheme, keypair: KeyPair):
-    return keypair.ek if scheme.flavor == "public" else None
 
 
 def _check_exact_qubits(qubits: int) -> None:
@@ -304,7 +305,7 @@ def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> R
         f"{label}-coins",
         lambda rng: Oracles(scheme, keypair, grants, rng, f"{label}-oracle",
                             config.oracle_budget),
-        pk=_pk_for(scheme, keypair),
+        pk=keypair.ek if scheme.flavor == "public" else None,
         scheme=scheme,
     )
 
@@ -408,21 +409,36 @@ def _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement):
 
 
 # ---------------------------------------------------------------------------
-# Indistinguishability games
+# Every game's skeleton and ending
 # ---------------------------------------------------------------------------
 
 
-def _ind_arm(scheme, mgen, dist, policy, config, zero_arm: bool, shared: dict) -> GameArm:
+def _arm(scheme, mgen, policy, config, role: str, view, shared: dict) -> GameArm:
+    """One arm of any game: the key coin, the `mgen` and `<role>` contexts and the
+    message coin, then `view(play, keypair, mcase, ctx, weight)` yields the
+    branches of the challenge, with `ctx` the role's context and `weight` the
+    key times the message weight.  Both arms of a game share `shared`."""
+
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
             ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
-            ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
+            ctx = _context(play, scheme, keypair, policy.post, config, role)
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                state = replace_with_zero_state(mcase.state, "M") if zero_arm else mcase.state
-                yield from _challenge_probs(play, dist, state, scheme, keypair.ek, ctx_post,
-                                            wk * wm, shared)
+                yield from view(play, keypair, mcase, ctx, wk * wm)
 
     return game_arm(branches)
+
+
+def _play(real: GameArm, ideal: Optional[GameArm], config: GameConfig,
+          label: str) -> AdvantageEstimate:
+    """Play a game's arms exactly or over the trials of the `label` stream."""
+    return estimate(real, ideal, exact=config.exact, trials=config.trials,
+                    rng=config.stream(label))
+
+
+# ---------------------------------------------------------------------------
+# Indistinguishability games
+# ---------------------------------------------------------------------------
 
 
 def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
@@ -431,13 +447,15 @@ def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
     shared = {}
-    real = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=False, shared=shared)
-    ideal = _ind_arm(scheme, mgen, dist, policy, config, zero_arm=True, shared=shared)
-    return estimate(
-        real, ideal,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("ind"),
-    )
+
+    def arm(zeroed: bool) -> GameArm:
+        def challenge(play, keypair, mcase, ctx, weight):
+            state = replace_with_zero_state(mcase.state, "M") if zeroed else mcase.state
+            return _challenge_probs(play, dist, state, scheme, keypair.ek, ctx, weight, shared)
+
+        return _arm(scheme, mgen, policy, config, "dist", challenge, shared)
+
+    return _play(arm(False), arm(True), config, "ind")
 
 
 def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
@@ -449,27 +467,17 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     """
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
-
     shared = {}
 
-    def branches(play):
-        for wk, keypair in _keys(play, scheme, config, shared):
-            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
-            ctx_post = _context(play, scheme, keypair, policy.post, config, "dist")
-            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                for wb, hidden_bit in fair_bit(play, "bit"):
-                    state = (mcase.state if hidden_bit == 1
-                             else replace_with_zero_state(mcase.state, "M"))
-                    # Bit 0 is guessed right when the distinguisher outputs 0.
-                    yield from _challenge_probs(play, dist, state, scheme, keypair.ek,
-                                                ctx_post, wk * wm * wb, shared,
-                                                complement=hidden_bit == 0)
+    def guess(play, keypair, mcase, ctx, weight):
+        for wb, hidden_bit in fair_bit(play, "bit"):
+            state = mcase.state if hidden_bit == 1 else replace_with_zero_state(mcase.state, "M")
+            # Bit 0 is guessed right when the distinguisher outputs 0.
+            yield from _challenge_probs(play, dist, state, scheme, keypair.ek, ctx,
+                                        weight * wb, shared, complement=hidden_bit == 0)
 
-    return estimate(
-        game_arm(branches), None,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("ind-prime"),
-    )
+    return _play(_arm(scheme, mgen, policy, config, "dist", guess, shared), None, config,
+                 "ind-prime")
 
 
 def ind_prime_ind_identity_check(scheme, mgen, dist, config: Optional[GameConfig] = None,
@@ -485,8 +493,6 @@ def ind_prime_ind_identity_check(scheme, mgen, dist, config: Optional[GameConfig
     Both sides are computed by their own game, not rearranged from one
     another.  Returns the four quantities and exact-equality flags.
     """
-    from .roles import NegatedDistinguisher
-
     config = replace(config or GameConfig(), exact=True)
     policy = policy or OraclePolicy.plain()
 
@@ -518,39 +524,30 @@ def _without(state: DensityMatrix, registers) -> DensityMatrix:
     return partial_trace(state, held) if held else state
 
 
-def _sem_real_arm(scheme, mgen, adversary, success_fn, hide, policy, config) -> GameArm:
-    """Real arm: the adversary sees the encrypted message case with `hide` traced out.
+def _sem_arms(scheme, mgen, adversary, simulator, success_fn, hide, drop, policy,
+              config) -> tuple[GameArm, GameArm]:
+    """The real and the ideal arm of a semantic-security game.
 
-    `hide` is traced out before padding, which acts on M alone and so commutes
-    with the trace.  success_fn(out_state, mcase, ctx) -> probability of the event.
+    Real: the adversary sees the encrypted message case with `hide` traced
+    out, before padding, which acts on M alone and so commutes with the
+    trace.  Ideal: the simulator sees the message case with `drop` traced
+    out.  success_fn(out_state, mcase, ctx) -> probability of the event.
     """
+    shared = {}
 
-    def branches(play):
-        for wk, keypair in _keys(play, scheme, config):
-            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
-            ctx_post = _context(play, scheme, keypair, policy.post, config, "adv")
-            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                seen = _without(mcase.state, hide)
-                for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
-                    padded = _pad_message(seen, ecase.pad)
-                    for wa, out in adversary.outputs(ecase.tag, padded, ctx_post):
-                        yield (wk * wm * we * wa, play.prob(success_fn(out, mcase, ctx_post)))
+    def real(play, keypair, mcase, ctx, weight):
+        seen = _without(mcase.state, hide)
+        for we, ecase in _encryptions(play, scheme, keypair.ek, "enc", shared):
+            padded = _pad_message(seen, ecase.pad)
+            for wa, out in adversary.outputs(ecase.tag, padded, ctx):
+                yield weight * we * wa, play.prob(success_fn(out, mcase, ctx))
 
-    return game_arm(branches)
+    def ideal(play, keypair, mcase, ctx, weight):
+        for ws, out in simulator.outputs(None, _without(mcase.state, drop), ctx):
+            yield weight * ws, play.prob(success_fn(out, mcase, ctx))
 
-
-def _sem_ideal_arm(scheme, mgen, simulator, success_fn, drop, policy, config) -> GameArm:
-    """Ideal arm: the simulator sees the message case with `drop` traced out."""
-
-    def branches(play):
-        for wk, keypair in _keys(play, scheme, config):
-            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
-            ctx_post = _context(play, scheme, keypair, policy.post, config, "sim")
-            for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
-                for ws, out in simulator.outputs(None, _without(mcase.state, drop), ctx_post):
-                    yield (wk * wm * ws, play.prob(success_fn(out, mcase, ctx_post)))
-
-    return game_arm(branches)
+    return (_arm(scheme, mgen, policy, config, "adv", real, shared),
+            _arm(scheme, mgen, policy, config, "sim", ideal, shared))
 
 
 def run_sem(scheme, mgen, adversary, simulator, dist,
@@ -568,13 +565,8 @@ def run_sem(scheme, mgen, adversary, simulator, dist,
     def success(out_state, mcase, ctx):
         return dist.prob_one(None, out_state, ctx)
 
-    real = _sem_real_arm(scheme, mgen, adversary, success, (), policy, config)
-    ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M",), policy, config)
-    return estimate(
-        real, ideal,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("sem"),
-    )
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), ("M",), policy, config)
+    return _play(*arms, config, "sem")
 
 
 def _classical_target(state: DensityMatrix) -> str:
@@ -588,8 +580,6 @@ def _classical_target(state: DensityMatrix) -> str:
         raise RoleError("target register F is not a computational-basis state")
     # The target must also be unentangled from the rest of the state.
     rest = partial_trace(state, "F")
-    from .quantum import basis_state
-
     rebuilt = tensor(rest, basis_state(point, "F", state.exact))
     if trace_distance(rebuilt, _move_f_last(state)) > 1e-9:
         raise RoleError("target register F is correlated with the message state")
@@ -608,16 +598,14 @@ def _move_f_last(state: DensityMatrix) -> DensityMatrix:
     )
 
 
-def _compare_out(out_state: DensityMatrix, target: str, exact: bool):
+def _compare_out(out_state: DensityMatrix, target: str):
     """Probability that the measured OUT register equals the target string.
 
     A missing or wrongly sized output register counts as failure, matching
     the defined comparison for classical targets.
     """
-    zero = Fraction(0) if exact else 0.0
-    if not out_state.has_register("OUT"):
-        return zero
-    if out_state.register("OUT").qubits != len(target):
+    zero = Fraction(0) if out_state.exact else 0.0
+    if not out_state.has_register("OUT") or out_state.register("OUT").qubits != len(target):
         return zero
     dist = measurement_distribution(out_state, "OUT")
     return dist.get(target, zero)
@@ -637,16 +625,11 @@ def run_sem2(scheme, mgen, adversary, simulator,
     classical_target = _LastValueMemo(_classical_target)
 
     def success(out_state, mcase, ctx):
-        target = classical_target(mcase.state)
-        return _compare_out(out_state, target, out_state.exact)
+        return _compare_out(out_state, classical_target(mcase.state))
 
-    real = _sem_real_arm(scheme, mgen, adversary, success, ("F",), policy, config)
-    ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M", "F"), policy, config)
-    return estimate(
-        real, ideal,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("sem2"),
-    )
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, ("F",), ("M", "F"), policy,
+                     config)
+    return _play(*arms, config, "sem2")
 
 
 @dataclass(frozen=True)
@@ -673,16 +656,11 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
     def success(out_state, mcase, ctx):
         if mcase.transcript is None:
             raise RoleError("this game needs a generator that declares its transcript")
-        target = fn.evaluate(ctx.pk, mcase.transcript)
-        return _compare_out(out_state, target, out_state.exact)
+        return _compare_out(out_state, fn.evaluate(ctx.pk, mcase.transcript))
 
-    real = _sem_real_arm(scheme, mgen, adversary, success, (), policy, config)
-    ideal = _sem_ideal_arm(scheme, mgen, simulator, success, ("M", "F"), policy, config)
-    return estimate(
-        real, ideal,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("sem3"),
-    )
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), ("M", "F"), policy,
+                     config)
+    return _play(*arms, config, "sem3")
 
 
 # Each game's runner and oracle policy.

@@ -26,14 +26,16 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import EnumerationCapError, RoleError
-from .estimate import AdvantageEstimate, estimate
+from .estimate import AdvantageEstimate
 from .games import (
+    ORACLE_BUDGET,
     GameConfig,
     OraclePolicy,
     _check_exact_qubits,
     _encryptions,
     _keys,
     _pad_message,
+    _play,
     biased_bit,
     fair_bit,
     game_arm,
@@ -290,7 +292,7 @@ def _uniform_string(play, label: str, length: int):
 
 
 def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: int,
-                          budget: int = 64) -> Construction:
+                          budget: int = ORACLE_BUDGET) -> Construction:
     """Turn a pre-challenge-decryption attack into a PRF distinguisher.
 
     The construction plays `(oracle, rng) -> bit`: it simulates the
@@ -421,10 +423,5 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
 
         return game_arm(branches)
 
-    real = arm("seed", prg.seed_len, prg.expand)
-    ideal = arm("y", prg.out_len, lambda y: y)
-    return estimate(
-        real, ideal,
-        exact=config.exact, trials=config.trials,
-        rng=config.stream("prg-pad"),
-    )
+    return _play(arm("seed", prg.seed_len, prg.expand), arm("y", prg.out_len, lambda y: y),
+                 config, "prg-pad")

@@ -2,9 +2,10 @@
 
 Every stochastic operation in the library takes an explicit `Stream`.
 Streams are backed by the Philox counter-based generator; independent
-substreams are derived by name (SHA-256 of the seed and path), so a
-result never depends on call order elsewhere in the program and is
-byte-identical across runs and platforms.
+substreams are derived by name (SHA-256 of the seed and the "/"-joined
+path, so a label must be non-empty and hold no "/"), and a result never
+depends on call order elsewhere in the program and is byte-identical
+across runs and platforms.
 
 A Philox stream is nothing but its key and counter, so streams do not
 build generators of their own.  Each thread keeps one scratch Philox,
@@ -120,7 +121,10 @@ class Stream:
         if not 0 <= seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self.path = tuple(map(str, path))
+        self.path = path = tuple(map(str, path))
+        if "" in path or "/" in "".join(path):
+            bad = next(label for label in path if not label or "/" in label)
+            raise ParameterError(f"stream labels must be non-empty and free of '/', got {bad!r}")
         self._state = None  # the saved Philox state; None while fresh
         self._holder = None  # the scratch this stream was last loaded in
         self._gen = None  # the private generator, once `numpy()` built it
@@ -147,7 +151,7 @@ class Stream:
         return scratch.gen
 
     def child(self, label: str) -> "Stream":
-        """An independent stream addressed by `label` under this one."""
+        """An independent stream addressed by `label` (non-empty, no "/") under this one."""
         return Stream(self.seed, self.path + (str(label),))
 
     def bits(self, count: int) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MalformedKeyError
 from .quantum import DensityMatrix
 from .rng import is_bitstring
-from .schemes import Ciphertext, PkeCiphertext, SkeCiphertext
+from .schemes import Ciphertext
 
 SCHEMA_VERSION = 1
 
@@ -56,10 +56,18 @@ def bits_to_base64(bits: str) -> str:
 
 
 def base64_to_bits(data: str, length: int) -> str:
-    raw = base64.b64decode(data.encode("ascii"))
+    """The `length` bits packed into `data`; refuses what `bits_to_base64` never writes."""
+    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
+        raise MalformedKeyError(f"tag length must be a non-negative integer, got {length!r}")
+    try:
+        raw = base64.b64decode(data.encode("ascii"), validate=True)
+    except (AttributeError, ValueError) as exc:
+        raise MalformedKeyError(f"encoded tag is not base64: {data!r}") from exc
+    if len(raw) != -(-length // 8):
+        raise MalformedKeyError(f"encoded tag holds {len(raw)} bytes, not {length} bits")
     bits = "".join(format(byte, "08b") for byte in raw)
-    if len(bits) < length:
-        raise MalformedKeyError("encoded tag shorter than its declared length")
+    if "1" in bits[length:]:
+        raise MalformedKeyError("encoded tag has nonzero padding bits")
     return bits[:length]
 
 
@@ -71,11 +79,8 @@ def ciphertext_to_json(ct: Ciphertext) -> dict:
     }
 
 
-_CIPHERTEXT_KINDS = {"ske": SkeCiphertext, "pke": PkeCiphertext, "plain": Ciphertext}
-
-
-def ciphertext_from_json(data: dict, kind: str = "plain") -> Ciphertext:
-    cls = _CIPHERTEXT_KINDS[kind]
+def ciphertext_from_json(data: dict, cls: type = Ciphertext) -> Ciphertext:
+    """A ciphertext of class `cls` (the scheme's, such as `type(ct)`) from its blob."""
     tag = base64_to_bits(data["tag_b64"], data["tag_len"])
     return cls(tag, state_from_json(data["payload"]))
 

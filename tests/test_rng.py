@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qelab.errors import ParameterError
 from qelab.rng import Stream, is_bitstring
 
 
@@ -29,6 +30,17 @@ def test_distinct_labels_distinct_streams():
     s = Stream(9)
     assert s.child("a").bits(64) != s.child("b").bits(64)
     assert Stream(1).bits(64) != Stream(2).bits(64)
+
+
+@pytest.mark.parametrize("label", ["", "a/b", "/", "b/"])
+def test_a_label_that_would_alias_another_path_is_refused(label):
+    # The key hashes the "/"-joined path: child("a/b") would be child("a").child("b"),
+    # and child("") the parent itself.
+    with pytest.raises(ParameterError, match="non-empty and free of '/'"):
+        Stream(7).child("a").child(label)
+    with pytest.raises(ParameterError, match="non-empty and free of '/'"):
+        Stream(7, ("a", label, "c"))
+    assert Stream(7, ("a", "b")).bits(64) == Stream(7).child("a").child("b").bits(64)
 
 
 def test_integer_bounds():

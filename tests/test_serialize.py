@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -54,12 +55,55 @@ def test_bit_packing():
         base64_to_bits(bits_to_base64("10"), 99)
 
 
+def test_bit_packing_round_trips_every_length_up_to_17():
+    for length in range(18):
+        for bits in {"0" * length, "1" * length, ("10" * 9)[:length]}:
+            blob = bits_to_base64(bits)
+            assert len(base64.b64decode(blob)) == -(-length // 8)
+            assert base64_to_bits(blob, length) == bits
+
+
+@pytest.mark.parametrize("length", [-3, -1, 2.0, "8", None, True])
+def test_a_tag_length_that_is_not_a_non_negative_int_is_refused(length):
+    with pytest.raises(MalformedKeyError, match="non-negative integer"):
+        base64_to_bits(bits_to_base64("10110011"), length)
+
+
+def test_tag_bytes_must_be_exactly_what_the_length_needs():
+    blob = bits_to_base64("10110011" + "1")  # two bytes
+    assert base64_to_bits(blob, 9) == "101100111"
+    for length in (8, 0, 17):
+        with pytest.raises(MalformedKeyError, match="holds 2 bytes, not"):
+            base64_to_bits(blob, length)
+
+
+def test_nonzero_padding_bits_are_refused():
+    blob = bits_to_base64("10110011")
+    assert base64_to_bits(blob, 8) == "10110011"
+    with pytest.raises(MalformedKeyError, match="padding"):
+        base64_to_bits(blob, 5)  # "011" would be dropped
+
+
+@pytest.mark.parametrize("data", ["not base64!", "QQ", 42])
+def test_a_tag_that_is_not_base64_is_refused(data):
+    with pytest.raises(MalformedKeyError, match="not base64"):
+        base64_to_bits(data, 8)
+
+
+def test_a_ciphertext_with_a_negative_tag_length_is_refused():
+    blob = ciphertext_to_json(SkeCiphertext("10", basis_state("1")))
+    ciphertext_from_json(blob, SkeCiphertext)
+    blob["tag_len"] = -2
+    with pytest.raises(MalformedKeyError):
+        ciphertext_from_json(blob, SkeCiphertext)
+
+
 def test_ciphertext_round_trip():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(2).child("s"))
     kp = scheme.keygen(Stream(3).child("kg"))
     ct = scheme.encrypt(kp.ek, basis_state("1"), Stream(4).child("enc"))
     blob = ciphertext_to_json(ct)
-    restored = ciphertext_from_json(blob, "ske")
+    restored = ciphertext_from_json(blob, SkeCiphertext)
     assert isinstance(restored, SkeCiphertext)
     assert restored.tag == ct.tag
     assert trace_distance(scheme.decrypt(kp.dk, restored), basis_state("1")) < 1e-9
