@@ -65,8 +65,8 @@ from .quantum import (
     DensityMatrix,
     Register,
     _split_targets,
-    basis_state,
     apply_pauli,
+    basis_state,
     measurement_distribution,
     partial_trace,
     replace_with_zero_state,
@@ -605,7 +605,9 @@ def _compare_out(out_state: DensityMatrix, target: str):
     the defined comparison for classical targets.
     """
     zero = Fraction(0) if out_state.exact else 0.0
-    if not out_state.has_register("OUT") or out_state.register("OUT").qubits != len(target):
+    if not out_state.has_register("OUT"):
+        return zero
+    if out_state.register("OUT").qubits != len(target):
         return zero
     dist = measurement_distribution(out_state, "OUT")
     return dist.get(target, zero)

@@ -60,8 +60,8 @@ def base64_to_bits(data: str, length: int) -> str:
     if not isinstance(length, int) or isinstance(length, bool) or length < 0:
         raise MalformedKeyError(f"tag length must be a non-negative integer, got {length!r}")
     try:
-        raw = base64.b64decode(data.encode("ascii"), validate=True)
-    except (AttributeError, ValueError) as exc:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as exc:
         raise MalformedKeyError(f"encoded tag is not base64: {data!r}") from exc
     if len(raw) != -(-length // 8):
         raise MalformedKeyError(f"encoded tag holds {len(raw)} bytes, not {length} bits")

@@ -84,7 +84,7 @@ def test_nonzero_padding_bits_are_refused():
         base64_to_bits(blob, 5)  # "011" would be dropped
 
 
-@pytest.mark.parametrize("data", ["not base64!", "QQ", 42])
+@pytest.mark.parametrize("data", ["not base64!", "QQ", "é", 42])
 def test_a_tag_that_is_not_base64_is_refused(data):
     with pytest.raises(MalformedKeyError, match="not base64"):
         base64_to_bits(data, 8)
