@@ -3,9 +3,9 @@
 Every stochastic operation in the library takes an explicit `Stream`.
 Streams are backed by the Philox counter-based generator; independent
 substreams are derived by name (SHA-256 of the seed and the "/"-joined
-path, so a label must be non-empty and hold no "/"), and a result never
-depends on call order elsewhere in the program and is byte-identical
-across runs and platforms.
+path, whose labels must therefore be non-empty and free of "/"), so a
+result never depends on call order elsewhere in the program and is
+byte-identical across runs and platforms.
 
 A Philox stream is nothing but its key and counter, so streams do not
 build generators of their own.  Each thread keeps one scratch Philox,
