@@ -3,8 +3,11 @@
 Subcommands: ``correctness`` (round-trip and channel-distance suites),
 ``qotp-mix`` (pad-averaging checks), ``game`` (one security game with a
 named role bundle), ``reduce`` (a reduction pipeline), ``list``
-(registered schemes, bundles, games, reductions).  Results are written as
-canonical JSON (optionally mirrored to CSV); identical command+seed pairs
+(registered schemes, bundles, games, reductions).  Only ``game`` and
+``reduce`` take ``--trials`` and ``--exact``.  Each command returns its
+result rows and whether they pass; `main` writes them as one canonical JSON
+report (optionally mirrored to CSV) whose ``config`` echoes every option of
+the command except ``--out`` and ``--csv``.  Identical command+seed pairs
 produce byte-identical files.  Exit codes: 0 all assertions pass, 1 an
 assertion failed, 2 usage error.
 """
@@ -181,7 +184,7 @@ def _state_battery(qubits: int, rng: Stream, battery: str):
     return states
 
 
-def cmd_correctness(args) -> tuple[dict, bool]:
+def cmd_correctness(args) -> tuple[list, bool]:
     if args.keys < 1:
         raise ParameterError("keys must be at least 1")
     if args.qubits > MAX_CHOI_QUBITS:
@@ -197,8 +200,6 @@ def cmd_correctness(args) -> tuple[dict, bool]:
         keypair = scheme.keygen(rng.child(f"key{k}"))
         worst = 0.0
         for label, state in _state_battery(args.qubits, rng.child(f"battery{k}"), "default"):
-            if state.qubits != args.qubits:
-                continue
             ct = scheme.encrypt(keypair.ek, state, rng.child(f"enc{k}-{label}"))
             distance = trace_distance(scheme.decrypt(keypair.dk, ct), state)
             worst = max(worst, distance)
@@ -232,17 +233,10 @@ def cmd_correctness(args) -> tuple[dict, bool]:
             "pass": fixture_distance <= TOL_ALGEBRA,
         }
     )
-    config = {
-        "scheme": args.scheme,
-        "n": args.n,
-        "qubits": args.qubits,
-        "keys": args.keys,
-        "seed": args.seed,
-    }
-    return result_document("correctness", config, results, ok), ok
+    return results, ok
 
 
-def cmd_qotp_mix(args) -> tuple[dict, bool]:
+def cmd_qotp_mix(args) -> tuple[list, bool]:
     if args.qubits < 1:
         raise ParameterError(f"qotp-mix needs at least 1 qubit, got {args.qubits}")
     if args.qubits > MAX_EXHAUSTIVE_QUBITS:
@@ -255,8 +249,6 @@ def cmd_qotp_mix(args) -> tuple[dict, bool]:
     results = []
     ok = True
     for label, state in _state_battery(args.qubits, rng.child("battery"), args.battery):
-        if state.qubits != args.qubits:
-            continue
         distance = trace_distance(qotp_average(state), mixed)
         ok = ok and distance <= TOL_ALGEBRA
         results.append({"state": label, "distance_from_mixed": distance})
@@ -271,11 +263,10 @@ def cmd_qotp_mix(args) -> tuple[dict, bool]:
                     "distance_from_mixed": trace_distance(padded, mixed),
                 }
             )
-    config = {"qubits": args.qubits, "seed": args.seed, "battery": args.battery}
-    return result_document("qotp-mix", config, results, ok), ok
+    return results, ok
 
 
-def cmd_game(args) -> tuple[dict, bool]:
+def cmd_game(args) -> tuple[list, bool]:
     rng = Stream(args.seed)
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
     config = GameConfig(trials=args.trials, seed=args.seed, exact=args.exact)
@@ -290,17 +281,7 @@ def cmd_game(args) -> tuple[dict, bool]:
         "seed": args.seed,
         **est.to_dict(),
     }
-    config_doc = {
-        "game": args.game,
-        "scheme": args.scheme,
-        "adversary": args.adversary,
-        "n": args.n,
-        "qubits": args.qubits,
-        "trials": args.trials,
-        "seed": args.seed,
-        "exact": args.exact,
-    }
-    return result_document("game", config_doc, [row], True), True
+    return [row], True
 
 
 def _reduce_cca1_to_prf(args, rng: Stream, config: GameConfig):
@@ -375,33 +356,23 @@ REDUCTIONS = {
 }
 
 
-def cmd_reduce(args) -> tuple[dict, bool]:
+def cmd_reduce(args) -> tuple[list, bool]:
     if args.qubits < 1:
         raise ParameterError(f"--qubits must be at least 1, got {args.qubits}")
     if args.exact:
         _check_exact_qubits(args.qubits)
     config = GameConfig(trials=args.trials, seed=args.seed, exact=args.exact)
-    results, ok = REDUCTIONS[args.reduction](args, Stream(args.seed), config)
-    config_doc = {
-        "reduction": args.reduction,
-        "scheme": args.scheme,
-        "n": args.n,
-        "qubits": args.qubits,
-        "trials": args.trials,
-        "seed": args.seed,
-        "exact": args.exact,
-    }
-    return result_document("reduce", config_doc, results, ok), ok
+    return REDUCTIONS[args.reduction](args, Stream(args.seed), config)
 
 
-def cmd_list(args) -> tuple[dict, bool]:
+def cmd_list(args) -> tuple[list, bool]:
     results = [
         {"schemes": sorted(SCHEME_BUILDERS)},
         {"games": list(GAME_NAMES)},
         {"bundles": {game: list(BUNDLES[run]) for game, (run, _) in GAMES.items()}},
         {"reductions": list(REDUCTIONS)},
     ]
-    return result_document("list", {}, results, True), True
+    return results, True
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +380,18 @@ def cmd_list(args) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, scheme: bool = True):
-    if scheme:
-        p.add_argument("--scheme", required=True, choices=sorted(SCHEME_BUILDERS))
+def _add_common(p):
     p.add_argument("--n", type=int, default=2, help="security parameter")
     p.add_argument("--qubits", type=int, default=1, help="plaintext size in qubits")
-    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--exact", action="store_true", help="exact enumeration mode")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--csv", default=None, help="also write a CSV mirror here")
+
+
+def _add_modes(p):
+    """The options of the commands that play games: `game` and `reduce`."""
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--exact", action="store_true", help="exact enumeration mode")
 
 
 @functools.cache
@@ -436,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("correctness", help="round-trip and channel-distance suites")
+    p.add_argument("--scheme", required=True, choices=sorted(SCHEME_BUILDERS))
     _add_common(p)
     p.add_argument("--keys", type=int, default=20)
 
@@ -453,17 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="readout",
         help="role bundle (see `qelab list` for options per game)",
     )
+    p.add_argument("--scheme", required=True, choices=sorted(SCHEME_BUILDERS))
     _add_common(p)
+    _add_modes(p)
 
     p = sub.add_parser("reduce", help="run a reduction pipeline")
     p.add_argument("--reduction", required=True, choices=REDUCTIONS)
     p.add_argument("--scheme", default="ske-prf", choices=sorted(SCHEME_BUILDERS))
-    _add_common(p, scheme=False)
+    _add_common(p)
+    _add_modes(p)
 
     sub.add_parser("list", help="list registered schemes, games, bundles")
     return parser
 
 
+# Each command: parsed arguments -> (result rows, pass).
 _COMMANDS = {
     "correctness": cmd_correctness,
     "qotp-mix": cmd_qotp_mix,
@@ -484,10 +462,11 @@ def main(argv=None) -> int:
             f"bundle {args.adversary!r} is not registered for game {args.game!r}"
         )
     try:
-        document, ok = _COMMANDS[args.command](args)
+        results, ok = _COMMANDS[args.command](args)
     except QelabError as exc:
         parser.error(str(exc))
-        return 2  # pragma: no cover - parser.error raises SystemExit
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "out", "csv")}
+    document = result_document(args.command, config, results, ok)
     text = canonical_json(document)
     out_path = getattr(args, "out", None)
     if out_path:

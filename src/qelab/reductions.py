@@ -102,7 +102,7 @@ class ZeroEncryptionSimulator(Channel):
         if scheme is None:
             raise RoleError("simulator needs the scheme in its context")
         zero = self._zero(scheme.qubits, state.exact)
-        if "enc" in getattr(ctx.oracles, "grants", frozenset()):
+        if "enc" in ctx.oracles.grants:
             ct = ctx.oracles.encrypt(zero)
             yield from self.adversary.outputs(ct.tag, tensor(ct.payload, state), ctx)
             return

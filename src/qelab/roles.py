@@ -34,6 +34,8 @@ from .rng import Stream, is_bitstring
 class _DeniedOracles:
     """Oracle stand-in for enumeration mode, where coin spaces must be declared."""
 
+    grants = frozenset()
+
     def encrypt(self, rho):
         raise OraclePolicyError("oracle access is not available in exact mode")
 
@@ -441,7 +443,6 @@ class ConstantOutputChannel(Channel):
         self.out = out
 
     def transform(self, tag, state, ctx):
-        keep = [r for r in state.names if r == "F"]
         drop = [r for r in state.names if r != "F"]
         rest = partial_trace(state, drop) if drop else state
         return tensor(basis_state(self.bits, self.out, state.exact), rest)

@@ -12,10 +12,11 @@ import base64
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
-from .errors import MalformedKeyError
+from .errors import LayoutError, MalformedKeyError
 from .quantum import DensityMatrix
 from .rng import is_bitstring
 from .schemes import Ciphertext
@@ -29,7 +30,28 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real) + 0.0, float(v.imag) + 0.0] for v in row] for row in mat]
 
 
+def _field(data, key: str, kind: type, error: type):
+    """`data[key]` of a blob from outside; `error` unless it is a `kind`."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if not isinstance(value, kind):
+        raise error(f"field {key!r} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def matrix_from_json(data: list) -> np.ndarray:
+    """The square matrix `matrix_to_json` writes; anything else is a `LayoutError`."""
+    if not isinstance(data, list) or any(
+        not isinstance(row, list) or len(row) != len(data) for row in data
+    ):
+        raise LayoutError("matrix must be a square list of rows")
+    for row in data:
+        for entry in row:
+            if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+                raise LayoutError(f"matrix entry {entry!r} is not a finite [re, im] pair")
     return np.array(
         [[complex(entry[0], entry[1]) for entry in row] for row in data],
         dtype=np.complex128,
@@ -44,7 +66,13 @@ def state_to_json(state: DensityMatrix) -> dict:
 
 
 def state_from_json(data: dict) -> DensityMatrix:
-    return DensityMatrix(matrix_from_json(data["matrix"]), data["layout"])
+    matrix = matrix_from_json(_field(data, "matrix", list, LayoutError))
+    layout = _field(data, "layout", list, LayoutError)
+    for reg in layout:
+        if not (isinstance(reg, list) and len(reg) == 2 and isinstance(reg[0], str)
+                and isinstance(reg[1], int) and not isinstance(reg[1], bool)):
+            raise LayoutError(f"layout entry {reg!r} is not a [name, qubits] pair")
+    return DensityMatrix(matrix, layout)
 
 
 def bits_to_base64(bits: str) -> str:
@@ -81,8 +109,11 @@ def ciphertext_to_json(ct: Ciphertext) -> dict:
 
 def ciphertext_from_json(data: dict, cls: type = Ciphertext) -> Ciphertext:
     """A ciphertext of class `cls` (the scheme's, such as `type(ct)`) from its blob."""
-    tag = base64_to_bits(data["tag_b64"], data["tag_len"])
-    return cls(tag, state_from_json(data["payload"]))
+    tag = base64_to_bits(
+        _field(data, "tag_b64", str, MalformedKeyError),
+        _field(data, "tag_len", int, MalformedKeyError),
+    )
+    return cls(tag, state_from_json(_field(data, "payload", dict, MalformedKeyError)))
 
 
 # ---------------------------------------------------------------------------

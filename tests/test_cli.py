@@ -271,12 +271,15 @@ _QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
         (_QOTP_TO_PRG + ["--n", "13", "--exact"], "security parameter 13 outside 1..12"),
         (_QOTP_TO_PRG + ["--qubits", "0"], "--qubits must be at least 1, got 0"),
         (_QOTP_TO_PRG + ["--qubits", "-1"], "--qubits must be at least 1, got -1"),
+        (_CORRECTNESS + ["--keys", "1", "--exact"], "unrecognized arguments: --exact"),
+        (_CORRECTNESS + ["--keys", "1", "--trials", "5"], "unrecognized arguments: --trials 5"),
     ],
     ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
          "correctness-6-qubits", "correctness-9-qubits", "qotp-mix-qubits-negative",
          "qotp-mix-qubits-0", "qotp-mix-qubits-4", "qotp-mix-qubits-40-no-battery",
          "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
-         "qotp-to-prg-n-13-exact", "qotp-to-prg-qubits-0", "qotp-to-prg-qubits-negative"],
+         "qotp-to-prg-n-13-exact", "qotp-to-prg-qubits-0", "qotp-to-prg-qubits-negative",
+         "correctness-exact", "correctness-trials"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qelab.errors import MalformedKeyError
+from qelab.errors import LayoutError, MalformedKeyError
 from qelab.quantum import basis_state, bell_state, random_mixed_state, trace_distance
 from qelab.rng import Stream
 from qelab.schemes import PrfSymmetricScheme, SkeCiphertext
@@ -96,6 +96,51 @@ def test_a_ciphertext_with_a_negative_tag_length_is_refused():
     blob["tag_len"] = -2
     with pytest.raises(MalformedKeyError):
         ciphertext_from_json(blob, SkeCiphertext)
+
+
+_BLOB = {"tag_b64": "gA==", "tag_len": 2,
+         "payload": {"layout": [["M", 1]], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}}
+_PAYLOAD = _BLOB["payload"]
+
+
+@pytest.mark.parametrize(
+    "read, blob, error, message",
+    [
+        (ciphertext_from_json, {}, MalformedKeyError, "'tag_b64' must be a str"),
+        (ciphertext_from_json, [], MalformedKeyError, "'tag_b64' must be a str"),
+        (ciphertext_from_json, {**_BLOB, "tag_b64": 7}, MalformedKeyError, "'tag_b64' must be"),
+        (ciphertext_from_json, {**_BLOB, "tag_len": None}, MalformedKeyError, "'tag_len' must"),
+        (ciphertext_from_json, {"tag_b64": "gA==", "tag_len": 2}, MalformedKeyError,
+         "'payload' must be a dict"),
+        (ciphertext_from_json, {**_BLOB, "payload": "x"}, MalformedKeyError, "'payload' must"),
+        (ciphertext_from_json, {**_BLOB, "payload": {}}, LayoutError, "'matrix' must be a list"),
+        (state_from_json, {}, LayoutError, "'matrix' must be a list"),
+        (state_from_json, {**_PAYLOAD, "matrix": "x"}, LayoutError, "'matrix' must be a list"),
+        (state_from_json, {**_PAYLOAD, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, LayoutError,
+         "square list of rows"),
+        (state_from_json, {**_PAYLOAD, "matrix": [[[1, 0], [0, 0]], [[0, 0], "x"]]},
+         LayoutError, "not a finite [re, im] pair"),
+        (state_from_json, {**_PAYLOAD, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, True]]]},
+         LayoutError, "not a finite [re, im] pair"),
+        (state_from_json, {**_PAYLOAD, "matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]},
+         LayoutError, "not a finite [re, im] pair"),
+        (state_from_json, {"matrix": _PAYLOAD["matrix"]}, LayoutError, "'layout' must be a list"),
+        (state_from_json, {**_PAYLOAD, "layout": 5}, LayoutError, "'layout' must be a list"),
+        (state_from_json, {**_PAYLOAD, "layout": [["M", "x"]]}, LayoutError,
+         "not a [name, qubits] pair"),
+        (state_from_json, {**_PAYLOAD, "layout": [["M", 2]]}, LayoutError,
+         "does not match layout"),
+    ],
+    ids=["ct-empty", "ct-not-a-dict", "ct-tag-not-str", "ct-no-tag-len", "ct-no-payload",
+         "ct-payload-not-dict", "ct-payload-empty", "state-empty", "state-matrix-str",
+         "state-matrix-ragged", "state-entry-str", "state-entry-bool", "state-entry-nan",
+         "state-no-layout", "state-layout-int", "state-layout-qubits-str",
+         "state-layout-too-big"],
+)
+def test_a_missing_or_malformed_wire_field_is_refused(read, blob, error, message):
+    with pytest.raises(error) as err:
+        read(blob)
+    assert message in str(err.value)
 
 
 def test_ciphertext_round_trip():
