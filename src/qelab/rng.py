@@ -33,6 +33,7 @@ refuses to draw rather than repeat that thread's values.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 import threading
 import weakref
@@ -58,6 +59,16 @@ def is_bitstring(bits) -> bool:
     if isinstance(bits, str):
         return not bits.strip("01")
     return all(b in "01" for b in bits)
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int: Python and numpy integers pass; bool, float and str are refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
 def _no_owner():
@@ -117,7 +128,8 @@ class Stream:
     __slots__ = ("seed", "path", "_state", "_holder", "_gen", "__weakref__")
 
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
-        seed = int(seed)
+        if type(seed) is not int:
+            seed = _integer(seed, "seed")
         if not 0 <= seed < 2**64:
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
@@ -161,7 +173,8 @@ class Stream:
         drawing an even count reads `count // 2` raw outputs instead, which
         yield the same bits and leave the same Philox state.
         """
-        count = int(count)
+        if type(count) is not int:
+            count = _integer(count, "bit count")
         if count < 0:
             raise ValueError(f"bit count must be non-negative, got {count}")
         if count == 0:
@@ -179,6 +192,8 @@ class Stream:
         A bound above 2^63, which numpy's int64 draw cannot take, is drawn
         by rejection over whole 64-bit words.
         """
+        if type(bound) is not int:
+            bound = _integer(bound, "bound")
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound <= _INT64_BOUND:

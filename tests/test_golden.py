@@ -7,6 +7,8 @@ order fails here.  Regenerate them only in a change that means to alter
 reports (for example a new stream derivation), and say so in that change.
 """
 
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from qelab.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.py"
 
 GOLDEN = {
     # README.md, "CLI" section.
@@ -207,3 +210,28 @@ def test_bell_readout_still_draws_its_bernoulli_coin(built_streams, capsysbinary
     assert capsysbinary.readouterr().out == (GOLDEN_DIR / f"{name}.json").read_bytes()
     coins = [path for path in built_streams if path[-1:] == ("bernoulli",)]
     assert len(coins) == 1000 and all("real" in path for path in coins)
+
+
+def _classical_reference():
+    """`perfbench/reference.py`, which counts pads without `qelab.quantum` or the games."""
+    spec = importlib.util.spec_from_file_location("classical_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, pads", [
+    ("game-ind-ske-prf-q3-exact", lambda ref: ref.ske_prf_pads(7, 2, 3)),
+    ("game-ind-pke-towp-n6-exact", lambda ref: ref.pke_fixed_key_pads(7, 6, 1)),
+])
+def test_exact_readout_golden_matches_classical_pad_counts(name, pads):
+    # The readout message is all ones and the test reads all ones, so the
+    # real arm wins on pads whose X mask is all 0 and the zeroed arm on pads
+    # whose X mask is all 1.  This anchors the file to counts made apart from
+    # the code that wrote it, so a regenerated golden is checked, not trusted.
+    ref = _classical_reference()
+    real, ideal = ref.readout_shares(pads(ref))
+    (row,) = json.loads((GOLDEN_DIR / f"{name}.json").read_bytes())["results"]
+    assert (row["exact"], row["roles"]) == (True, "readout")
+    assert row["p_real"] == float(real)
+    assert row["p_ideal"] == float(ideal)

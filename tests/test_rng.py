@@ -58,6 +58,28 @@ def test_seed_range_checked():
         Stream(2**64)
 
 
+@pytest.mark.parametrize("bad", [7.9, 7.0, "7", True, False, np.True_, None])
+@pytest.mark.parametrize("where", ["seed", "bits", "integer"])
+def test_non_integer_arguments_are_refused_before_any_draw(where, bad):
+    stream = Stream(7).child("strict")
+    twin = Stream(7).child("strict")
+    with pytest.raises(ParameterError, match="must be an integer"):
+        if where == "seed":
+            Stream(bad)
+        elif where == "bits":
+            stream.bits(bad)
+        else:
+            stream.integer(bad)
+    assert stream.bits(64) == twin.bits(64)  # the refusal drew nothing
+
+
+@pytest.mark.parametrize("value", [np.int64(5), np.uint8(5), np.uint64(5)])
+def test_numpy_integers_are_accepted(value):
+    assert Stream(value).bits(64) == Stream(5).bits(64)
+    assert len(Stream(1).bits(value)) == 5
+    assert 0 <= Stream(1).integer(value) < 5
+
+
 def test_bernoulli_fraction_edges():
     s = Stream(5)
     assert not any(s.bernoulli(Fraction(0)) for _ in range(50))
