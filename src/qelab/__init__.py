@@ -7,6 +7,9 @@ games with exact-enumeration and sampling modes, and the reductions
 connecting them.
 """
 
+# Set before the submodules load: reports read it through `serialize`.
+__version__ = "0.1.0"
+
 from .errors import QelabError
 from .estimate import AdvantageEstimate, GameArm, estimate, wilson_halfwidth
 from .games import (
@@ -94,4 +97,3 @@ from .schemes import (
     ciphertext_as_state,
 )
 
-__version__ = "0.1.0"

@@ -1,53 +1,49 @@
 """Deterministic named random streams.
 
-Every stochastic operation in the library takes an explicit `Stream`.
-Streams are backed by the Philox counter-based generator; independent
-substreams are derived by name (SHA-256 of the seed and the "/"-joined
-path, whose labels must therefore be non-empty and free of "/"), so a
-result never depends on call order elsewhere in the program and is
+Every stochastic operation in the library takes an explicit `Stream`: a
+seed and a path of labels.  `child(label)` extends the path, so a result
+never depends on call order elsewhere in the program and is
 byte-identical across runs and platforms.
 
-A Philox stream is nothing but its key and counter, so streams do not
-build generators of their own.  Each thread keeps one scratch Philox,
-and a stream draws by loading its state into it: a fresh stream's state
-is its SHA-256 key with a zero counter, exactly what `Philox(key=...)`
-would start from.  The scratch remembers its current owner and saves the
-owner's state back only when another stream takes over while the owner
-is still alive, so a short-lived child pays one state load and no save.
-A stream that is only ever a parent of other streams costs a tuple.
-`numpy()` hands out a private generator, which that stream then keeps.
+Derivation version 2 (`STREAM_VERSION`).  A stream's draws are the bits of
+the SHA-256 blocks
 
-`bits` on a fresh stream with an even count reads raw 64-bit outputs
-instead of calling `integers(0, 2)`.  For a range of two, numpy's
-bounded draw (Lemire's method) returns the top bit of each 32-bit word,
-low half first, so bit i is the top bit of half i and the stream ends in
-the same Philox state.  An odd count, a stream drawn from before (it may
-hold a buffered half word) and a stream with a private generator take
-numpy's path.
+    SHA-256(f"{seed}|{'/'.join(path)}|" + counter),  counter = 0, 1, 2, ...
 
-Draw each stream from one thread: per-trial streams keep concurrent
-trials safe, and a stream still loaded in another thread's scratch
-refuses to draw rather than repeat that thread's values.
+with each counter written as 8 big-endian bytes, read most significant bit
+first.  This is SHA-256 in counter mode, as in NIST SP 800-90A's
+Hash_DRBG, and a counter-based generator in the sense of Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3" (SC 2011).  Labels are
+non-empty and free of "/", and the counter has a fixed width, so two
+different (seed, path, counter) triples never give the same hash input.
+A stream hashes nothing until it first draws, and keeps the unread bits
+of its last block for its next draw.
+
+- `bits(k)` is the next k bits.
+- `integer(bound)` reads `(bound - 1).bit_length()` bits and rejects a
+  value at or above `bound`, so it is uniform at every bound, with no
+  modulo bias.
+- `uniform()` is the next 53 bits over 2^53.
+- `bernoulli(Fraction)` is exact, through `integer(denominator)`.
+- `numpy()` is a Philox generator for float sampling, keyed by the
+  stream's next 128 bits.
+
+Draw each stream from one thread; per-trial streams keep concurrent trials
+safe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
-import struct
-import threading
-import weakref
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParameterError
 
-_ZEROS = (0, 0, 0, 0)
-_INT64_BOUND = 2**63  # the largest bound numpy's int64 `integers` accepts
-# Bit 2i and bit 2i+1 of a raw `bits` draw, by the top bits of word i's
-# low and high 32-bit halves (low | high << 1).
-_BIT_PAIRS = ("00", "10", "01", "11")
+STREAM_VERSION = 2
+_BLOCK_BITS = 256  # one SHA-256 digest
 
 
 def is_bitstring(bits) -> bool:
@@ -71,61 +67,10 @@ def _integer(value, what: str) -> int:
     raise ParameterError(f"{what} must be an integer, got {value!r}")
 
 
-def _no_owner():
-    return None
-
-
-class _Scratch:
-    """One thread's reusable Philox, its Generator and the stream loaded in it."""
-
-    __slots__ = ("philox", "gen", "owner")
-
-    def __init__(self):
-        self.philox = np.random.Philox(key=0)
-        self.gen = np.random.Generator(self.philox)
-        self.owner = _no_owner  # a weak reference to the loaded stream
-
-    def take(self, stream: "Stream") -> None:
-        """Load `stream`, first saving the current owner's state if it lives."""
-        _check_holder(stream, self)
-        owner = self.owner()
-        if owner is not None:
-            owner._state = self.philox.state
-        self.philox.state = stream._state or stream._fresh_state()
-        self.owner = weakref.ref(stream)
-        stream._holder = self
-
-    def release(self, stream: "Stream") -> None:
-        """Save `stream`'s state back if it is the one loaded here."""
-        if self.owner() is stream:
-            stream._state = self.philox.state
-            self.owner = _no_owner
-
-
-def _check_holder(stream: "Stream", scratch: _Scratch) -> None:
-    holder = stream._holder
-    if holder is not None and holder is not scratch and holder.owner() is stream:
-        raise RuntimeError(
-            f"{stream!r} is loaded in another thread's generator; "
-            "draw each stream from one thread"
-        )
-
-
-_local = threading.local()
-
-
-def _scratch() -> _Scratch:
-    """This thread's scratch generator, built on its first use."""
-    scratch = getattr(_local, "scratch", None)
-    if scratch is None:
-        scratch = _local.scratch = _Scratch()
-    return scratch
-
-
 class Stream:
     """A reproducible random stream with named, independent children."""
 
-    __slots__ = ("seed", "path", "_state", "_holder", "_gen", "__weakref__")
+    __slots__ = ("seed", "path", "_pool", "_left", "_counter", "_gen")
 
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
         if type(seed) is not int:
@@ -137,75 +82,51 @@ class Stream:
         if "" in path or "/" in "".join(path):
             bad = next(label for label in path if not label or "/" in label)
             raise ParameterError(f"stream labels must be non-empty and free of '/', got {bad!r}")
-        self._state = None  # the saved Philox state; None while fresh
-        self._holder = None  # the scratch this stream was last loaded in
-        self._gen = None  # the private generator, once `numpy()` built it
+        self._pool = 0  # the unread bits of the blocks hashed so far
+        self._left = 0  # how many bits `_pool` holds
+        self._counter = 0  # the next block's counter
+        self._gen = None  # the Philox generator, once `numpy()` built it
 
-    def _fresh_state(self) -> dict:
-        """The state `Philox(key=...)` starts from for this stream's key."""
-        material = f"{self.seed}|" + "/".join(self.path)
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
-        return {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZEROS, "key": struct.unpack("=2Q", digest[:16])},
-            "buffer": _ZEROS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def _generator(self) -> np.random.Generator:
-        if self._gen is not None:
-            return self._gen
-        scratch = _scratch()
-        if scratch.owner() is not self:
-            scratch.take(self)
-        return scratch.gen
+    def _take(self, count: int) -> int:
+        """The next `count` bits as an int, the first bit most significant."""
+        left = self._left - count
+        pool = self._pool
+        if left < 0:
+            prefix = f"{self.seed}|{'/'.join(self.path)}|".encode()
+            counter = self._counter
+            while left < 0:
+                digest = hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+                pool = pool << _BLOCK_BITS | int.from_bytes(digest, "big")
+                counter += 1
+                left += _BLOCK_BITS
+            self._counter = counter
+        self._left = left
+        self._pool = pool & ((1 << left) - 1)
+        return pool >> left
 
     def child(self, label: str) -> "Stream":
         """An independent stream addressed by `label` (non-empty, no "/") under this one."""
         return Stream(self.seed, self.path + (str(label),))
 
     def bits(self, count: int) -> str:
-        """A uniform bitstring of the given length, as a str of 0/1.
-
-        The bits are those of `integers(0, 2, size=count)`.  A fresh stream
-        drawing an even count reads `count // 2` raw outputs instead, which
-        yield the same bits and leave the same Philox state.
-        """
+        """The next `count` bits of the stream, as a str of 0/1."""
         if type(count) is not int:
             count = _integer(count, "bit count")
-        if count < 0:
-            raise ValueError(f"bit count must be non-negative, got {count}")
-        if count == 0:
+        if count <= 0:
+            if count < 0:
+                raise ParameterError(f"bit count must be non-negative, got {count}")
             return ""
-        if count % 2 == 0 and self._holder is None and self._gen is None:
-            scratch = _scratch()
-            scratch.take(self)
-            words = scratch.philox.random_raw(count // 2).tolist()
-            return "".join([_BIT_PAIRS[(w >> 31 & 1) | (w >> 62 & 2)] for w in words])
-        return "".join(map(str, self._generator().integers(0, 2, size=count).tolist()))
+        return bin(self._take(count))[2:].zfill(count)
 
     def integer(self, bound: int) -> int:
-        """Uniform integer in [0, bound).
-
-        A bound above 2^63, which numpy's int64 draw cannot take, is drawn
-        by rejection over whole 64-bit words.
-        """
+        """Uniform integer in [0, bound), by rejection over `(bound - 1).bit_length()` bits."""
         if type(bound) is not int:
             bound = _integer(bound, "bound")
         if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound <= _INT64_BOUND:
-            return int(self._generator().integers(0, bound))
+            raise ParameterError("bound must be positive")
         width = (bound - 1).bit_length()
-        words = -(-width // 64)
-        raw = self._generator().bit_generator.random_raw
         while True:
-            value = 0
-            for word in raw(words).tolist():
-                value = value << 64 | word
-            value >>= 64 * words - width
+            value = self._take(width)
             if value < bound:
                 return value
 
@@ -213,7 +134,8 @@ class Stream:
         return seq[self.integer(len(seq))]
 
     def uniform(self) -> float:
-        return float(self._generator().random())
+        """The next 53 bits over 2^53: a multiple of 2^-53 in [0, 1)."""
+        return self._take(53) * 2.0**-53
 
     def bernoulli(self, p) -> bool:
         """One biased coin flip; exact when `p` is a Fraction.
@@ -231,17 +153,13 @@ class Stream:
     def numpy(self) -> np.random.Generator:
         """This stream's own generator, for float-valued sampling (never exact).
 
-        It starts where the stream's draws so far left off, and every later
-        draw of the stream goes through it, so callers may keep it.
+        The first call builds `Generator(Philox(key=k))`, where k is the
+        stream's next 128 bits read as one unsigned integer; later calls
+        return the same generator, so callers may keep it.  The stream's
+        own draws go on after those 128 bits and never touch the generator.
         """
         if self._gen is None:
-            scratch = _scratch()
-            _check_holder(self, scratch)
-            scratch.release(self)
-            philox = np.random.Philox(key=0)
-            philox.state = self._state or self._fresh_state()
-            self._gen = np.random.Generator(philox)
-            self._state = self._holder = None
+            self._gen = np.random.Generator(np.random.Philox(key=self._take(128)))
         return self._gen
 
     def __repr__(self):

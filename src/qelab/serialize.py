@@ -2,8 +2,9 @@
 
 Matrices serialize row-major with [re, im] pairs per entry.  Tags are
 bitstrings packed into base64 alongside their bit length.  Result
-documents are versioned and rendered canonically (sorted keys, fixed
-indentation) so identical runs produce byte-identical files.
+documents are versioned, name the library version and the stream
+derivation that produced them, and are rendered canonically (sorted
+keys, fixed indentation) so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import math
 
 import numpy as np
 
+from . import __version__
 from .errors import LayoutError, MalformedKeyError
 from .quantum import DensityMatrix
-from .rng import is_bitstring
+from .rng import STREAM_VERSION, is_bitstring
 from .schemes import Ciphertext
 
 SCHEMA_VERSION = 1
@@ -124,6 +126,8 @@ def ciphertext_from_json(data: dict, cls: type = Ciphertext) -> Ciphertext:
 def result_document(command: str, config: dict, results: list, passed: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
+        "qelab_version": __version__,
+        "stream_version": STREAM_VERSION,
         "command": command,
         "config": config,
         "results": results,

@@ -13,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from qelab import __version__
 from qelab.cli import main
+from qelab.rng import STREAM_VERSION
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+PINNED_DIR = Path(__file__).parent / "data" / "pinned"
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.py"
 
 GOLDEN = {
@@ -202,6 +205,14 @@ def test_every_golden_file_has_a_command():
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(GOLDEN)
 
 
+def test_every_golden_names_its_versions():
+    paths = [*GOLDEN_DIR.glob("*.json"), *PINNED_DIR.glob("*.json")]
+    assert len(paths) == len(GOLDEN) + 3
+    for path in paths:
+        doc = json.loads(path.read_bytes())
+        assert (doc["qelab_version"], doc["stream_version"]) == (__version__, STREAM_VERSION)
+
+
 def test_bell_readout_still_draws_its_bernoulli_coin(built_streams, capsysbinary):
     # A real-arm branch succeeds with probability 1/2, so each real trial draws
     # the coin; the ideal arm reads a zeroed M, certain to fail, and draws none.
@@ -223,7 +234,7 @@ def _classical_reference():
 @pytest.mark.parametrize("name, pads", [
     ("game-ind-ske-prf-q3-exact", lambda ref: ref.ske_prf_pads(7, 2, 3)),
     ("game-ind-pke-towp-n6-exact", lambda ref: ref.pke_fixed_key_pads(7, 6, 1)),
-])
+], ids=["ske-prf-q3", "pke-towp-n6"])
 def test_exact_readout_golden_matches_classical_pad_counts(name, pads):
     # The readout message is all ones and the test reads all ones, so the
     # real arm wins on pads whose X mask is all 0 and the zeroed arm on pads
