@@ -96,4 +96,3 @@ from .schemes import (
     build_scheme,
     ciphertext_as_state,
 )
-
