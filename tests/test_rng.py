@@ -33,7 +33,7 @@ def test_distinct_labels_distinct_streams():
 
 @pytest.mark.parametrize("label", ["", "a/b", "/", "b/"])
 def test_a_label_that_would_alias_another_path_is_refused(label):
-    # The key hashes the "/"-joined path: child("a/b") would be child("a").child("b"),
+    # Draws hash the "/"-joined path: child("a/b") would be child("a").child("b"),
     # and child("") the parent itself.
     with pytest.raises(ParameterError, match="non-empty and free of '/'"):
         Stream(7).child("a").child(label)
