@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, exp, log, log1p, sqrt
 
 import numpy as np
 import pytest
@@ -130,10 +131,12 @@ def test_exact_probability_cap_fires_at_branch_cap_plus_one():
 
 
 def test_estimate_sampling_agrees_with_exact():
-    # a weighted Bernoulli game sampled 100 times x 100 repetitions: the
-    # exact value must fall inside the reported interval ~95% of the time
+    # a weighted Bernoulli game sampled 100 times x 1000 repetitions: the
+    # exact value must fall inside the reported interval as often as the
+    # interval's own coverage says, and the pooled draws must average it
     branches = [(Fraction(1, 4), Fraction(1)), (Fraction(3, 4), Fraction(1, 3))]
     exact_p = sum(w * p for w, p in branches)
+    assert exact_p == Fraction(1, 2)
 
     def sampler(rng):
         r = rng.child("w").uniform()
@@ -143,24 +146,32 @@ def test_estimate_sampling_agrees_with_exact():
     est = estimate(arm, None, exact=True, rng=Stream(5))
     assert est.p_real_exact == exact_p
 
-    covered = 0
-    for rep in range(100):
-        sampled = estimate(arm, None, exact=False, trials=100, rng=Stream(600 + rep))
-        if abs(sampled.p_real - float(exact_p)) <= sampled.ci_halfwidth:
-            covered += 1
-    # The interval's coverage at p = 1/2 and 100 trials, summed over the 101
-    # outcomes, is 0.943, not 0.95; the 100 seeds then cover Binomial(100,
-    # 0.943) times.  Fail below that count's 1e-3 quantile, so that a sampler
-    # drawing exactly 1/2 fails with probability below 1e-3.
+    reps, trials = 1000, 100
+    covered = successes = 0
+    for rep in range(reps):
+        sampled = estimate(arm, None, exact=False, trials=trials, rng=Stream(600 + rep))
+        covered += abs(sampled.p_real - 0.5) <= sampled.ci_halfwidth
+        successes += round(sampled.p_real * trials)
+
+    # At p = 1/2 and 100 trials the interval covers with probability 0.943,
+    # summed over the 101 outcomes, not 0.95: 100 repetitions held to 95
+    # covers would fail an exact sampler about half the time.  The covers
+    # are Binomial(1000, 0.943); fail below that count's 1e-3 quantile.
     coverage = sum(
-        comb(100, k) / 2**100 for k in range(101) if abs(k / 100 - 0.5) <= wilson_halfwidth(k, 100)
-    )
+        comb(trials, k) for k in range(trials + 1)
+        if abs(k / trials - 0.5) <= wilson_halfwidth(k, trials)
+    ) / 2**trials
     assert 0.94 < coverage < 0.95
-
-    def below(m):  # P(covered < m)
-        return sum(comb(100, j) * coverage**j * (1 - coverage) ** (100 - j) for j in range(m))
-
-    assert covered >= max(m for m in range(101) if below(m) < 1e-3)
+    pmf = [
+        exp(log(comb(reps, j)) + j * log(coverage) + (reps - j) * log1p(-coverage))
+        for j in range(reps + 1)
+    ]
+    below = list(accumulate(pmf, initial=0.0))  # below[m] = P(covers < m)
+    assert covered >= max(m for m in range(reps + 1) if below[m] < 1e-3)
+    # Hoeffding: 100,000 fair draws stray further from 1/2 with probability
+    # below 1e-3, so a sampler biased by 0.01 fails here almost surely.
+    n = reps * trials
+    assert abs(successes / n - 0.5) <= sqrt(log(2e3) / (2 * n))
 
 
 # ---------------------------------------------------------------------------
