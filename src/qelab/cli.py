@@ -203,9 +203,7 @@ def cmd_correctness(args) -> tuple[list, bool]:
             ct = scheme.encrypt(keypair.ek, state, rng.child(f"enc{k}-{label}"))
             distance = trace_distance(scheme.decrypt(keypair.dk, ct), state)
             worst = max(worst, distance)
-        choi = channel_choi_distance(
-            scheme.roundtrip_map(keypair, rng.child(f"coins{k}")), identity_map, args.qubits
-        )
+        choi = channel_choi_distance(scheme.roundtrip_map(keypair), identity_map, args.qubits)
         passed = worst <= TOL_ALGEBRA and choi <= TOL_ALGEBRA
         ok = ok and passed
         results.append(
@@ -380,8 +378,10 @@ def cmd_list(args) -> tuple[list, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--n", type=int, default=2, help="security parameter")
+def _add_report(p, n: bool = True):
+    """The options every report command reads, and `--n` where it is read (not `qotp-mix`)."""
+    if n:
+        p.add_argument("--n", type=int, default=2, help="security parameter")
     p.add_argument("--qubits", type=int, default=1, help="plaintext size in qubits")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -410,15 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correctness", help="round-trip and channel-distance suites")
     p.add_argument("--scheme", required=True, choices=sorted(SCHEME_BUILDERS))
-    _add_common(p)
+    _add_report(p)
     p.add_argument("--keys", type=int, default=20)
 
     p = sub.add_parser("qotp-mix", help="pad-averaging mixing checks")
-    p.add_argument("--qubits", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    _add_report(p, n=False)
     p.add_argument("--battery", choices=("default", "none"), default="default")
-    p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
 
     p = sub.add_parser("game", help="run one security game")
     p.add_argument("--game", required=True, choices=GAME_NAMES)
@@ -428,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="role bundle (see `qelab list` for options per game)",
     )
     p.add_argument("--scheme", required=True, choices=sorted(SCHEME_BUILDERS))
-    _add_common(p)
+    _add_report(p)
     _add_modes(p)
 
     p = sub.add_parser("reduce", help="run a reduction pipeline")
     p.add_argument("--reduction", required=True, choices=REDUCTIONS)
     p.add_argument("--scheme", default="ske-prf", choices=sorted(SCHEME_BUILDERS))
-    _add_common(p)
+    _add_report(p)
     _add_modes(p)
 
     sub.add_parser("list", help="list registered schemes, games, bundles")

@@ -58,7 +58,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Optional
 
-from .errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
+from .errors import OraclePolicyError, ParameterError, RoleError
 from .estimate import AdvantageEstimate, GameArm, estimate
 from .quantum import (
     MAX_EXHAUSTIVE_QUBITS,
@@ -84,7 +84,7 @@ from .roles import (
     SamplingPlay,
     sample_case,
 )
-from .schemes import Ciphertext, KeyPair, PauliTagScheme
+from .schemes import Ciphertext, CoinSpace, KeyPair, PauliTagScheme
 
 ORACLE_BUDGET = 64  # oracle calls one role may make in one phase, by default
 
@@ -213,7 +213,7 @@ def _exact_keypairs(scheme: PauliTagScheme, config: GameConfig):
     qubit count before any branch is built.
     """
     _check_exact_qubits(scheme.qubits)
-    return uniform_cases(scheme.key_cases() or [scheme.keygen(config.stream("fixed-key"))])
+    return uniform_cases(scheme.key_space().cases() or [scheme.keygen(config.stream("fixed-key"))])
 
 
 def _pad_message(state: DensityMatrix, case_pad: Optional[str]) -> DensityMatrix:
@@ -292,6 +292,13 @@ def _shared(shared: Optional[dict], key, build):
     return shared[key]
 
 
+def space_coin(play, label: str, space: CoinSpace, shared: Optional[dict] = None, key=None):
+    """`space` played as the coin `label`: its cases sharing one weight, built
+    once per `key` when `shared` is given, or one `space.draw`."""
+    listed = lambda: _shared(shared, key, lambda: uniform_cases(space.cases()))
+    return play.coin(label, listed, space.draw)
+
+
 def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dict] = None):
     return play.coin(
         "key",
@@ -328,18 +335,7 @@ def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
 
 def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
                  shared: Optional[dict] = None):
-    def cases():
-        enumerated = scheme.encrypt_cases(ek)
-        if enumerated is None:
-            raise EnumerationCapError(
-                f"scheme {scheme.name!r} does not enumerate its encryption coins"
-            )
-        return uniform_cases(enumerated)
-
-    return play.coin(
-        label, lambda: _shared(shared, (label, ek), cases),
-        lambda r: scheme.sample_encryption(ek, r),
-    )
+    return space_coin(play, label, scheme.encryption_space(ek), shared, (label, ek))
 
 
 def _pad_groups(encryptions):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from .errors import EnumerationCapError, RoleError
+from .errors import RoleError
 from .estimate import AdvantageEstimate
 from .games import (
     ORACLE_BUDGET,
@@ -43,7 +43,7 @@ from .games import (
     run_ind,
     run_ind_prime,
     run_sem,
-    uniform_cases,
+    space_coin,
 )
 from .quantum import (
     DensityMatrix,
@@ -66,7 +66,7 @@ from .roles import (
     RoleContext,
     SamplingPlay,
 )
-from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, _all_bitstrings
+from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, bitstring_space
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +109,12 @@ class ZeroEncryptionSimulator(Channel):
         if scheme.flavor == "public":
             keys = ((1, ctx.pk),)
         else:
-            keys = (
-                (wk, kp.ek)
-                for wk, kp in ctx.coin("sim-key", lambda: _key_cases(scheme), scheme.keygen)
-            )
+            keys = ((wk, kp.ek) for wk, kp in space_coin(ctx, "sim-key", scheme.key_space()))
         for wk, ek in keys:
             for we, ecase in _encryptions(ctx, scheme, ek, "sim-enc"):
                 joined = tensor(_pad_message(zero, ecase.pad), state)
                 for wa, out in self.adversary.outputs(ecase.tag, joined, ctx):
                     yield wk * we * wa, out
-
-
-def _key_cases(scheme: PauliTagScheme):
-    keys = scheme.key_cases()
-    if keys is None:
-        raise EnumerationCapError(f"scheme {scheme.name!r} does not enumerate its key space")
-    return uniform_cases(keys)
 
 
 def reduction_ind_to_sem(adversary: Channel) -> ZeroEncryptionSimulator:
@@ -284,13 +274,6 @@ class Construction:
         return bit
 
 
-def _uniform_string(play, label: str, length: int):
-    """A uniform bit string: every string with equal weight, or one `bits` draw."""
-    return play.coin(
-        label, lambda: uniform_cases(_all_bitstrings(length)), lambda r: r.bits(length)
-    )
-
-
 def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: int,
                           budget: int = ORACLE_BUDGET) -> Construction:
     """Turn a pre-challenge-decryption attack into a PRF distinguisher.
@@ -301,6 +284,7 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
     challenge, runs the attack, and outputs 1 iff the attack's guess
     matches the coin.
     """
+    tags = bitstring_space(2 * qubits)
 
     def branches(oracle: Callable[[str], str], play):
         ctx_pre = play.context(
@@ -314,7 +298,7 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
                 raise RoleError("attack emits a message of the wrong size")
             for wc, coin in fair_bit(play, "coin"):
                 state = mcase.state if coin == 1 else replace_with_zero_state(mcase.state, "M")
-                for wt, tag in _uniform_string(play, "challenge", 2 * qubits):
+                for wt, tag in space_coin(play, "challenge", tags):
                     padded = apply_pauli(oracle(tag), state, "M")
                     p1 = play.prob(dist.prob_one(tag, padded, ctx_post))
                     for wg, guess in biased_bit(play, "guess", p1):
@@ -417,7 +401,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
 
     def arm(label: str, length: int, expand):
         def branches(play):
-            for wy, y in _uniform_string(play, label, length):
+            for wy, y in space_coin(play, label, bitstring_space(length)):
                 for w, accept in construction.branches(expand(y), play.child("run")):
                     yield (wy * w, accept)
 

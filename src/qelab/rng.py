@@ -16,6 +16,8 @@ Hash_DRBG, and a counter-based generator in the sense of Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).  Labels are
 non-empty and free of "/", and the counter has a fixed width, so two
 different (seed, path, counter) triples never give the same hash input.
+A label that UTF-8 cannot encode (a lone surrogate) raises
+`ParameterError` when the path is first hashed, at the stream's first draw.
 A stream hashes nothing until it first draws, and keeps the unread bits
 of its last block for its next draw.
 
@@ -92,7 +94,11 @@ class Stream:
         left = self._left - count
         pool = self._pool
         if left < 0:
-            prefix = f"{self.seed}|{'/'.join(self.path)}|".encode()
+            try:
+                prefix = f"{self.seed}|{'/'.join(self.path)}|".encode()
+            except UnicodeEncodeError as exc:  # a lone surrogate; labels hold no "/"
+                bad = self.path[exc.object.count("/", 0, exc.start)]
+                raise ParameterError(f"stream label {bad!r} is not UTF-8 encodable") from None
             counter = self._counter
             while left < 0:
                 digest = hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()

@@ -17,16 +17,20 @@ The catalogue:
   (identity encryption, constant PRF, pad-skipping decryption) used as
   positive/negative controls in the security games.
 
-Scheme objects are immutable after construction and key material is
-immutable after keygen; encrypt/decrypt are pure given an explicit
-stream, so concurrent trials with per-trial streams are safe.
+Each classical coin is defined once, as a `CoinSpace` (`key_space()`,
+`encryption_space(ek)`): exact games list its `cases()`, and `keygen`,
+`encrypt` and sampled games call its `draw(rng)`.
+
+Scheme objects are immutable after construction (apart from memos) and key
+material is immutable after keygen; encrypt/decrypt are pure given an
+explicit stream, so concurrent trials with per-trial streams are safe.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product, repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -34,7 +38,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EnumerationCapError,
     InvalidCiphertextError,
     MalformedKeyError,
     QelabError,
@@ -106,6 +109,58 @@ def _encryption_cases(pairs) -> list[EncryptionCase]:
     return list(map(tuple.__new__, repeat(EncryptionCase), pairs))
 
 
+class CoinSpace:
+    """A uniform coin: `cases()` lists every value, each equally likely; `draw(rng)` samples one.
+
+    An indexed space is "the i-th of `size` values" `at(i)`: it draws `at(rng.integer(size))`,
+    uniform over its cases by construction, and may list them in one batch.  Any other space
+    brings its own `draw`, and `cases` unless it has no list (`cases()` is then None).
+    """
+
+    __slots__ = ("size", "at", "_cases", "draw")
+
+    def __init__(self, size: Optional[int] = None, at=None, cases=None, draw=None):
+        self.size, self.at, self._cases = size, at, cases
+        self.draw = draw or (lambda rng: at(rng.integer(size)))
+
+    def cases(self) -> Optional[list]:
+        if self._cases is None and self.at is not None:
+            return list(map(self.at, range(self.size)))
+        return self._cases and self._cases()
+
+
+@lru_cache(maxsize=16)
+def _bitstring_table(length: int) -> tuple[str, ...]:
+    """Every `length`-bit string in lexicographic order, built once per length."""
+    return tuple(format(v, f"0{length}b") for v in range(1 << length)) if length else ("",)
+
+
+@lru_cache(maxsize=32)
+def bitstring_space(length: int, keys: bool = False) -> CoinSpace:
+    """Every `length`-bit string, string i being i in binary (a draw reads what
+    `bits(length)` reads), or with `keys` each one's symmetric key pair.  Up to
+    12 bits the values are built once, and `at` looks one up."""
+    value = (lambda s: tuple.__new__(KeyPair, (s, s))) if keys else str
+    if length <= 12:
+        table = tuple(map(value, _bitstring_table(length)))
+        return CoinSpace(len(table), table.__getitem__, lambda: list(table))
+    fmt = f"0{length}b"
+    return CoinSpace(1 << length, lambda i: value(format(i, fmt)))
+
+
+def _tagged_pads(length: int, pad, pads=None) -> CoinSpace:
+    """Tag i is the `length`-bit string i, padded by `pad(tag)`; `pads()` lists
+    every tag's pad in one batch."""
+    tags = bitstring_space(length)
+    tag_at, pads = tags.at, pads or (lambda: map(pad, tags.cases()))
+
+    def at(i):
+        tag = tag_at(i)
+        return tuple.__new__(EncryptionCase, (tag, pad(tag)))
+
+    return CoinSpace(tags.size, at, lambda: _encryption_cases(zip(tags.cases(), pads())))
+
+
 class PauliTagScheme:
     """Shared machinery for tag-plus-pad schemes; see module docstring."""
 
@@ -118,21 +173,14 @@ class PauliTagScheme:
         self.n = n
         self.qubits = qubits
 
-    # -- key material ------------------------------------------------------
-    def keygen(self, rng: Stream) -> KeyPair:
+    # -- the coins -----------------------------------------------------------
+    def key_space(self) -> CoinSpace:
+        """KeyGen's coin: every key pair."""
         raise NotImplementedError
 
-    def key_cases(self) -> Optional[list[KeyPair]]:
-        """Every key `keygen` draws, each equally likely, or None if impractical."""
-        return None
-
-    # -- encryption coins ---------------------------------------------------
-    def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
+    def encryption_space(self, ek) -> CoinSpace:
+        """Enc's coin under `ek`: every (tag, pad) case."""
         raise NotImplementedError
-
-    def encrypt_cases(self, ek) -> Optional[list[EncryptionCase]]:
-        """Every case `sample_encryption` draws, each equally likely, or None if impractical."""
-        return None
 
     def decrypt_pad(self, dk, tag: str) -> Optional[str]:
         raise NotImplementedError
@@ -146,6 +194,10 @@ class PauliTagScheme:
         return Ciphertext(tag, payload)
 
     # -- public API ----------------------------------------------------------
+    def keygen(self, rng: Stream) -> KeyPair:
+        """KeyGen: one draw from `key_space()`."""
+        return self.key_space().draw(rng)
+
     def _check_plaintext(self, rho: DensityMatrix) -> None:
         if rho.qubits != self.qubits:
             raise DimensionMismatchError(
@@ -154,7 +206,7 @@ class PauliTagScheme:
 
     def encrypt(self, ek, rho: DensityMatrix, rng: Stream) -> Ciphertext:
         self._check_plaintext(rho)
-        case = self.sample_encryption(ek, rng)
+        case = self.encryption_space(ek).draw(rng)
         payload = apply_pauli(case.pad, rho) if case.pad is not None else rho
         return self.make_ciphertext(case.tag, payload)
 
@@ -163,18 +215,11 @@ class PauliTagScheme:
         return apply_pauli(pad, ct.payload) if pad is not None else ct.payload
 
     # -- linear round-trip channel (for Choi-state comparisons) --------------
-    def roundtrip_map(
-        self,
-        keypair: KeyPair,
-        rng: Optional[Stream] = None,
-        coin_samples: int = 16,
-        enumerate_coins: bool = True,
-    ) -> Callable[[np.ndarray], np.ndarray]:
+    def roundtrip_map(self, keypair: KeyPair) -> Callable[[np.ndarray], np.ndarray]:
         """Decrypt-after-encrypt as a linear map on raw payload matrices.
 
-        Averages over the scheme's encryption coins: the full case list
-        when it is enumerable (and `enumerate_coins` is left on),
-        otherwise `coin_samples` draws from `rng`; each case weighs 1/len.
+        Averages over every case of the key's encryption space, each weighing
+        1/len; a space above the domain cap refuses (`EnumerationCapError`).
         Every tag is decrypted in one `decrypt_pads` call, and the masks are
         computed once per distinct (pad, decryption pad) pair.  Cases whose
         round trip leaves the same masks are merged into one frame, whose
@@ -182,16 +227,7 @@ class PauliTagScheme:
         once per distinct mask pair (a correct scheme has the single pair
         (0, 0)).  Frames keep the order of their first case.
         """
-        cases = self.encrypt_cases(keypair.ek) if enumerate_coins else None
-        if cases is None:
-            if rng is None:
-                raise EnumerationCapError(
-                    "coin space is not enumerable; supply an rng for sampling"
-                )
-            cases = [
-                self.sample_encryption(keypair.ek, rng.child(f"coin{i}"))
-                for i in range(coin_samples)
-            ]
+        cases = self.encryption_space(keypair.ek).cases()
         case_weight = 1 / len(cases)
         dec_pads = self.decrypt_pads(keypair.dk, [case.tag for case in cases])
         frames: dict[tuple[int, int], float] = {}
@@ -228,17 +264,6 @@ class PauliTagScheme:
         return channel
 
 
-@lru_cache(maxsize=16)
-def _bitstring_table(length: int) -> tuple[str, ...]:
-    """Every `length`-bit string in lexicographic order, built once per length."""
-    return tuple(format(v, f"0{length}b") for v in range(1 << length)) if length else ("",)
-
-
-def _all_bitstrings(length: int) -> list[str]:
-    """`_bitstring_table(length)` as a list of the caller's own."""
-    return list(_bitstring_table(length))
-
-
 # ---------------------------------------------------------------------------
 # Symmetric scheme from a PRF
 # ---------------------------------------------------------------------------
@@ -272,22 +297,20 @@ class PrfSymmetricScheme(PauliTagScheme):
                 f"{prf.key_len} x {prf.in_len} -> {prf.out_len}"
             )
         self.prf = prf
+        self._keys = bitstring_space(n, True)
+        self._spaces: dict[str, CoinSpace] = {}
 
-    def keygen(self, rng: Stream) -> KeyPair:
-        k = rng.bits(self.n)
-        return KeyPair(k, k)
+    def key_space(self):
+        return self._keys
 
-    def key_cases(self):
-        return [KeyPair(k, k) for k in _all_bitstrings(self.n)]
-
-    def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        tag = rng.bits(2 * self.qubits)
-        return EncryptionCase(tag, self.prf.evaluate(ek, tag))
-
-    def encrypt_cases(self, ek):
-        """Every tag with its pad, from one `evaluate_all` walk of the key's tree."""
-        tags = _all_bitstrings(2 * self.qubits)
-        return _encryption_cases(zip(tags, self.prf.evaluate_all(ek)))
+    def encryption_space(self, ek):
+        """Every tag with its pad, listed by one `evaluate_all` walk; built once per key."""
+        space = self._spaces.get(ek)
+        if space is None:
+            prf = self.prf
+            space = self._spaces[ek] = _tagged_pads(2 * self.qubits, partial(prf.evaluate, ek),
+                                                    partial(prf.evaluate_all, ek))
+        return space
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if len(tag) != 2 * self.qubits or not is_bitstring(tag):
@@ -313,31 +336,30 @@ class PadSkippingDecryptScheme(PrfSymmetricScheme):
 class RandomPadSymmetricScheme(PauliTagScheme):
     """Idealized variant: pads come from a truly random function of the tag.
 
-    Key material is a lazily sampled random-function oracle, so encrypt
-    and decrypt stay consistent.  In an oracle-free game the challenge tag
-    is the only query ever made, so the enumeration-mode coin space is
-    simply a uniform independent (tag, pad) pair.
+    Key material is a lazily sampled random-function oracle, so encrypt and
+    decrypt stay consistent.  In an oracle-free game the challenge tag is the
+    only query ever made, so exact games enumerate one stand-in key,
+    `KeyPair(None, None)`, whose cases are uniform independent (tag, pad) pairs.
     """
 
     name = "ske-randomfn"
 
-    def keygen(self, rng: Stream) -> KeyPair:
+    def key_space(self):
+        """A draw is a random function, lazy on its `fn` child; the list is the stand-in."""
+        return CoinSpace(None, None, lambda: [KeyPair(None, None)], self._function_key)
+
+    def _function_key(self, rng: Stream) -> KeyPair:
         fn = RandomFunctionOracle(2 * self.qubits, 2 * self.qubits, rng.child("fn"))
         return KeyPair(fn, fn)
 
-    def key_cases(self):
-        # One stand-in key: the function's randomness is in `encrypt_cases`.
-        return [KeyPair(None, None)]
-
-    def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        tag = rng.bits(2 * self.qubits)
-        if ek is None:  # enumeration-mode stand-in key: pad is free randomness
-            return EncryptionCase(tag, rng.bits(2 * self.qubits))
-        return EncryptionCase(tag, ek.query(tag))
-
-    def encrypt_cases(self, ek):
-        strings = _all_bitstrings(2 * self.qubits)
-        return _encryption_cases(product(strings, strings))
+    def encryption_space(self, ek):
+        if ek is not None:
+            return _tagged_pads(2 * self.qubits, ek.query)
+        strings = bitstring_space(2 * self.qubits)  # the stand-in: tag, then pad
+        return CoinSpace(
+            None, None, lambda: _encryption_cases(product(strings.cases(), repeat=2)),
+            lambda rng: EncryptionCase(strings.draw(rng), strings.draw(rng)),
+        )
 
     def decrypt_pad(self, dk, tag: str) -> str:
         if dk is None:
@@ -347,30 +369,17 @@ class RandomPadSymmetricScheme(PauliTagScheme):
     def make_ciphertext(self, tag, payload):
         return SkeCiphertext(tag, payload)
 
-    def roundtrip_map(self, keypair, rng=None, coin_samples=16, enumerate_coins=True):
-        # The enumerated coin space is the challenge's marginal (tag, pad)
-        # distribution, valid for oracle-free games only; a round trip must
-        # read the pad back out of the key's function oracle, so sample.
-        return super().roundtrip_map(keypair, rng, coin_samples, enumerate_coins=False)
-
 
 class QotpScheme(PauliTagScheme):
     """The information-theoretic pad: the key is the pad, used once."""
 
     name = "qotp"
 
-    def keygen(self, rng: Stream) -> KeyPair:
-        pad = rng.bits(2 * self.qubits)
-        return KeyPair(pad, pad)
+    def key_space(self):
+        return bitstring_space(2 * self.qubits, True)
 
-    def key_cases(self):
-        return [KeyPair(p, p) for p in _all_bitstrings(2 * self.qubits)]
-
-    def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        return EncryptionCase("", ek)
-
-    def encrypt_cases(self, ek):
-        return [EncryptionCase("", ek)]
+    def encryption_space(self, ek):
+        return CoinSpace(1, lambda i: EncryptionCase("", ek))
 
     def decrypt_pad(self, dk, tag: str) -> str:
         return dk
@@ -381,17 +390,11 @@ class IdentityScheme(PauliTagScheme):
 
     name = "identity"
 
-    def keygen(self, rng: Stream) -> KeyPair:
-        return KeyPair("", "")
+    def key_space(self):
+        return CoinSpace(1, lambda i: KeyPair("", ""))
 
-    def key_cases(self):
-        return [KeyPair("", "")]
-
-    def sample_encryption(self, ek, rng: Stream) -> EncryptionCase:
-        return EncryptionCase("", None)
-
-    def encrypt_cases(self, ek):
-        return [EncryptionCase("", None)]
+    def encryption_space(self, ek):
+        return CoinSpace(1, lambda i: EncryptionCase("", None))
 
     def decrypt_pad(self, dk, tag: str):
         return None
@@ -429,8 +432,13 @@ class PermutationPublicScheme(PauliTagScheme):
                 f"{self.family.modulus_bits}-bit modulus too small for {qubits} qubits"
             )
         self.hc = InnerProductPredicate()
+        self._keys = CoinSpace(None, None, None, self._generate)
 
-    def keygen(self, rng: Stream) -> KeyPair:
+    def key_space(self):
+        """A (public index, secret) pair from `family.generate`; there is no list."""
+        return self._keys
+
+    def _generate(self, rng: Stream) -> KeyPair:
         index, trapdoor = self.family.generate(rng)
         return KeyPair(index, PkeSecret(index, trapdoor))
 
@@ -441,20 +449,23 @@ class PermutationPublicScheme(PauliTagScheme):
         image = self.family.iterate(index, d, 2 * self.qubits)
         return self.family.encode_element(index, image)
 
-    def sample_encryption(self, ek: TowpIndex, rng: Stream) -> EncryptionCase:
-        d = self.family.sample(ek, rng)
-        return EncryptionCase(self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
-
-    def encrypt_cases(self, ek: TowpIndex):
-        """One case per domain element.
+    def encryption_space(self, ek: TowpIndex):
+        """One case per domain element d, drawn by rejection over Z_N^*.
 
         `family.domain` checks the domain cap before any array is built;
         the cap keeps N <= 2^20, which the uint64 walk over the whole
         domain (`_domain_tags_and_pads`) relies on.
         """
-        domain = self.family.domain(ek)
-        tags, pads = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return _encryption_cases(zip(tags, pads))
+
+        def draw(rng):
+            d = self.family.sample(ek, rng)
+            pair = (self._tag_from_seed(ek, d), self._pad_from_seed(ek, d))
+            return tuple.__new__(EncryptionCase, pair)
+
+        return CoinSpace(None, None, lambda: _encryption_cases(zip(*self._domain_walk(ek))), draw)
+
+    def _domain_walk(self, ek: TowpIndex):
+        return _domain_tags_and_pads(ek, self.family.domain(ek), 2 * self.qubits)
 
     def decrypt_pad(self, dk: PkeSecret, tag: str) -> str:
         """Walk one tag backwards with the trapdoor, in Python ints.
@@ -574,20 +585,21 @@ class UniformPadPublicScheme(PermutationPublicScheme):
 
     name = "pke-uniformpad"
 
-    def sample_encryption(self, ek: TowpIndex, rng: Stream) -> EncryptionCase:
-        d = self.family.sample(ek, rng.child("d"))
-        return EncryptionCase(self._tag_from_seed(ek, d), rng.child("pad").bits(2 * self.qubits))
-
-    def encrypt_cases(self, ek: TowpIndex):
-        """Every (domain element, pad) pair.
+    def encryption_space(self, ek: TowpIndex):
+        """Every (domain element, pad) pair, drawn from the `d` and `pad` children.
 
         Tags come from the same uint64 domain walk as `pke-towp`, which
         relies on the domain cap's N <= 2^20, checked first by `family.domain`.
         """
-        domain = self.family.domain(ek)
-        pads = _all_bitstrings(2 * self.qubits)
-        tags, _ = _domain_tags_and_pads(ek, domain, 2 * self.qubits)
-        return _encryption_cases(product(tags, pads))
+        pads = bitstring_space(2 * self.qubits)
+
+        def draw(rng):
+            d = self.family.sample(ek, rng.child("d"))
+            pair = (self._tag_from_seed(ek, d), pads.draw(rng.child("pad")))
+            return tuple.__new__(EncryptionCase, pair)
+
+        cases = lambda: _encryption_cases(product(self._domain_walk(ek)[0], pads.cases()))
+        return CoinSpace(None, None, cases, draw)
 
     def decrypt_pad(self, dk, tag):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")

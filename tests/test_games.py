@@ -21,6 +21,7 @@ from qelab.games import (
     run_sem2,
     run_sem3,
 )
+from qelab.primitives import GgmPrf
 from qelab.quantum import (
     apply_pauli,
     basis_state,
@@ -54,6 +55,7 @@ from qelab.roles import (
     last_bit_function,
 )
 from qelab.schemes import (
+    CoinSpace,
     IdentityScheme,
     KeyPair,
     PrfSymmetricScheme,
@@ -295,11 +297,11 @@ def _brute_force_ind(scheme, message, p_one, first_tag_per_pad=False):
     arms = []
     for state in (message, replace_with_zero_state(message, "M")):
         total = Fraction(0)
-        keys = scheme.key_cases()
+        keys = scheme.key_space().cases()
         wk = Fraction(1, len(keys))
         for kp in keys:
             first = {}
-            cases = scheme.encrypt_cases(kp.ek)
+            cases = scheme.encryption_space(kp.ek).cases()
             for case in cases:
                 tag = first.setdefault(case.pad, case.tag) if first_tag_per_pad else case.tag
                 total += (wk * Fraction(1, len(cases))
@@ -344,7 +346,8 @@ def test_readout_role_is_measured_once_per_distinct_pad():
     assert dist.reads_tag is False
     est = run_ind(scheme, BasisMessage("111"), dist, None,
                   GameConfig(exact=True, seed=7))
-    pads = {case.pad for kp in scheme.key_cases() for case in scheme.encrypt_cases(kp.ek)}
+    pads = {case.pad for kp in scheme.key_space().cases()
+            for case in scheme.encryption_space(kp.ek).cases()}
     assert dist.calls == 2 * len(pads) == 6
     assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(0), Fraction(77, 128))
 
@@ -378,8 +381,8 @@ class _PublicIdentityScheme(IdentityScheme):
 
     flavor = "public"
 
-    def key_cases(self):
-        return [KeyPair("0", "0"), KeyPair("1", "1")]
+    def key_space(self):
+        return CoinSpace(2, (KeyPair("0", "0"), KeyPair("1", "1")).__getitem__)
 
 
 class _PublicKeyReadout(CoinDistinguisher):
@@ -421,14 +424,15 @@ def test_mixed_weight_scopes_are_evaluated_case_by_case(monkeypatch):
 
 
 def test_exact_ind_enumerates_encryption_coins_once_per_key(monkeypatch):
+    # `ske-prf` lists a key's encryption space in one `evaluate_all` walk.
     calls = []
-    original = PrfSymmetricScheme.encrypt_cases
+    original = GgmPrf.evaluate_all
 
-    def counting(self, ek):
-        calls.append(ek)
-        return original(self, ek)
+    def counting(self, key):
+        calls.append(key)
+        return original(self, key)
 
-    monkeypatch.setattr(PrfSymmetricScheme, "encrypt_cases", counting)
+    monkeypatch.setattr(GgmPrf, "evaluate_all", counting)
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7).child("s"))
     run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None, EXACT)
     assert sorted(calls) == ["00", "01", "10", "11"]
@@ -487,7 +491,7 @@ def _brute_force_branches(scheme, message, keys, hidden_bit: bool):
     arms = [[], []]
     wk = Fraction(1, len(keys))
     for kp in keys:
-        cases = scheme.encrypt_cases(kp.ek)
+        cases = scheme.encryption_space(kp.ek).cases()
         for case in cases:
             real, ideal = p_one(state, case.pad), p_one(zero, case.pad)
             if hidden_bit:
@@ -510,7 +514,7 @@ def test_exact_ind_branches_equal_brute_force_enumeration(monkeypatch, name, n, 
         monkeypatch, run, scheme, BasisMessage(message),
         MeasureEqualsDistinguisher(message, "M"), None, config,
     )
-    keys = scheme.key_cases() or [scheme.keygen(config.stream("fixed-key"))]
+    keys = scheme.key_space().cases() or [scheme.keygen(config.stream("fixed-key"))]
     expected = _brute_force_branches(scheme, message, keys, hidden_bit=run is run_ind_prime)
     assert [Counter(arm) for arm in played] == [Counter(arm) for arm in expected]
 

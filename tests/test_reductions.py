@@ -85,7 +85,7 @@ def test_simulator_output_equals_zero_arm_exactly():
     manual = None
     from qelab.quantum import apply_pauli, tensor
 
-    keys = scheme.key_cases()
+    keys = scheme.key_space().cases()
     for kp in keys:
         zero = basis_state("0", "M", exact=True)
         fake = apply_pauli(kp.ek, zero)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -40,6 +41,18 @@ def test_a_label_that_would_alias_another_path_is_refused(label):
     with pytest.raises(ParameterError, match="non-empty and free of '/'"):
         Stream(7, ("a", label, "c"))
     assert Stream(7, ("a", "b")).bits(64) == Stream(7).child("a").child("b").bits(64)
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("\ud800",), "\ud800"),
+    (("a", "b|\udfff", "c"), "b|\udfff"),
+    (("\u00e9", "\ud800x"), "\ud800x"),
+], ids=["alone", "among-labels", "after-an-encodable-label"])
+def test_a_label_that_is_not_utf8_encodable_is_refused_at_the_first_draw(path, bad):
+    # The path is encoded only when a block is hashed, so the label is named then.
+    stream = Stream(7, path)
+    with pytest.raises(ParameterError, match=re.escape(f"stream label {bad!r} is not UTF-8 encodable")):
+        stream.bits(1)
 
 
 def test_integer_bounds():

@@ -100,8 +100,8 @@ def test_ske_tag_shape_and_freshness():
 def test_ske_maximally_mixed_payload_invariant():
     scheme = _ske()
     rho = maximally_mixed(2)
-    for kp in scheme.key_cases()[:4]:
-        for case in scheme.encrypt_cases(kp.ek)[:4]:
+    for kp in scheme.key_space().cases()[:4]:
+        for case in scheme.encryption_space(kp.ek).cases()[:4]:
             ct = SkeCiphertext(case.tag, rho)
             payload = scheme.encrypt(kp.ek, rho, Stream(8).child(case.tag)).payload
             assert trace_distance(payload, rho) < TOL_ALGEBRA
@@ -117,7 +117,7 @@ def test_ske_constant_prf_leaves_payload_alone():
 
 def test_ske_wrong_key_disturbs_when_pads_differ():
     scheme = _ske(n=3, qubits=1, seed=101)
-    keys = scheme.key_cases()
+    keys = scheme.key_space().cases()
     rho = basis_state("0")
     rng = Stream(11)
     found = False
@@ -164,7 +164,7 @@ def test_pad_skipping_decrypt_detected():
     identity = lambda m: m
     worst = max(
         channel_choi_distance(scheme.roundtrip_map(kp), identity, 1)
-        for kp in scheme.key_cases()
+        for kp in scheme.key_space().cases()
     )
     assert worst >= 0.5
 
@@ -291,7 +291,7 @@ def test_pke_malformed_tag_in_a_batch_raises_the_one_tag_error():
     kp = scheme.keygen(Stream(40).child("kg"))
     width, modulus = kp.ek.element_width, kp.ek.modulus
     factor = next(p for p in range(2, modulus) if modulus % p == 0)
-    good = [case.tag for case in scheme.encrypt_cases(kp.ek)[:4]]
+    good = [case.tag for case in scheme.encryption_space(kp.ek).cases()[:4]]
     accented = "\u00e9" * width  # as long as a tag, but not ASCII
     bad_tags = {
         good[0][:-1]: f"tag must be {width} bits of 0/1, got {good[0][:-1]!r}",
@@ -356,7 +356,7 @@ def test_pke_encrypt_cases_match_per_element_definitions(cls, n, qubits):
     scheme = cls(n, qubits)
     for seed in range(3):
         ek = scheme.keygen(Stream(seed).child(f"kg{n}-{qubits}")).ek
-        cases = scheme.encrypt_cases(ek)
+        cases = scheme.encryption_space(ek).cases()
         assert [(c.tag, c.pad) for c in cases] == _scalar_pke_pairs(scheme, ek)
         (weight,) = {id(w): w for w, _ in uniform_cases(cases)}.values()  # one shared object
         assert weight == Fraction(1, len(cases))
@@ -370,7 +370,7 @@ def test_pke_encrypt_cases_refuse_a_capped_domain_before_any_array(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(schemes, "np", None)  # any numpy use would raise AttributeError
             with pytest.raises(EnumerationCapError):
-                scheme.encrypt_cases(ek)
+                scheme.encryption_space(ek).cases()
 
 
 def test_pke_modulus_large_enough_for_payload():
@@ -393,7 +393,7 @@ def test_random_pad_scheme_round_trip_and_mixing():
     # pad-averaged payload is exactly maximally mixed (rational arithmetic)
     state = basis_state("1", "M", exact=True)
     total = None
-    cases = scheme.encrypt_cases(None)
+    cases = scheme.encryption_space(None).cases()
     for case in cases:
         from qelab.quantum import apply_pauli
 
@@ -408,7 +408,7 @@ def test_random_pad_scheme_round_trip_and_mixing():
 def test_uniform_pad_pke_mixing_and_no_decrypt():
     scheme = UniformPadPublicScheme(1, 1)
     kp = scheme.keygen(Stream(53).child("kg"))
-    cases = scheme.encrypt_cases(kp.ek)
+    cases = scheme.encryption_space(kp.ek).cases()
     assert sum(w for w, _ in uniform_cases(cases)) == 1
     with pytest.raises(QelabError):
         scheme.decrypt_pad(kp.dk, cases[0].tag)
@@ -430,7 +430,7 @@ def test_qotp_and_identity_schemes():
     rho = random_pure_state(1, Stream(55))
     ct = qotp.encrypt(kp.ek, rho, Stream(56))
     assert trace_distance(qotp.decrypt(kp.dk, ct), rho) < TOL_ALGEBRA
-    assert len(qotp.key_cases()) == 4
+    assert len(qotp.key_space().cases()) == 4
 
     ident = IdentityScheme(1, 1)
     kp2 = ident.keygen(Stream(57))
@@ -469,16 +469,109 @@ def test_every_draw_lies_in_the_enumerated_list(name, n, qubits):
     for seed in range(3):
         scheme = build_scheme(name, n, qubits, Stream(seed).child("setup"))
         drawn = [scheme.keygen(Stream(seed).child(f"kg{i}")) for i in range(8)]
-        keys = scheme.key_cases()
-        # `ske-randomfn` lists one stand-in key; its function's coins are
-        # the pads of `encrypt_cases`, which the draws below check.
+        keys = scheme.key_space().cases()
+        # `ske-randomfn` lists one stand-in key for the functions it draws;
+        # a drawn function's encryption space lists its own cases below.
         if keys is not None and name != "ske-randomfn":
             assert all(kp in keys for kp in drawn)
         for k, kp in enumerate(drawn + (keys or [])):
-            cases = set(scheme.encrypt_cases(kp.ek))
+            space = scheme.encryption_space(kp.ek)
+            cases = set(space.cases())
             for i in range(16):
-                rng = Stream(seed).child(f"enc{k}-{i}")
-                assert scheme.sample_encryption(kp.ek, rng) in cases
+                assert space.draw(Stream(seed).child(f"enc{k}-{i}")) in cases
+
+
+def _encryption_spaces(name, n, qubits):
+    """The encryption space of every listed key of a registered scheme."""
+    scheme = build_scheme(name, n, qubits, Stream(7))
+    return [scheme.encryption_space(kp.ek) for kp in scheme.key_space().cases()]
+
+
+def _randomfn_spaces(qubits):
+    """The encryption spaces of drawn function keys."""
+    scheme = RandomPadSymmetricScheme(1, qubits)
+    keys = [scheme.keygen(Stream(7).child(f"kg{i}")) for i in range(3)]
+    return [scheme.encryption_space(kp.ek) for kp in keys]
+
+
+# Every indexed space, at small sizes; 13 bits lie above the table that
+# `at` indexes, where it formats the string instead.
+_INDEXED_SPACES = {
+    "bitstrings": lambda: [schemes.bitstring_space(k) for k in (1, 2, 3, 13)],
+    "ske-keys": lambda: [
+        PrfSymmetricScheme(n, 1, prf=ConstantPrf(n, 2, 2)).key_space() for n in (1, 3, 13)
+    ],
+    "qotp-keys": lambda: [QotpScheme(1, q).key_space() for q in (1, 2)],
+    "identity": lambda: [IdentityScheme(1, 1).key_space(), IdentityScheme(1, 1).encryption_space("")],
+    "ske-prf-encryptions": lambda: (
+        _encryption_spaces("ske-prf", 2, 1) + _encryption_spaces("ske-prf", 3, 2)
+    ),
+    "ske-constprf-encryptions": lambda: _encryption_spaces("ske-constprf", 2, 2),
+    "ske-randomfn-encryptions": lambda: _randomfn_spaces(1) + _randomfn_spaces(2),
+    "qotp-encryptions": lambda: _encryption_spaces("qotp", 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEXED_SPACES))
+def test_an_indexed_space_lists_the_value_at_each_index(name):
+    # A batched list (`evaluate_all` for `ske-prf`) equals the per-index values
+    # (`evaluate`), and each call hands out a list of its own.
+    for space in _INDEXED_SPACES[name]():
+        each = [space.at(i) for i in range(space.size)]
+        listed = space.cases()
+        assert listed == each
+        listed.append("mutated")
+        assert space.cases() == each
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 5, 12, 13, 20])
+def test_a_bitstring_draw_reads_what_bits_reads(length):
+    # `at(integer(2^k))` is `bits(k)` under stream derivation v2, so keys and
+    # tags drawn from their spaces are the strings `bits` drew.
+    strings, keys = schemes.bitstring_space(length), schemes.bitstring_space(length, keys=True)
+    for seed in range(30):
+        drawn, twin, paired = (Stream(seed).child("s") for _ in range(3))
+        for _ in range(5):
+            expected = twin.bits(length)
+            assert strings.draw(drawn) == expected
+            assert keys.draw(paired) == (expected, expected)
+
+
+def _pke_space(cls, seed):
+    scheme = cls(2, 1)
+    return scheme.encryption_space(scheme.keygen(Stream(seed).child("kg")).ek)
+
+
+# Chi-square quantiles at 1 - 1e-6 for (cases - 1) degrees of freedom, fixed
+# before any draw was counted: the keys drawn at seeds 0 and 1 have N = 253
+# and 517, so phi(N) = 220 and 460 domain elements; `pke-uniformpad` pairs
+# each with 4 pads at one qubit, and the `ske-randomfn` stand-in pairs 4 tags
+# with 4 pads.  A uniform draw fails one bound with probability 1e-6.
+_OWN_DRAW_CHI2 = {
+    "pke-towp-253": (lambda: _pke_space(PermutationPublicScheme, 0), 219, 333.24),
+    "pke-towp-517": (lambda: _pke_space(PermutationPublicScheme, 1), 459, 617.67),
+    "pke-uniformpad-253": (lambda: _pke_space(UniformPadPublicScheme, 0), 879, 1092.89),
+    "ske-randomfn-stand-in": (
+        lambda: RandomPadSymmetricScheme(1, 1).encryption_space(None), 15, 56.49
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OWN_DRAW_CHI2))
+def test_a_space_with_its_own_draw_is_uniform_over_its_cases(name):
+    # `pke-towp` draws d by rejection over Z_N^*; `pke-uniformpad` draws d
+    # from its `d` child and the pad from its `pad` child; the stand-in draws
+    # a tag, then a pad.
+    build, dof, limit = _OWN_DRAW_CHI2[name]
+    space = build()
+    counts = dict.fromkeys(space.cases(), 0)
+    assert len(counts) - 1 == dof
+    draws = 30 * len(counts)
+    rng = Stream(dof).child("chi2")
+    for i in range(draws):
+        counts[space.draw(rng.child(str(i)))] += 1  # a KeyError is a draw outside the list
+    expected = draws / len(counts)
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < limit
 
 
 def test_choi_round_trip_at_three_qubits():
@@ -488,25 +581,27 @@ def test_choi_round_trip_at_three_qubits():
     assert channel_choi_distance(ske.roundtrip_map(kp), identity, 3) < TOL_ALGEBRA
     pke = PermutationPublicScheme(3, 3)
     kp = pke.keygen(Stream(107).child("kg"))
-    channel = pke.roundtrip_map(kp, Stream(108), coin_samples=8, enumerate_coins=False)
-    assert channel_choi_distance(channel, identity, 3) < TOL_ALGEBRA
+    assert channel_choi_distance(pke.roundtrip_map(kp), identity, 3) < TOL_ALGEBRA
 
 
 def test_ske_round_trip_every_key_in_support():
     scheme = _ske(n=2, qubits=1, seed=106)
     rho = random_pure_state(1, Stream(62))
-    for kp in scheme.key_cases():  # all 4 keys at n=2
+    for kp in scheme.key_space().cases():  # all 4 keys at n=2
         ct = scheme.encrypt(kp.ek, rho, Stream(63).child(kp.ek))
         assert trace_distance(scheme.decrypt(kp.dk, ct), rho) < TOL_ALGEBRA
 
 
 def test_random_pad_scheme_roundtrip_channel_reads_oracle():
-    # the marginal coin enumeration is game-only; the round-trip channel
-    # must derive pads from the key's function oracle
+    # the stand-in key's (tag, pad) pairs are game-only; a drawn key's
+    # encryption space reads every pad out of its function oracle
     scheme = RandomPadSymmetricScheme(1, 1)
     kp = scheme.keygen(Stream(64).child("kg"))
-    channel = scheme.roundtrip_map(kp, Stream(65), coin_samples=8)
-    assert channel_choi_distance(channel, lambda m: m, 1) < TOL_ALGEBRA
+    cases = scheme.encryption_space(kp.ek).cases()
+    assert [(c.tag, c.pad) for c in cases] == [
+        (tag, kp.ek.query(tag)) for tag in ("00", "01", "10", "11")
+    ]
+    assert channel_choi_distance(scheme.roundtrip_map(kp), lambda m: m, 1) < TOL_ALGEBRA
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +627,6 @@ def _dense_roundtrip(scheme, kp, cases):
     return channel
 
 
-def _sampled_cases(scheme, kp, rng, samples):
-    return [scheme.sample_encryption(kp.ek, rng.child(f"coin{i}")) for i in range(samples)]
-
-
 def _matrix_units(dim):
     for x in range(dim):
         for y in range(dim):
@@ -553,17 +644,10 @@ _DECRYPTABLE = sorted(set(SCHEME_BUILDERS) - {"pke-uniformpad"})
 def test_roundtrip_map_matches_dense_on_matrix_units(name, qubits):
     scheme = build_scheme(name, 2, qubits, Stream(110).child("setup"))
     kp = scheme.keygen(Stream(111).child("kg"))
-    enumerated = name != "ske-randomfn"  # its override always samples coins
-    cases = (
-        scheme.encrypt_cases(kp.ek) if enumerated else _sampled_cases(scheme, kp, Stream(112), 8)
-    )
-    channel = scheme.roundtrip_map(kp, Stream(112), coin_samples=8)
-    dense = _dense_roundtrip(scheme, kp, cases)
-    sampled = scheme.roundtrip_map(kp, Stream(113), coin_samples=8, enumerate_coins=False)
-    dense_sampled = _dense_roundtrip(scheme, kp, _sampled_cases(scheme, kp, Stream(113), 8))
+    channel = scheme.roundtrip_map(kp)
+    dense = _dense_roundtrip(scheme, kp, scheme.encryption_space(kp.ek).cases())
     for unit in _matrix_units(2**qubits):
         assert np.array_equal(channel(unit), dense(unit))
-        assert np.array_equal(sampled(unit), dense_sampled(unit))
 
 
 def _per_case_roundtrip(scheme, kp, cases):
@@ -589,7 +673,7 @@ def _per_case_roundtrip(scheme, kp, cases):
 @pytest.mark.parametrize("name, n, qubits", [("ske-prf-skipdec", 2, 2), ("pke-towp", 4, 1)])
 def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
     scheme = build_scheme(name, n, qubits, Stream(7))
-    keys = scheme.key_cases() or [scheme.keygen(Stream(116).child("kg"))]
+    keys = scheme.key_space().cases() or [scheme.keygen(Stream(116).child("kg"))]
     conjugations = []
     original = schemes.conjugate_by_masks
     monkeypatch.setattr(
@@ -598,7 +682,7 @@ def test_roundtrip_map_merges_equal_masks(monkeypatch, name, n, qubits):
     )
     mask_sets = []
     for kp in keys:
-        cases = scheme.encrypt_cases(kp.ek)
+        cases = scheme.encryption_space(kp.ek).cases()
         reference, masks = _per_case_roundtrip(scheme, kp, cases)
         assert len(masks) < len(cases)
         mask_sets.append(masks)
@@ -629,7 +713,7 @@ def _fixed_input(dim):
 ], ids=["ske-prf-skipdec-2-2", "pke-towp-4-1", "pke-towp-4-2"])
 def test_roundtrip_map_output_bytes_are_pinned(name, n, qubits, digest):
     scheme = build_scheme(name, n, qubits, Stream(7))
-    keys = scheme.key_cases() or [scheme.keygen(Stream(116).child("kg"))]
+    keys = scheme.key_space().cases() or [scheme.keygen(Stream(116).child("kg"))]
     h = hashlib.sha256()
     for kp in keys:
         h.update(scheme.roundtrip_map(kp)(_fixed_input(2**qubits)).tobytes())
@@ -649,10 +733,3 @@ def test_roundtrip_map_checks_pads_and_input_shape():
     with pytest.raises(DimensionMismatchError):
         channel(np.eye(4))
 
-
-def test_all_bitstrings_hands_out_a_fresh_list_per_call():
-    first = schemes._all_bitstrings(3)
-    assert first == [format(v, "03b") for v in range(8)]
-    first.append("mutated")
-    assert schemes._all_bitstrings(3) == [format(v, "03b") for v in range(8)]
-    assert schemes._all_bitstrings(0) == [""]
