@@ -17,7 +17,6 @@ from .games import (
     GameConfig,
     GeneratorFunctionPair,
     OraclePolicy,
-    Oracles,
     ind_prime_ind_identity_check,
     run_ind,
     run_ind_prime,
@@ -79,6 +78,7 @@ from .reductions import (
     sem_to_ind_identity_check,
 )
 from .rng import Stream
+from .roles import Oracles
 from .schemes import (
     SCHEME_BUILDERS,
     Ciphertext,

@@ -18,15 +18,17 @@ declared cases, so the arm multiplies out key space x encryption coins x
 role cases and sums Fraction-exact probabilities; it refuses oracle
 calls.  The sampling interpreter `SamplingPlay` returns one case per
 coin, drawn from the trial stream's child named by the coin's label, and
-the game reports Wilson intervals.  Both live in `roles`, next to the
-`RoleContext` through which a role draws its own coins from the same
-tree.  In exact mode a game builds its key and encryption cases once for
-both its arms, in one `shared` dict.  For a distinguisher that declares
-`reads_tag = False` it also counts each key's cases by pad once, and
-measures each distinct pad once per game and challenge state
-(`_challenge_probs`).  Every branch is still yielded: a pad's cases come
-as a run of one shared branch tuple, which `GameArm.exact_probability`
-tallies once.
+the game reports Wilson intervals.  Both live in `roles`.  A role's
+context is `play.context(...)`, an interpreter of the same kind rooted
+at the role's own coins, so the role draws them from the same tree; it
+carries the game's public key, scheme and oracle handles (`Oracles`,
+which refuse every call in exact mode).  In exact mode a game builds its
+key and encryption cases once for both its arms, in one `shared` dict.
+For a distinguisher that declares `reads_tag = False` it also counts
+each key's cases by pad once, and measures each distinct pad once per
+game and challenge state (`_challenge_probs`).  Every branch is still
+yielded: a pad's cases come as a run of one shared branch tuple, which
+`GameArm.exact_probability` tallies once.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
 from typing import Optional
 
@@ -80,17 +83,17 @@ from .roles import (
     MessageCase,
     MessageGenerator,
     NegatedDistinguisher,
-    RoleContext,
+    Oracles,
     SamplingPlay,
     sample_case,
 )
-from .schemes import Ciphertext, CoinSpace, KeyPair, PauliTagScheme
+from .schemes import CoinSpace, PauliTagScheme
 
 ORACLE_BUDGET = 64  # oracle calls one role may make in one phase, by default
 
 
 # ---------------------------------------------------------------------------
-# Oracle policy and handles
+# Oracle policy
 # ---------------------------------------------------------------------------
 
 
@@ -127,44 +130,6 @@ class OraclePolicy:
     @classmethod
     def cca1(cls) -> "OraclePolicy":
         return cls("cca1", frozenset({"enc", "dec"}), frozenset({"enc"}))
-
-
-class Oracles:
-    """Budgeted encryption/decryption handles for one role in one phase.
-
-    Encryption call k draws its coins from `rng.child(label).child(f"enc{k}")`.
-    The `label` stream is derived on the first call, so a role that never
-    calls the oracle derives no stream.
-    """
-
-    def __init__(self, scheme: PauliTagScheme, keypair: KeyPair, grants: frozenset,
-                 rng: Stream, label: str, budget: int):
-        self._scheme = scheme
-        self._keypair = keypair
-        self.grants = frozenset(grants)
-        self._parent, self._label = rng, label
-        self._rng = None
-        self._budget = budget
-        self._calls = 0
-
-    def _tick(self, kind: str):
-        if kind not in self.grants:
-            raise OraclePolicyError(f"{kind!r} oracle not granted under this policy")
-        self._calls += 1
-        if self._calls > self._budget:
-            raise OraclePolicyError(f"oracle budget of {self._budget} calls exhausted")
-
-    def encrypt(self, rho: DensityMatrix) -> Ciphertext:
-        self._tick("enc")
-        if self._rng is None:
-            self._rng = self._parent.child(self._label)
-        return self._scheme.encrypt(
-            self._keypair.ek, rho, self._rng.child(f"enc{self._calls}")
-        )
-
-    def decrypt(self, ct: Ciphertext) -> DensityMatrix:
-        self._tick("dec")
-        return self._scheme.decrypt(self._keypair.dk, ct)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +272,14 @@ def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dic
     )
 
 
-def _context(play, scheme, keypair, grants, config: GameConfig, label: str) -> RoleContext:
+def _context(play, scheme, keypair, grants, config: GameConfig, label: str):
+    """The `label` role's context: its coins under `<label>-coins`, and oracle
+    call k's encryption coins under `<label>-oracle/enc<k>`."""
     return play.context(
         f"{label}-coins",
-        lambda rng: Oracles(scheme, keypair, grants, rng, f"{label}-oracle",
-                            config.oracle_budget),
+        lambda rng: Oracles(partial(scheme.encrypt, keypair.ek),
+                            partial(scheme.decrypt, keypair.dk), grants, rng,
+                            f"{label}-oracle", config.oracle_budget),
         pk=keypair.ek if scheme.flavor == "public" else None,
         scheme=scheme,
     )
@@ -323,7 +291,7 @@ def message_coin(play, cases: list[MessageCase]):
     return play.coin("mpick", lambda: [(c.weight, c) for c in cases], draw)
 
 
-def _messages(play, scheme, mgen: MessageGenerator, ctx: RoleContext):
+def _messages(play, scheme, mgen: MessageGenerator, ctx):
     for w, case in message_coin(play, mgen.cases(ctx.pk, ctx)):
         qubits = case.state.register("M").qubits
         if qubits != scheme.qubits:
@@ -358,7 +326,7 @@ def _pad_groups(encryptions):
 
 
 def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, scheme: PauliTagScheme,
-                     ek, ctx: RoleContext, scope_weight, shared: Optional[dict],
+                     ek, ctx, scope_weight, shared: Optional[dict],
                      complement: bool = False):
     """(branch weight, probability) for each encryption case of one challenge state.
 

@@ -372,7 +372,7 @@ class GgmPrf:
         return [outputs[state] for state in level]
 
     def _check_key(self, key: str) -> None:
-        if len(key) != self.key_len or not is_bitstring(key):
+        if not isinstance(key, str) or len(key) != self.key_len or not is_bitstring(key):
             raise MalformedKeyError(f"key must be {self.key_len} bits, got {key!r}")
 
     def _leaf_output(self, state: str) -> str:
@@ -411,15 +411,19 @@ class ConstantPrf:
             raise MalformedKeyError("constant output has the wrong length")
 
     def evaluate(self, key: str, x: str) -> str:
-        if len(key) != self.key_len or len(x) != self.in_len:
+        self._check_key(key)
+        if len(x) != self.in_len:
             raise MalformedKeyError("key or input has the wrong length")
         return self.output
 
     def evaluate_all(self, key: str) -> list[str]:
         """`evaluate(key, x)` for every input x, in lexicographic order of x."""
-        if len(key) != self.key_len:
-            raise MalformedKeyError("key or input has the wrong length")
+        self._check_key(key)
         return [self.output] * (1 << self.in_len)
+
+    def _check_key(self, key: str) -> None:
+        if not isinstance(key, str) or len(key) != self.key_len:
+            raise MalformedKeyError(f"key must be {self.key_len} bits, got {key!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .errors import (
     LayoutError,
     MalformedKeyError,
     MeasurementError,
+    ParameterError,
 )
 from .rationals import QRat
 from .rng import Stream, is_bitstring
@@ -56,6 +57,13 @@ MAX_EXHAUSTIVE_QUBITS = 3
 # A q-qubit channel's Choi matrix is 4^q x 4^q complex128: 16 MiB at 5
 # qubits, 256 MiB at 6 and 1 TiB at 9.
 MAX_CHOI_QUBITS = 5
+# A dense q-qubit state holds 16 * 4^q bytes: complex128 entries, or in exact
+# mode two object arrays of 8-byte pointers (plus any large ints).  At the cap
+# that is 16 MiB, the size of the largest Choi matrix; 12 qubits would take
+# 256 MiB and 30 qubits 16 EiB.  `_normalize_layout` refuses a larger layout,
+# and every constructor, `tensor` and `measure_registers_into` normalize it
+# before building the matrix.
+MAX_STATE_QUBITS = 2 * MAX_CHOI_QUBITS
 # A state keeps the results of its unary kernels (`_memoized`) only up to 4
 # qubits, and at most 64 of them: every pad of a 3-qubit register.  At 8
 # qubits, 64 padded states would take 64 MB.
@@ -71,6 +79,7 @@ class Register(NamedTuple):
 def _normalize_layout(layout) -> tuple[Register, ...]:
     regs = []
     seen = set()
+    qubits = 0
     for item in layout:
         reg = Register(str(item[0]), int(item[1]))
         if reg.qubits < 1:
@@ -79,6 +88,11 @@ def _normalize_layout(layout) -> tuple[Register, ...]:
             raise LayoutError(f"duplicate register name {reg.name!r}")
         seen.add(reg.name)
         regs.append(reg)
+        qubits += reg.qubits
+    if qubits > MAX_STATE_QUBITS:
+        raise ParameterError(
+            f"a dense state holds at most {MAX_STATE_QUBITS} qubits, got {qubits}"
+        )
     return tuple(regs)
 
 
@@ -270,14 +284,16 @@ def _memoized(state: DensityMatrix, key: tuple, compute, *args):
 # ---------------------------------------------------------------------------
 
 
-def _zeros(dim: int, exact: bool) -> np.ndarray:
-    """Zero numerators (Python ints) when exact, complex zeros otherwise."""
-    return np.zeros((dim, dim), dtype=object if exact else np.complex128)
-
-
-def _state(mat: np.ndarray, den: int, layout) -> DensityMatrix:
-    """Wrap a constructor's matrix; an exact one holds integer numerators over `den`."""
+def _zeros(layout, exact: bool) -> tuple[tuple[Register, ...], np.ndarray]:
+    """The normalized `layout` and its zero matrix: numerators (Python ints) when
+    exact, complex zeros otherwise.  The layout is checked before the matrix is built."""
     layout = _normalize_layout(layout)
+    dim = 2 ** sum(r.qubits for r in layout)
+    return layout, np.zeros((dim, dim), dtype=object if exact else np.complex128)
+
+
+def _state(mat: np.ndarray, den: int, layout: tuple[Register, ...]) -> DensityMatrix:
+    """Wrap a constructor's matrix; an exact one holds integer numerators over `den`."""
     if mat.dtype == object:
         return DensityMatrix._of((mat, np.zeros_like(mat)), den, layout)
     return DensityMatrix._of((mat,), None, layout)
@@ -287,51 +303,52 @@ def basis_state(bits: str, name: str = "M", exact: bool = False) -> DensityMatri
     """|bits><bits| on a register named `name`."""
     if not bits or not is_bitstring(bits):
         raise MalformedKeyError(f"basis label must be a nonempty 0/1 string, got {bits!r}")
-    dim = 2 ** len(bits)
+    layout, mat = _zeros([(name, len(bits))], exact)
     idx = int(bits, 2)
-    mat = _zeros(dim, exact)
     mat[idx, idx] = 1
-    return _state(mat, 1, [(name, len(bits))])
+    return _state(mat, 1, layout)
 
 
 def maximally_mixed(qubits: int, name: str = "M", exact: bool = False) -> DensityMatrix:
-    dim = 2**qubits
-    mat = _zeros(dim, exact)
+    layout, mat = _zeros([(name, qubits)], exact)
+    dim = mat.shape[0]
     np.fill_diagonal(mat, 1 if exact else 1.0 / dim)
-    return _state(mat, dim, [(name, qubits)])
+    return _state(mat, dim, layout)
 
 
 def bell_state(first: str = "M", second: str = "E", exact: bool = False) -> DensityMatrix:
     """The two-qubit state (|00> + |11>)/sqrt(2) as a density matrix."""
-    mat = _zeros(4, exact)
+    layout, mat = _zeros([(first, 1), (second, 1)], exact)
     mat[np.ix_((0, 3), (0, 3))] = 1 if exact else 0.5
-    return _state(mat, 2, [(first, 1), (second, 1)])
+    return _state(mat, 2, layout)
 
 
 def plus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    mat = _zeros(2, exact)
+    layout, mat = _zeros([(name, 1)], exact)
     mat[:, :] = 1 if exact else 0.5
-    return _state(mat, 2, [(name, 1)])
+    return _state(mat, 2, layout)
 
 
 def minus_state(name: str = "M", exact: bool = False) -> DensityMatrix:
-    mat = _zeros(2, exact)
+    layout, mat = _zeros([(name, 1)], exact)
     half = 1 if exact else 0.5
     mat[:, :] = [[half, -half], [-half, half]]
-    return _state(mat, 2, [(name, 1)])
+    return _state(mat, 2, layout)
 
 
 def random_pure_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatrix:
+    layout = _normalize_layout([(name, qubits)])
     gen = rng.numpy()
     dim = 2**qubits
     vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
     vec /= np.linalg.norm(vec)
-    return DensityMatrix(np.outer(vec, vec.conj()), [(name, qubits)], validate=False)
+    return DensityMatrix(np.outer(vec, vec.conj()), layout, validate=False)
 
 
 def random_mixed_state(
     qubits: int, rng: Stream, name: str = "M", components: int = 3
 ) -> DensityMatrix:
+    layout = _normalize_layout([(name, qubits)])
     gen = rng.numpy()
     dim = 2**qubits
     weights = gen.random(components)
@@ -341,7 +358,7 @@ def random_mixed_state(
         vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
         vec /= np.linalg.norm(vec)
         mat += w * np.outer(vec, vec.conj())
-    return DensityMatrix(mat, [(name, qubits)], validate=False)
+    return DensityMatrix(mat, layout, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +533,12 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product with concatenated register layout."""
     if a.exact != b.exact:
         raise ExactModeError("cannot tensor an exact state with a float state")
+    layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions and size
     if a.exact:
         (a_re, a_im), (b_re, b_im) = a.parts, b.parts
         re = _kron(a_re, b_re) - _kron(a_im, b_im)
         im = _kron(a_re, b_im) + _kron(a_im, b_re)
-        layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
         return DensityMatrix._of((re, im), a.den * b.den, layout)
-    layout = _normalize_layout(a.layout + b.layout)  # rejects name collisions
     return DensityMatrix._of((_kron(a.mat, b.mat),), None, layout)
 
 
@@ -702,6 +718,7 @@ def measure_registers_into(
     split = _split_targets(state, names)
     if any(r.name == out_name for r in split.rest_layout):
         raise LayoutError(f"output register {out_name!r} collides with an existing one")
+    layout = _normalize_layout((Register(out_name, out_qubits),) + split.rest_layout)
     labels = []
     for t in range(split.t_dim):
         label = fn(split.labels[t])
@@ -720,7 +737,7 @@ def measure_registers_into(
             total[lo:hi, lo:hi] = total[lo:hi, lo:hi] + arr[t, :, t, :]
         return total
 
-    return state._map(record, (Register(out_name, out_qubits),) + split.rest_layout)
+    return state._map(record, layout)
 
 
 def rename_register(state: DensityMatrix, old: str, new: str) -> DensityMatrix:

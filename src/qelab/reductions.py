@@ -63,7 +63,7 @@ from .roles import (
     Distinguisher,
     MessageGenerator,
     NegatedDistinguisher,
-    RoleContext,
+    Oracles,
     SamplingPlay,
 )
 from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, bitstring_space
@@ -97,7 +97,7 @@ class ZeroEncryptionSimulator(Channel):
             zero = self._zeros[qubits, exact] = basis_state("0" * qubits, "M", exact)
         return zero
 
-    def outputs(self, tag, state, ctx: RoleContext):
+    def outputs(self, tag, state, ctx):
         scheme: PauliTagScheme = ctx.scheme
         if scheme is None:
             raise RoleError("simulator needs the scheme in its context")
@@ -217,46 +217,6 @@ def sem_to_ind_identity_check(scheme, ind_mgen, ind_dist,
 # ---------------------------------------------------------------------------
 
 
-class _OracleBackedHandles:
-    """Encrypt/decrypt built from a raw function oracle, with a call budget.
-
-    Encryption call k draws its tag from `rng.child(label).child(f"tag{k}")`;
-    the `label` stream is derived on the first encryption.
-    """
-
-    def __init__(self, oracle: Callable[[str], str], qubits: int, rng: Stream, label: str,
-                 budget: int):
-        self._oracle = oracle
-        self._qubits = qubits
-        self._parent, self._label = rng, label
-        self._rng = None
-        self._budget = budget
-        self._calls = 0
-
-    def _tick(self):
-        self._calls += 1
-        if self._calls > self._budget:
-            raise RoleError(f"simulated oracle budget of {self._budget} calls exhausted")
-
-    def encrypt(self, rho: DensityMatrix) -> SkeCiphertext:
-        self._tick()
-        if self._rng is None:
-            self._rng = self._parent.child(self._label)
-        tag = self._rng.child(f"tag{self._calls}").bits(2 * self._qubits)
-        return SkeCiphertext(tag, apply_pauli(self._oracle(tag), rho))
-
-    def decrypt(self, ct: SkeCiphertext) -> DensityMatrix:
-        self._tick()
-        return apply_pauli(self._oracle(ct.tag), ct.payload)
-
-
-class _EncryptOnlyHandles(_OracleBackedHandles):
-    """The post-challenge handles: encryption only."""
-
-    def decrypt(self, ct: SkeCiphertext) -> DensityMatrix:
-        raise RoleError("decryption oracle not available after the challenge")
-
-
 class Construction:
     """A reduction's constructed distinguisher, written once as a coin tree.
 
@@ -280,19 +240,28 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
 
     The construction plays `(oracle, rng) -> bit`: it simulates the
     symmetric scheme's encryption and decryption through the function
-    oracle, flips a fair coin between the genuine and the zeroed
+    oracle, granted as in IND-CCA1 (both before the challenge, encryption
+    only after), flips a fair coin between the genuine and the zeroed
     challenge, runs the attack, and outputs 1 iff the attack's guess
     matches the coin.
     """
     tags = bitstring_space(2 * qubits)
+    grants = OraclePolicy.cca1()
 
     def branches(oracle: Callable[[str], str], play):
-        ctx_pre = play.context(
-            "mgen", lambda rng: _OracleBackedHandles(oracle, qubits, rng, "handles", budget)
-        )
-        ctx_post = play.context(
-            "dist", lambda rng: _EncryptOnlyHandles(oracle, qubits, rng, "post", budget)
-        )
+        # The simulated scheme: encryption call k draws its tag from
+        # `<label>/tag<k>`, and both algorithms pad through `oracle`.
+        def encrypt(rho: DensityMatrix, rng: Stream) -> SkeCiphertext:
+            tag = rng.bits(2 * qubits)
+            return SkeCiphertext(tag, apply_pauli(oracle(tag), rho))
+
+        def decrypt(ct: SkeCiphertext) -> DensityMatrix:
+            return apply_pauli(oracle(ct.tag), ct.payload)
+
+        ctx_pre = play.context("mgen", lambda rng: Oracles(
+            encrypt, decrypt, grants.pre, rng, "handles", budget, "tag"))
+        ctx_post = play.context("dist", lambda rng: Oracles(
+            encrypt, decrypt, grants.post, rng, "post", budget, "tag"))
         for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")
@@ -402,7 +371,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
     def arm(label: str, length: int, expand):
         def branches(play):
             for wy, y in space_coin(play, label, bitstring_space(length)):
-                for w, accept in construction.branches(expand(y), play.child("run")):
+                for w, accept in construction.branches(expand(y), play.context("run")):
                     yield (wy * w, accept)
 
         return game_arm(branches)

@@ -2,13 +2,15 @@
 
 Roles expose their randomness as coins of the arm's coin tree, which is
 what lets the enumeration-mode games compute probabilities as exact
-Fractions.  A role that wants private coins draws them with
-`ctx.coin(label, cases, draw)`: the exact interpreter yields every
-declared case, the sampling interpreter one case drawn from the role's
-own stream, so the role is written once for both modes.  A coin passed
-without a `draw` is certain: it declares one case, and neither
-interpreter draws for it.  Only oracle interaction through `ctx.oracles`
-is limited to sampling mode.
+Fractions.  A role's context `ctx` is the interpreter of its arm
+(`ExactPlay` or `SamplingPlay`), rooted at the role's own coins and
+carrying the game's `pk`, `scheme` and `oracles`.  A role that wants
+private coins draws them with `ctx.coin(label, cases, draw)`: the exact
+interpreter yields every declared case, the sampling interpreter one case
+drawn from the role's own stream, so the role is written once for both
+modes.  A coin passed without a `draw` is certain: it declares one case,
+and neither interpreter draws for it.  Only oracle interaction through
+`ctx.oracles` is limited to sampling mode.
 """
 
 from __future__ import annotations
@@ -31,19 +33,47 @@ from .quantum import (
 from .rng import Stream, is_bitstring
 
 
-class _DeniedOracles:
-    """Oracle stand-in for enumeration mode, where coin spaces must be declared."""
+class Oracles:
+    """Budgeted encryption and decryption handles for one role in one phase.
 
-    grants = frozenset()
+    `encrypt(rho, rng)` and `decrypt(ct)` are the scheme's algorithms under
+    the game's key, or a simulation of them.  Each granted call counts
+    against `budget`.  Encryption call k draws its coins from
+    `rng.child(label).child(f"{prefix}{k}")`; the `label` stream is derived
+    on the first encryption, so a role that never encrypts derives none.
+    A kind outside `grants` is refused as not granted `where`.
+    """
 
-    def encrypt(self, rho):
-        raise OraclePolicyError("oracle access is not available in exact mode")
+    def __init__(self, encrypt=None, decrypt=None, grants=frozenset(), rng=None, label=None,
+                 budget=0, prefix="enc", where="under this policy"):
+        self._encrypt, self._decrypt = encrypt, decrypt
+        self.grants = frozenset(grants)
+        self._parent, self._label, self._prefix = rng, label, prefix
+        self._rng = None
+        self._budget = budget
+        self._where = where
+        self._calls = 0
 
-    def decrypt(self, ct):
-        raise OraclePolicyError("oracle access is not available in exact mode")
+    def _tick(self, kind: str):
+        if kind not in self.grants:
+            raise OraclePolicyError(f"{kind!r} oracle not granted {self._where}")
+        self._calls += 1
+        if self._calls > self._budget:
+            raise OraclePolicyError(f"oracle budget of {self._budget} calls exhausted")
+
+    def encrypt(self, rho: DensityMatrix):
+        self._tick("enc")
+        if self._rng is None:
+            self._rng = self._parent.child(self._label)
+        return self._encrypt(rho, self._rng.child(f"{self._prefix}{self._calls}"))
+
+    def decrypt(self, ct) -> DensityMatrix:
+        self._tick("dec")
+        return self._decrypt(ct)
 
 
-DENIED_ORACLES = _DeniedOracles()
+# Handles that grant nothing keep no state, so each is shared.
+_UNGRANTED = Oracles()
 
 
 # ---------------------------------------------------------------------------
@@ -52,19 +82,28 @@ DENIED_ORACLES = _DeniedOracles()
 
 
 class ExactPlay:
-    """Exact interpreter: every coin yields all of its declared cases."""
+    """Exact interpreter: every coin yields all of its declared cases.
+
+    As a role's context it carries `pk` and `scheme`, and oracles that
+    refuse every call: exact mode plays only declared coins.
+    """
 
     exact = True
+    oracles = Oracles(where="in exact mode")
+
+    def __init__(self, pk=None, scheme=None):
+        self.pk, self.scheme = pk, scheme
 
     def coin(self, label: str, cases, draw=None):
+        """A coin: (weight, value) pairs from `cases()`, or one `draw(rng)` when sampled.
+
+        Without `draw` the coin is certain: `cases()` holds its one case.
+        """
         return cases()
 
-    def child(self, label: str) -> "ExactPlay":
-        return self
-
-    def context(self, coins: str, oracles=None, **fields) -> "RoleContext":
-        """Exact roles get no oracles; their private coins are enumerated."""
-        return RoleContext(play=self, **fields)
+    def context(self, coins: str, oracles=None, pk=None, scheme=None) -> "ExactPlay":
+        """A role's context: its private coins are enumerated, and it gets no oracles."""
+        return ExactPlay(pk, scheme)
 
     def prob(self, value):
         if not isinstance(value, Fraction):
@@ -81,14 +120,17 @@ class SamplingPlay:
     so an arm's branches collapse to the single branch of one trial.  A
     certain coin (no `draw`) yields its one case and builds no stream.
     `SamplingPlay(parent, label)` plays under `parent.child(label)`, built
-    on first use, so a role that never draws builds no stream.
+    on the first draw, so a role that never draws builds no stream.
     """
 
+    __slots__ = ("_parent", "_label", "_rng", "oracles", "pk", "scheme")
     exact = False
 
-    def __init__(self, rng: Stream, label: Optional[str] = None):
+    def __init__(self, rng: Stream, label: Optional[str] = None, oracles: Oracles = _UNGRANTED,
+                 pk=None, scheme=None):
         self._parent, self._label = rng, label
         self._rng = rng if label is None else None
+        self.oracles, self.pk, self.scheme = oracles, pk, scheme
 
     @property
     def rng(self) -> Stream:
@@ -102,47 +144,18 @@ class SamplingPlay:
             return ((1, value),)
         return ((1, draw(self.rng.child(label))),)
 
-    def child(self, label: str) -> "SamplingPlay":
-        return SamplingPlay(self.rng, label)
-
-    def context(self, coins: str, oracles=None, **fields) -> "RoleContext":
-        """Private coins under `rng.child(coins)`; handles from `oracles(rng)`."""
-        return RoleContext(
-            oracles=oracles(self.rng) if oracles is not None else DENIED_ORACLES,
-            play=self.child(coins),
-            **fields,
-        )
+    def context(self, coins: str, oracles=None, pk=None, scheme=None) -> "SamplingPlay":
+        """A role's context: private coins under `rng.child(coins)`, handles from
+        `oracles(rng)`, or none granted without a factory."""
+        rng = self.rng
+        return SamplingPlay(rng, coins, _UNGRANTED if oracles is None else oracles(rng),
+                            pk, scheme)
 
     def prob(self, value) -> float:
         return float(value)
 
 
 EXACT = ExactPlay()
-
-
-@dataclass
-class RoleContext:
-    """Everything a role may legitimately touch during one game run.
-
-    `play` is the interpreter of the arm being played, rooted at the
-    role's own coins, so `coin` branches the arm's tree.
-    """
-
-    pk: object = None
-    oracles: object = DENIED_ORACLES
-    play: object = EXACT
-    scheme: object = None
-
-    @property
-    def exact(self) -> bool:
-        return self.play.exact
-
-    def coin(self, label: str, cases, draw=None):
-        """A private coin: (weight, value) pairs from `cases()` or one `draw(rng)`.
-
-        Without `draw` the coin is certain: `cases()` holds its one case.
-        """
-        return self.play.coin(label, cases, draw)
 
 
 @dataclass(frozen=True)
@@ -173,7 +186,7 @@ def sample_case(cases: list[MessageCase], rng: Stream) -> MessageCase:
 class MessageGenerator:
     """Produces the challenge state over named registers (M, optional E/F)."""
 
-    def cases(self, pk, ctx: RoleContext) -> list[MessageCase]:
+    def cases(self, pk, ctx) -> list[MessageCase]:
         raise NotImplementedError
 
 
@@ -284,13 +297,13 @@ class Distinguisher:
     measured: tuple[str, ...] = ("M",)
     reads_tag: bool = True
 
-    def pre_map(self, tag, state: DensityMatrix, ctx: RoleContext) -> DensityMatrix:
+    def pre_map(self, tag, state: DensityMatrix, ctx) -> DensityMatrix:
         return state
 
-    def decide(self, tag, outcome: str, ctx: RoleContext) -> int:
+    def decide(self, tag, outcome: str, ctx) -> int:
         raise NotImplementedError
 
-    def prob_one(self, tag, state: DensityMatrix, ctx: RoleContext):
+    def prob_one(self, tag, state: DensityMatrix, ctx):
         mapped = self.pre_map(tag, state, ctx)
         dist = measurement_distribution(mapped, self.measured)
         zero = Fraction(0) if mapped.exact else 0.0
@@ -413,10 +426,10 @@ class Channel:
     not own (in particular the target register F).
     """
 
-    def outputs(self, tag, state: DensityMatrix, ctx: RoleContext):
+    def outputs(self, tag, state: DensityMatrix, ctx):
         return ((1, self.transform(tag, state, ctx)),)
 
-    def transform(self, tag, state: DensityMatrix, ctx: RoleContext) -> DensityMatrix:
+    def transform(self, tag, state: DensityMatrix, ctx) -> DensityMatrix:
         raise NotImplementedError
 
 

@@ -305,8 +305,13 @@ class PrfSymmetricScheme(PauliTagScheme):
 
     def encryption_space(self, ek):
         """Every tag with its pad, listed by one `evaluate_all` walk; built once per key."""
-        space = self._spaces.get(ek)
+        try:
+            space = self._spaces.get(ek)
+        except TypeError:  # an unhashable key, such as a list
+            space = None
         if space is None:
+            if not isinstance(ek, str):
+                raise MalformedKeyError(f"key must be a 0/1 string, got {ek!r}")
             prf = self.prf
             space = self._spaces[ek] = _tagged_pads(2 * self.qubits, partial(prf.evaluate, ek),
                                                     partial(prf.evaluate_all, ek))

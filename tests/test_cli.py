@@ -273,13 +273,22 @@ _QOTP_TO_PRG = ["reduce", "--reduction", "qotp-to-prg"]
         (_QOTP_TO_PRG + ["--qubits", "-1"], "--qubits must be at least 1, got -1"),
         (_CORRECTNESS + ["--keys", "1", "--exact"], "unrecognized arguments: --exact"),
         (_CORRECTNESS + ["--keys", "1", "--trials", "5"], "unrecognized arguments: --trials 5"),
+        (["game", "--game", "ind", "--scheme", "qotp", "--qubits", "11", "--trials", "1"],
+         "a dense state holds at most 10 qubits, got 11"),
+        (["game", "--game", "ind", "--scheme", "qotp", "--qubits", "64", "--trials", "1"],
+         "a dense state holds at most 10 qubits, got 64"),
+        (["game", "--game", "ind", "--scheme", "ske-prf", "--qubits", "30", "--trials", "1"],
+         "a dense state holds at most 10 qubits, got 30"),
+        (_QOTP_TO_PRG + ["--qubits", "30", "--trials", "1"],
+         "a dense state holds at most 10 qubits, got 30"),
     ],
     ids=["trials-0", "seed-negative", "exact-4-qubits", "keys-0", "keys-negative",
          "correctness-6-qubits", "correctness-9-qubits", "qotp-mix-qubits-negative",
          "qotp-mix-qubits-0", "qotp-mix-qubits-4", "qotp-mix-qubits-40-no-battery",
          "qotp-to-prg-n-negative", "qotp-to-prg-n-0",
          "qotp-to-prg-n-13-exact", "qotp-to-prg-qubits-0", "qotp-to-prg-qubits-negative",
-         "correctness-exact", "correctness-trials"],
+         "correctness-exact", "correctness-trials", "qotp-qubits-11", "qotp-qubits-64",
+         "ske-prf-qubits-30", "qotp-to-prg-qubits-30"],
 )
 def test_out_of_range_parameter_is_usage_error(argv, message):
     src = Path(qelab.__file__).resolve().parents[1]

@@ -44,10 +44,10 @@ from qelab.roles import (
     CopyPayloadAdversary,
     Distinguisher,
     EntangledMessage,
+    ExactPlay,
     MessageCase,
     MessageGenerator,
     MeasureEqualsDistinguisher,
-    RoleContext,
     SamplingPlay,
     UniformOutputChannel,
     constant_function,
@@ -226,7 +226,7 @@ def test_oracle_budget_enforced():
 
 def test_exact_mode_denies_oracles():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(11).child("s"))
-    with pytest.raises(OraclePolicyError):
+    with pytest.raises(OraclePolicyError, match="in exact mode"):
         run_ind(scheme, _GreedyEncrypting(), ConstantDistinguisher(1),
                 OraclePolicy.cpa(), EXACT)
 
@@ -1019,7 +1019,7 @@ def test_sem2_accepts_target_register_in_any_position():
 @pytest.mark.parametrize("mgen", [BasisMessage("10"), BasisMessageWithTarget("1"),
                                   EntangledMessage()])
 def test_fixed_generators_hand_out_one_case_per_mode(mgen):
-    float_ctx, exact_ctx = RoleContext(play=SamplingPlay(Stream(1))), RoleContext()
+    float_ctx, exact_ctx = SamplingPlay(Stream(1)), ExactPlay()
     (first,) = mgen.cases(None, float_ctx)
     assert mgen.cases(None, float_ctx)[0] is first
     (exact,) = mgen.cases(None, exact_ctx)

@@ -13,8 +13,11 @@ from qelab.errors import (
     LayoutError,
     MalformedKeyError,
     MeasurementError,
+    ParameterError,
 )
+from qelab import quantum
 from qelab.quantum import (
+    MAX_STATE_QUBITS,
     TOL_ALGEBRA,
     _kron,
     _trace_distance_raw,
@@ -171,6 +174,36 @@ def test_average_exhaustive_cap():
     # but the cap is configurable
     out = qotp_average(maximally_mixed(4), max_qubits=4)
     assert trace_distance(out, maximally_mixed(4)) < TOL_ALGEBRA
+
+
+def test_a_state_above_the_size_cap_is_refused_before_its_matrix(monkeypatch):
+    # The cap itself is admitted, by a constructor and by `tensor`.
+    assert maximally_mixed(MAX_STATE_QUBITS).qubits == MAX_STATE_QUBITS
+    fits = basis_state("0" * (MAX_STATE_QUBITS - 1), "A")
+    assert tensor(fits, basis_state("1", "B")).qubits == MAX_STATE_QUBITS
+    fits_exact = basis_state("0" * (MAX_STATE_QUBITS - 1), "A", exact=True)
+    pair, pair_exact = basis_state("00", "B"), basis_state("00", "B", exact=True)
+    one = basis_state("1", "C")
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built above the cap")
+
+    for module, name in ((np, "zeros"), (np, "outer"), (quantum, "_kron")):
+        monkeypatch.setattr(module, name, no_matrix)
+    big = MAX_STATE_QUBITS + 1
+    refusals = [
+        lambda: basis_state("0" * big),
+        lambda: basis_state("1" * big, exact=True),
+        lambda: maximally_mixed(big),
+        lambda: random_pure_state(big, Stream(1)),
+        lambda: random_mixed_state(big, Stream(1)),
+        lambda: tensor(fits, pair),
+        lambda: tensor(fits_exact, pair_exact),
+        lambda: measure_registers_into(one, ["C"], lambda outcome: "0" * big, "OUT", big),
+    ]
+    for build in refusals:
+        with pytest.raises(ParameterError, match=f"at most {MAX_STATE_QUBITS} qubits, got {big}"):
+            build()
 
 
 def test_average_exact_mode_is_rational():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qelab import reductions
-from qelab.errors import ParameterError
+from qelab.errors import OraclePolicyError, ParameterError
 from qelab.games import GameConfig, OraclePolicy, run_ind, run_sem
 from qelab.primitives import ConstantPrf, ConstantPrg, prf_distinguisher_advantage
 from qelab.quantum import (
@@ -39,10 +39,9 @@ from qelab.roles import (
     MeasureEqualsDistinguisher,
     MessageCase,
     MessageGenerator,
-    RoleContext,
     UnpadThenMeasureDistinguisher,
 )
-from qelab.schemes import IdentityScheme, PrfSymmetricScheme, QotpScheme
+from qelab.schemes import IdentityScheme, PrfSymmetricScheme, QotpScheme, SkeCiphertext
 
 EXACT = GameConfig(exact=True, seed=6)
 
@@ -74,7 +73,7 @@ def test_simulator_output_equals_zero_arm_exactly():
     scheme = QotpScheme(1, 1)
     adversary = CopyPayloadAdversary("M", "OUT")
     simulator = reduction_ind_to_sem(adversary)
-    ctx = RoleContext(pk=None, play=EXACT_PLAY, scheme=scheme)
+    ctx = EXACT_PLAY.context("sim-coins", scheme=scheme)
 
     state_ef = basis_state("1", "F", exact=True)
     total = None
@@ -254,6 +253,39 @@ def test_prf_construction_with_oracle_calls_is_pinned():
     oracle = lambda tag: tag[::-1]
     bits = "".join(str(construction(oracle, Stream(9).child(f"t{t}"))) for t in range(64))
     assert bits == "1101100101101100010011010001011110111010100111010010001011010000"
+
+
+class _EncryptingPastBudget(MessageGenerator):
+    """Before the challenge: encrypts |0> once more than the budget allows."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+
+    def cases(self, pk, ctx):
+        for _ in range(self.budget + 1):
+            ctx.oracles.encrypt(basis_state("0"))
+        return [MessageCase(Fraction(1), basis_state("1", "M"))]
+
+
+class _DecryptingAfterChallenge(Distinguisher):
+    """After the challenge: asks the simulated scheme to decrypt its challenge."""
+
+    def prob_one(self, tag, state, ctx):
+        ctx.oracles.decrypt(SkeCiphertext(tag, state))
+        return 0.5
+
+
+def test_prf_construction_refuses_calls_past_its_budget():
+    construction = reduction_cca1_to_prf(_EncryptingPastBudget(3), MeasureEqualsDistinguisher("1"),
+                                         qubits=1, budget=3)
+    with pytest.raises(OraclePolicyError, match="budget of 3 calls exhausted"):
+        construction(lambda tag: tag, Stream(9))
+
+
+def test_prf_construction_refuses_decryption_after_the_challenge():
+    construction = reduction_cca1_to_prf(BasisMessage("1"), _DecryptingAfterChallenge(), qubits=1)
+    with pytest.raises(OraclePolicyError, match="'dec' oracle not granted"):
+        construction(lambda tag: tag, Stream(9))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,18 @@ def test_ske_malformed_tag_rejected():
         SkeCiphertext("01", maximally_mixed(2))
 
 
+@pytest.mark.parametrize("key", [["0", "1"], 5, "011"])
+@pytest.mark.parametrize("prf", ["ggm", "constant"])
+def test_ske_malformed_key_rejected(key, prf):
+    scheme = _ske(n=2, qubits=1) if prf == "ggm" else PrfSymmetricScheme(
+        2, 1, prf=ConstantPrf(2, 2, 2))
+    ct = scheme.encrypt("01", basis_state("1"), Stream(15))
+    with pytest.raises(MalformedKeyError):
+        scheme.encrypt(key, basis_state("1"), Stream(16))
+    with pytest.raises(MalformedKeyError):
+        scheme.decrypt(key, ct)
+
+
 def test_ske_choi_round_trip_channel():
     scheme = _ske(n=2, qubits=1, seed=102)
     identity = lambda m: m
