@@ -36,10 +36,31 @@ may fan trials out concurrently.  Enumeration is single-threaded per
 game, but separate games can run side by side.  A game's trials share
 only results of work that does not change between trials: the kernel
 results a shared message state keeps in its own memo (its zeroed form,
-its padded forms, their measurement distributions), and the sem2
-classical target in a one-entry `_LastValueMemo`.  The memos hold only
-immutable results of immutable inputs, so sharing them cannot couple two
-trials.
+its padded forms, their measurement distributions), the sem2 classical
+target in a one-entry `_LastValueMemo`, and each sampled arm's branch
+memo.  The memos hold only immutable results of immutable inputs, so
+sharing them cannot couple two trials.
+
+The branch memo (`_BranchMemo`) is a trie of the coins an arm's trials
+drew, keyed by drawn value, with each complete branch's success
+probability at its leaf.  An arm has one when its message generator and
+every role its view calls declare `pure` (see `roles`).  A trial walks
+the trie: it draws each recorded coin from the stream path it would draw
+it from in a full play, in the same order and with the same `draw`, and
+at a leaf it has its branch's probability without evaluating a role.  On
+a miss it plays the arm in full, taking back the values it already drew
+(`roles.Trial`), and records its coins.  Each trial still builds and
+draws exactly the streams of a full play, and `GameArm.sample` still
+draws its `bernoulli` coin, so every report byte is that of a full play.
+A trial that calls an encryption oracle, draws from a space without a
+`size` or draws an unhashable value is not recorded; from the point
+where its coins so far make that certain, the trie says so, and a trial
+that reaches that point is played in full, without recording.  The memo
+holds at most one leaf per distinct recorded branch, so it is bounded by
+the trials and by the product of the recorded spaces' sizes, and it
+lives only as long as its game.  Trials running side by side each build
+new nodes before linking them in, so a race between them can only lose
+an entry.
 
 A sampled trial builds a stream only for a coin that draws: a role's
 `<role>-coins` stream on the role's first coin, `mpick` only when the
@@ -85,6 +106,7 @@ from .roles import (
     NegatedDistinguisher,
     Oracles,
     SamplingPlay,
+    Trial,
     sample_case,
 )
 from .schemes import CoinSpace, PauliTagScheme
@@ -218,19 +240,84 @@ class _LastValueMemo:
 # ---------------------------------------------------------------------------
 
 
-def game_arm(branches) -> GameArm:
+class _Coin:
+    """A branch memo node: the coin every trial reaching it draws, by its stream
+    path and `draw`, and what follows each value drawn (`_Coin`, a leaf's
+    probability or `_UNRECORDED`)."""
+
+    __slots__ = ("path", "draw", "after")
+
+    def __init__(self, path: tuple, draw, after: dict):
+        self.path, self.draw, self.after = path, draw, after
+
+
+_UNRECORDED = object()  # trials reaching this point are played in full, not recorded
+
+
+class _BranchMemo:
+    """An arm's `sample_probability`: one branch per trial, each distinct branch
+    played once when `replays` (see the module docstring), every trial played
+    in full otherwise."""
+
+    __slots__ = ("_branches", "_root")
+
+    def __init__(self, branches, replays: bool):
+        self._branches = branches
+        self._root = None if replays else _UNRECORDED
+
+    def __call__(self, rng: Stream) -> float:
+        node = self._root
+        if node is _UNRECORDED:
+            ((_, p),) = self._branches(SamplingPlay(rng))
+            return p
+        trial = Trial(rng)
+        while type(node) is _Coin:
+            value = trial.draw(node.path, node.draw)
+            try:
+                node = node.after.get(value)
+            except TypeError:  # an unhashable value
+                node = _UNRECORDED
+        if node is not None and node is not _UNRECORDED:
+            return node  # a leaf: the branch's probability
+        trial.recording = node is None  # past a mark, the trial is played without recording
+        ((_, p),) = self._branches(SamplingPlay(trial))
+        if trial.recording:
+            self._keep(trial.coins, p)
+        elif trial.stop is not None:
+            self._keep(trial.coins[:trial.stop], _UNRECORDED)
+        return p
+
+    def _keep(self, coins: list, end) -> None:
+        """Link `end` in after the branch of `coins`, unless a trial alongside did
+        or a value drawn cannot be hashed."""
+        parent, node, depth = None, self._root, 0
+        try:
+            while type(node) is _Coin and depth < len(coins):
+                parent, node = node, node.after.get(coins[depth][2])
+                depth += 1
+            if node is not None:
+                return
+            for path, draw, value in reversed(coins[depth:]):
+                end = _Coin(path, draw, {value: end})
+        except TypeError:  # an unhashable value
+            return
+        if parent is None:
+            self._root = end
+        else:
+            parent.after[coins[depth - 1][2]] = end
+
+
+def game_arm(branches, roles=None) -> GameArm:
     """Build an arm from its one definition: `branches(play)` yields
     (weight, probability) pairs, looping over `play.coin(...)` at every coin.
 
     Exact mode plays it with `EXACT`; sampling mode plays it with a
     `SamplingPlay` of the trial's stream and unpacks the single branch.
+    When `roles`, the roles `branches` calls, are given and all declare
+    `pure`, sampled trials replay through a branch memo (`_BranchMemo`).
     """
-
-    def sample_probability(rng: Stream) -> float:
-        ((_, p),) = branches(SamplingPlay(rng))
-        return p
-
-    return GameArm(lambda: branches(EXACT), sample_probability)
+    replays = roles is not None and all(getattr(role, "pure", False) for role in roles)
+    return GameArm(lambda: branches(EXACT), _BranchMemo(branches, replays))
 
 
 def fair_bit(play, label: str):
@@ -259,12 +346,17 @@ def _shared(shared: Optional[dict], key, build):
 
 def space_coin(play, label: str, space: CoinSpace, shared: Optional[dict] = None, key=None):
     """`space` played as the coin `label`: its cases sharing one weight, built
-    once per `key` when `shared` is given, or one `space.draw`."""
+    once per `key` when `shared` is given, or one `space.draw`.  A draw from a
+    space without a `size` is not recorded in a branch memo."""
+    if space.size is None:
+        play.unrecorded()
     listed = lambda: _shared(shared, key, lambda: uniform_cases(space.cases()))
     return play.coin(label, listed, space.draw)
 
 
 def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dict] = None):
+    if scheme.key_space().size is None:
+        play.unrecorded()
     return play.coin(
         "key",
         lambda: _shared(shared, "key", lambda: _exact_keypairs(scheme, config)),
@@ -274,12 +366,16 @@ def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dic
 
 def _context(play, scheme, keypair, grants, config: GameConfig, label: str):
     """The `label` role's context: its coins under `<label>-coins`, and oracle
-    call k's encryption coins under `<label>-oracle/enc<k>`."""
+    call k's encryption coins under `<label>-oracle/enc<k>`.  Without grants
+    the context gets the shared handles that refuse every call."""
+    oracles = None
+    if grants:
+        oracles = lambda parent: Oracles(partial(scheme.encrypt, keypair.ek),
+                                         partial(scheme.decrypt, keypair.dk), grants, parent,
+                                         f"{label}-oracle", config.oracle_budget)
     return play.context(
         f"{label}-coins",
-        lambda rng: Oracles(partial(scheme.encrypt, keypair.ek),
-                            partial(scheme.decrypt, keypair.dk), grants, rng,
-                            f"{label}-oracle", config.oracle_budget),
+        oracles,
         pk=keypair.ek if scheme.flavor == "public" else None,
         scheme=scheme,
     )
@@ -377,11 +473,12 @@ def _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement):
 # ---------------------------------------------------------------------------
 
 
-def _arm(scheme, mgen, policy, config, role: str, view, shared: dict) -> GameArm:
+def _arm(scheme, mgen, policy, config, role: str, view, shared: dict, roles: tuple) -> GameArm:
     """One arm of any game: the key coin, the `mgen` and `<role>` contexts and the
     message coin, then `view(play, keypair, mcase, ctx, weight)` yields the
     branches of the challenge, with `ctx` the role's context and `weight` the
-    key times the message weight.  Both arms of a game share `shared`."""
+    key times the message weight; `roles` are the roles `view` calls.  Both
+    arms of a game share `shared`."""
 
     def branches(play):
         for wk, keypair in _keys(play, scheme, config, shared):
@@ -390,7 +487,7 @@ def _arm(scheme, mgen, policy, config, role: str, view, shared: dict) -> GameArm
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 yield from view(play, keypair, mcase, ctx, wk * wm)
 
-    return game_arm(branches)
+    return game_arm(branches, (mgen, *roles))
 
 
 def _play(real: GameArm, ideal: Optional[GameArm], config: GameConfig,
@@ -417,7 +514,7 @@ def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
             state = replace_with_zero_state(mcase.state, "M") if zeroed else mcase.state
             return _challenge_probs(play, dist, state, scheme, keypair.ek, ctx, weight, shared)
 
-        return _arm(scheme, mgen, policy, config, "dist", challenge, shared)
+        return _arm(scheme, mgen, policy, config, "dist", challenge, shared, (dist,))
 
     return _play(arm(False), arm(True), config, "ind")
 
@@ -440,8 +537,8 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
             yield from _challenge_probs(play, dist, state, scheme, keypair.ek, ctx,
                                         weight * wb, shared, complement=hidden_bit == 0)
 
-    return _play(_arm(scheme, mgen, policy, config, "dist", guess, shared), None, config,
-                 "ind-prime")
+    return _play(_arm(scheme, mgen, policy, config, "dist", guess, shared, (dist,)), None,
+                 config, "ind-prime")
 
 
 def ind_prime_ind_identity_check(scheme, mgen, dist, config: Optional[GameConfig] = None,
@@ -488,14 +585,15 @@ def _without(state: DensityMatrix, registers) -> DensityMatrix:
     return partial_trace(state, held) if held else state
 
 
-def _sem_arms(scheme, mgen, adversary, simulator, success_fn, hide, drop, policy,
+def _sem_arms(scheme, mgen, adversary, simulator, success_fn, judges, hide, drop, policy,
               config) -> tuple[GameArm, GameArm]:
     """The real and the ideal arm of a semantic-security game.
 
     Real: the adversary sees the encrypted message case with `hide` traced
     out, before padding, which acts on M alone and so commutes with the
     trace.  Ideal: the simulator sees the message case with `drop` traced
-    out.  success_fn(out_state, mcase, ctx) -> probability of the event.
+    out.  success_fn(out_state, mcase, ctx) -> probability of the event;
+    `judges` are the roles it calls.
     """
     shared = {}
 
@@ -510,8 +608,8 @@ def _sem_arms(scheme, mgen, adversary, simulator, success_fn, hide, drop, policy
         for ws, out in simulator.outputs(None, _without(mcase.state, drop), ctx):
             yield weight * ws, play.prob(success_fn(out, mcase, ctx))
 
-    return (_arm(scheme, mgen, policy, config, "adv", real, shared),
-            _arm(scheme, mgen, policy, config, "sim", ideal, shared))
+    return (_arm(scheme, mgen, policy, config, "adv", real, shared, (adversary, *judges)),
+            _arm(scheme, mgen, policy, config, "sim", ideal, shared, (simulator, *judges)))
 
 
 def run_sem(scheme, mgen, adversary, simulator, dist,
@@ -529,7 +627,8 @@ def run_sem(scheme, mgen, adversary, simulator, dist,
     def success(out_state, mcase, ctx):
         return dist.prob_one(None, out_state, ctx)
 
-    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), ("M",), policy, config)
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (dist,), (), ("M",), policy,
+                     config)
     return _play(*arms, config, "sem")
 
 
@@ -593,8 +692,8 @@ def run_sem2(scheme, mgen, adversary, simulator,
     def success(out_state, mcase, ctx):
         return _compare_out(out_state, classical_target(mcase.state))
 
-    arms = _sem_arms(scheme, mgen, adversary, simulator, success, ("F",), ("M", "F"), policy,
-                     config)
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), ("F",), ("M", "F"),
+                     policy, config)
     return _play(*arms, config, "sem2")
 
 
@@ -624,8 +723,8 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
             raise RoleError("this game needs a generator that declares its transcript")
         return _compare_out(out_state, fn.evaluate(ctx.pk, mcase.transcript))
 
-    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), ("M", "F"), policy,
-                     config)
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (fn,), (), ("M", "F"),
+                     policy, config)
     return _play(*arms, config, "sem3")
 
 

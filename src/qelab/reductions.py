@@ -87,6 +87,7 @@ class ZeroEncryptionSimulator(Channel):
 
     def __init__(self, adversary: Channel):
         self.adversary = adversary
+        self.pure = adversary.pure
         self._zeros = {}
 
     def _zero(self, qubits: int, exact: bool) -> DensityMatrix:
@@ -258,10 +259,10 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
         def decrypt(ct: SkeCiphertext) -> DensityMatrix:
             return apply_pauli(oracle(ct.tag), ct.payload)
 
-        ctx_pre = play.context("mgen", lambda rng: Oracles(
-            encrypt, decrypt, grants.pre, rng, "handles", budget, "tag"))
-        ctx_post = play.context("dist", lambda rng: Oracles(
-            encrypt, decrypt, grants.post, rng, "post", budget, "tag"))
+        ctx_pre = play.context("mgen", lambda parent: Oracles(
+            encrypt, decrypt, grants.pre, parent, "handles", budget, "tag"))
+        ctx_post = play.context("dist", lambda parent: Oracles(
+            encrypt, decrypt, grants.post, parent, "post", budget, "tag"))
         for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")

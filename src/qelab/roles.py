@@ -11,6 +11,19 @@ drawn from the role's own stream, so the role is written once for both
 modes.  A coin passed without a `draw` is certain: it declares one case,
 and neither interpreter draws for it.  Only oracle interaction through
 `ctx.oracles` is limited to sampling mode.
+
+`pure` is a contract a role class declares, not an option, as
+`Distinguisher.reads_tag` is.  `True` promises that the role's outputs
+depend only on its arguments, its `ctx` fields and the values of its
+`ctx.coin` draws, and that it draws only through `ctx.coin`; a subclass
+inherits its base's declaration, and a wrapper declares what it wraps.  A
+sampled arm whose roles are all pure replays each distinct branch from a
+memo (`games.game_arm`).  The default `False` is always safe: such an
+arm's trials are played in full.  Even under pure roles a trial is played
+in full, and not recorded, when it calls an encryption oracle (whose coins
+are drawn outside `ctx.coin`), when it draws from a `CoinSpace` without a
+`size` (a value that does not repeat, such as a `pke-towp` key) or when it
+draws a value that cannot be hashed.
 """
 
 from __future__ import annotations
@@ -39,16 +52,19 @@ class Oracles:
     `encrypt(rho, rng)` and `decrypt(ct)` are the scheme's algorithms under
     the game's key, or a simulation of them.  Each granted call counts
     against `budget`.  Encryption call k draws its coins from
-    `rng.child(label).child(f"{prefix}{k}")`; the `label` stream is derived
-    on the first encryption, so a role that never encrypts derives none.
-    A kind outside `grants` is refused as not granted `where`.
+    `play.rng.child(label).child(f"{prefix}{k}")`, where `play` is the
+    interpreter that built the role's context; the `label` stream is
+    derived on the first encryption, so a role that never encrypts derives
+    none.  That first encryption also tells `play` that the trial is not
+    recorded (`unrecorded`): its coins are not coins of the arm's tree.  A
+    kind outside `grants` is refused as not granted `where`.
     """
 
-    def __init__(self, encrypt=None, decrypt=None, grants=frozenset(), rng=None, label=None,
+    def __init__(self, encrypt=None, decrypt=None, grants=frozenset(), play=None, label=None,
                  budget=0, prefix="enc", where="under this policy"):
         self._encrypt, self._decrypt = encrypt, decrypt
         self.grants = frozenset(grants)
-        self._parent, self._label, self._prefix = rng, label, prefix
+        self._play, self._label, self._prefix = play, label, prefix
         self._rng = None
         self._budget = budget
         self._where = where
@@ -64,7 +80,8 @@ class Oracles:
     def encrypt(self, rho: DensityMatrix):
         self._tick("enc")
         if self._rng is None:
-            self._rng = self._parent.child(self._label)
+            self._play.unrecorded()
+            self._rng = self._play.rng.child(self._label)
         return self._encrypt(rho, self._rng.child(f"{self._prefix}{self._calls}"))
 
     def decrypt(self, ct) -> DensityMatrix:
@@ -105,6 +122,9 @@ class ExactPlay:
         """A role's context: its private coins are enumerated, and it gets no oracles."""
         return ExactPlay(pk, scheme)
 
+    def unrecorded(self) -> None:
+        """Nothing to do: exact mode keeps no trials."""
+
     def prob(self, value):
         if not isinstance(value, Fraction):
             raise EnumerationCapError(
@@ -113,43 +133,111 @@ class ExactPlay:
         return value
 
 
+class Trial:
+    """One sampled trial's streams and drawn coins, shared by all its interpreters.
+
+    A coin's path is the labels from the trial's stream to the coin's
+    stream: `("key",)`, or `("sim-coins", "sim-key")` for a coin of the
+    `sim-coins` context.  `stream(prefix)` builds each context stream once
+    and keeps it, and each coin's stream is built when the coin draws.
+
+    A trial replayed from a branch memo (`games.game_arm`) first `draw`s
+    the coins the memo recorded, in order.  If the memo does not hold the
+    rest of its branch, the arm is played in full, and each coin `take`s
+    back the value drawn for it before any new coin draws.  So no stream is
+    built or drawn twice, and the trial builds the streams a plain play
+    builds.  While `recording`, each coin drawn is kept in `coins` as
+    (path, draw, value); `unrecorded()` stops that and marks in `stop` how
+    many coins came before.
+    """
+
+    __slots__ = ("_streams", "coins", "_taken", "recording", "stop")
+
+    def __init__(self, rng: Stream):
+        self._streams = {(): rng}
+        self.coins = []
+        self._taken = 0
+        self.recording = False
+        self.stop = None
+
+    def stream(self, prefix: tuple) -> Stream:
+        """The stream at `prefix` under the trial's, built on first use."""
+        rng = self._streams.get(prefix)
+        if rng is None:
+            rng = self._streams[prefix] = self.stream(prefix[:-1]).child(prefix[-1])
+        return rng
+
+    def draw(self, path: tuple, draw):
+        """A recorded coin, drawn ahead of the play from the stream at `path`."""
+        value = draw(self.stream(path[:-1]).child(path[-1]))
+        self.coins.append((path, draw, value))
+        return value
+
+    def take(self, prefix: tuple, label: str, draw):
+        """The play's next coin: a value drawn ahead of it, or a fresh draw."""
+        taken = self._taken
+        if taken < len(self.coins):
+            path, _, value = self.coins[taken]
+            if path != prefix + (label,):
+                raise RoleError(
+                    f"a trial replayed coin {'/'.join(path)} where its play draws "
+                    f"{'/'.join(prefix + (label,))}: a role declares pure = True but is not"
+                )
+            self._taken = taken + 1
+            return value
+        value = draw(self.stream(prefix).child(label))
+        if self.recording:
+            self.coins.append((prefix + (label,), draw, value))
+            self._taken = taken + 1
+        return value
+
+    def unrecorded(self) -> None:
+        if self.recording:
+            self.recording = False
+            self.stop = self._taken
+
+
 class SamplingPlay:
     """Sampling interpreter: every coin yields one case, drawn from its own stream.
 
     A coin labelled `label` draws from `rng.child(label)` with weight 1,
     so an arm's branches collapse to the single branch of one trial.  A
     certain coin (no `draw`) yields its one case and builds no stream.
-    `SamplingPlay(parent, label)` plays under `parent.child(label)`, built
-    on the first draw, so a role that never draws builds no stream.
+    `SamplingPlay(rng)` plays one trial under `rng`; its contexts share
+    its `Trial` and play under `rng.child(coins)`, built on their first
+    draw, so a role that never draws builds no stream.
     """
 
-    __slots__ = ("_parent", "_label", "_rng", "oracles", "pk", "scheme")
+    __slots__ = ("_trial", "_prefix", "oracles", "pk", "scheme")
     exact = False
 
-    def __init__(self, rng: Stream, label: Optional[str] = None, oracles: Oracles = _UNGRANTED,
-                 pk=None, scheme=None):
-        self._parent, self._label = rng, label
-        self._rng = rng if label is None else None
+    def __init__(self, rng, prefix: tuple = (), oracles: Oracles = _UNGRANTED, pk=None,
+                 scheme=None):
+        """`rng` is the trial's stream, or the `Trial` of a trial already under way."""
+        self._trial = rng if type(rng) is Trial else Trial(rng)
+        self._prefix = prefix
         self.oracles, self.pk, self.scheme = oracles, pk, scheme
 
     @property
     def rng(self) -> Stream:
-        if self._rng is None:
-            self._rng = self._parent.child(self._label)
-        return self._rng
+        return self._trial.stream(self._prefix)
 
     def coin(self, label: str, cases, draw=None):
         if draw is None:
             ((_, value),) = cases()
             return ((1, value),)
-        return ((1, draw(self.rng.child(label))),)
+        return ((1, self._trial.take(self._prefix, label, draw)),)
 
     def context(self, coins: str, oracles=None, pk=None, scheme=None) -> "SamplingPlay":
         """A role's context: private coins under `rng.child(coins)`, handles from
-        `oracles(rng)`, or none granted without a factory."""
-        rng = self.rng
-        return SamplingPlay(rng, coins, _UNGRANTED if oracles is None else oracles(rng),
-                            pk, scheme)
+        `oracles(self)`, or none granted without a factory."""
+        self._trial.stream(self._prefix)  # a context's parent stream is built with it
+        return SamplingPlay(self._trial, self._prefix + (coins,),
+                            _UNGRANTED if oracles is None else oracles(self), pk, scheme)
+
+    def unrecorded(self) -> None:
+        """This trial's branch is not to be recorded from here on."""
+        self._trial.unrecorded()
 
     def prob(self, value) -> float:
         return float(value)
@@ -184,7 +272,12 @@ def sample_case(cases: list[MessageCase], rng: Stream) -> MessageCase:
 
 
 class MessageGenerator:
-    """Produces the challenge state over named registers (M, optional E/F)."""
+    """Produces the challenge state over named registers (M, optional E/F).
+
+    `pure` is declared as the module docstring says.
+    """
+
+    pure: bool = False
 
     def cases(self, pk, ctx) -> list[MessageCase]:
         raise NotImplementedError
@@ -197,6 +290,8 @@ class _FixedMessage(MessageGenerator):
     returns that same immutable `MessageCase`, so a game's memos keyed by
     the state's identity serve all its trials.
     """
+
+    pure = True
 
     def __init__(self):
         self._by_mode = {}
@@ -258,6 +353,7 @@ class CoinMessageGenerator(MessageGenerator):
         self.base = base
         self.include_f = include_f
         self.include_transcript = include_transcript
+        self.pure = base.pure
 
     def cases(self, pk, ctx):
         out = []
@@ -292,10 +388,13 @@ class Distinguisher:
     pad once per game, challenge state and `ctx.pk`, with the first tag that
     has the pad, and reuses that value for every tag with the same pad.  The
     default `True` is always safe: such a role is evaluated on every branch.
+
+    `pure` is declared as the module docstring says.
     """
 
     measured: tuple[str, ...] = ("M",)
     reads_tag: bool = True
+    pure: bool = False
 
     def pre_map(self, tag, state: DensityMatrix, ctx) -> DensityMatrix:
         return state
@@ -315,6 +414,7 @@ class Distinguisher:
 
 class ConstantDistinguisher(Distinguisher):
     reads_tag = False
+    pure = True
 
     def __init__(self, bit: int):
         self.bit = 1 if bit else 0
@@ -330,6 +430,7 @@ class CoinDistinguisher(Distinguisher):
     """State-independent fair coin; advantage zero in every game."""
 
     reads_tag = False
+    pure = True
 
     def prob_one(self, tag, state, ctx):
         return Fraction(1, 2) if state.exact else 0.5
@@ -342,6 +443,7 @@ class MeasureEqualsDistinguisher(Distinguisher):
     """Measure one register; output 1 iff the outcome equals a fixed value."""
 
     reads_tag = False
+    pure = True
 
     def __init__(self, value: str, register: str = "M"):
         self.value = value
@@ -369,6 +471,7 @@ class CompareRegistersDistinguisher(Distinguisher):
     """Measure two registers jointly; output 1 iff their outcomes agree."""
 
     reads_tag = False
+    pure = True
 
     def __init__(self, first: str = "OUT", second: str = "F"):
         self.first = first
@@ -399,6 +502,7 @@ class NegatedDistinguisher(Distinguisher):
         self.base = base
         self.measured = base.measured
         self.reads_tag = base.reads_tag
+        self.pure = base.pure
 
     def pre_map(self, tag, state, ctx):
         return self.base.pre_map(tag, state, ctx)
@@ -423,8 +527,11 @@ class Channel:
     role's private coins, which it draws with `ctx.coin`.  A deterministic
     role defines only `transform` and is a single branch of weight 1.
     Every output must act as the identity on any register the role does
-    not own (in particular the target register F).
+    not own (in particular the target register F).  `pure` is declared as
+    the module docstring says.
     """
+
+    pure: bool = False
 
     def outputs(self, tag, state: DensityMatrix, ctx):
         return ((1, self.transform(tag, state, ctx)),)
@@ -435,6 +542,8 @@ class Channel:
 
 class CopyPayloadAdversary(Channel):
     """Forward the ciphertext payload register as the output, drop the rest."""
+
+    pure = True
 
     def __init__(self, source: str = "M", out: str = "OUT"):
         self.source = source
@@ -451,6 +560,8 @@ class CopyPayloadAdversary(Channel):
 class ConstantOutputChannel(Channel):
     """Ignore the input; emit a fixed basis string (a trivial simulator)."""
 
+    pure = True
+
     def __init__(self, bits: str, out: str = "OUT"):
         self.bits = bits
         self.out = out
@@ -463,6 +574,8 @@ class ConstantOutputChannel(Channel):
 
 class UniformOutputChannel(Channel):
     """Ignore the input; emit a uniformly random string (maximally mixed)."""
+
+    pure = True
 
     def __init__(self, qubits: int, out: str = "OUT"):
         self.qubits = qubits
@@ -487,6 +600,7 @@ class BitChannelAdversary(Channel):
     def __init__(self, dist: Distinguisher, out: str = "OUT"):
         self.dist = dist
         self.out = out
+        self.pure = dist.pure
 
     def transform(self, tag, state, ctx):
         mapped = self.dist.pre_map(tag, state, ctx)
@@ -510,6 +624,7 @@ class ChannelThenDistinguisher(Distinguisher):
         self.channel = channel
         self.dist = dist
         self.measured = dist.measured
+        self.pure = channel.pure and dist.pure
 
     def prob_one(self, tag, state, ctx):
         return sum(
@@ -528,11 +643,15 @@ class ChannelThenDistinguisher(Distinguisher):
 
 @dataclass(frozen=True)
 class ClassicalFunction:
-    """A public classical circuit applied to the generator's transcript."""
+    """A public classical circuit applied to the generator's transcript.
+
+    `pure` declares, as for a role, that `fn` depends only on its arguments.
+    """
 
     fn: Callable[[object, str], str]
     in_len: Optional[int] = None
     out_len: int = 1
+    pure: bool = False
 
     def evaluate(self, pk, x: str) -> str:
         if self.in_len is not None and len(x) != self.in_len:
@@ -546,12 +665,12 @@ class ClassicalFunction:
 
 
 def constant_function(value: str, in_len: Optional[int] = None) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: value, in_len=in_len, out_len=len(value))
+    return ClassicalFunction(lambda pk, x: value, in_len=in_len, out_len=len(value), pure=True)
 
 
 def identity_function(length: int) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: x, in_len=length, out_len=length)
+    return ClassicalFunction(lambda pk, x: x, in_len=length, out_len=length, pure=True)
 
 
 def last_bit_function(in_len: Optional[int] = None) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: x[-1], in_len=in_len, out_len=1)
+    return ClassicalFunction(lambda pk, x: x[-1], in_len=in_len, out_len=1, pure=True)

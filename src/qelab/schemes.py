@@ -150,13 +150,18 @@ def bitstring_space(length: int, keys: bool = False) -> CoinSpace:
 
 def _tagged_pads(length: int, pad, pads=None) -> CoinSpace:
     """Tag i is the `length`-bit string i, padded by `pad(tag)`; `pads()` lists
-    every tag's pad in one batch."""
+    every tag's pad in one batch.  Each index's case is kept once drawn, so
+    `pad` runs at most once per tag for the life of the space."""
     tags = bitstring_space(length)
     tag_at, pads = tags.at, pads or (lambda: map(pad, tags.cases()))
+    drawn = {}
 
     def at(i):
-        tag = tag_at(i)
-        return tuple.__new__(EncryptionCase, (tag, pad(tag)))
+        case = drawn.get(i)
+        if case is None:
+            tag = tag_at(i)
+            case = drawn[i] = tuple.__new__(EncryptionCase, (tag, pad(tag)))
+        return case
 
     return CoinSpace(tags.size, at, lambda: _encryption_cases(zip(tags.cases(), pads())))
 
@@ -304,14 +309,15 @@ class PrfSymmetricScheme(PauliTagScheme):
         return self._keys
 
     def encryption_space(self, ek):
-        """Every tag with its pad, listed by one `evaluate_all` walk; built once per key."""
+        """Every tag with its pad, listed by one `evaluate_all` walk; built once per
+        key, and kept only for a key of `n` bits."""
         try:
             space = self._spaces.get(ek)
         except TypeError:  # an unhashable key, such as a list
             space = None
         if space is None:
-            if not isinstance(ek, str):
-                raise MalformedKeyError(f"key must be a 0/1 string, got {ek!r}")
+            if not isinstance(ek, str) or len(ek) != self.n or not is_bitstring(ek):
+                raise MalformedKeyError(f"key must be {self.n} bits, got {ek!r}")
             prf = self.prf
             space = self._spaces[ek] = _tagged_pads(2 * self.qubits, partial(prf.evaluate, ek),
                                                     partial(prf.evaluate_all, ek))

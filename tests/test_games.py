@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, exp, log, log1p, sqrt
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qelab import games
 from qelab.cli import main
 from qelab.errors import EnumerationCapError, OraclePolicyError, ParameterError, RoleError
 from qelab.estimate import GameArm, estimate, wilson_halfwidth
@@ -14,6 +17,8 @@ from qelab.games import (
     GameConfig,
     GeneratorFunctionPair,
     OraclePolicy,
+    fair_bit,
+    game_arm,
     ind_prime_ind_identity_check,
     run_ind,
     run_ind_prime,
@@ -58,10 +63,12 @@ from qelab.schemes import (
     CoinSpace,
     IdentityScheme,
     KeyPair,
+    PermutationPublicScheme,
     PrfSymmetricScheme,
     QotpScheme,
     RandomPadSymmetricScheme,
     UniformPadPublicScheme,
+    bitstring_space,
     build_scheme,
 )
 
@@ -1084,3 +1091,167 @@ def test_sem2_target_memo_follows_each_trials_message():
     est = run_sem2(IdentityScheme(1, 1), _AlternatingMessage("F"), CopyPayloadAdversary("M", "OUT"),
                    ConstantOutputChannel("0"), None, GameConfig(trials=40, seed=3))
     assert (est.p_real, est.p_ideal) == (0.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The branch memo: replayed trials against full plays
+# ---------------------------------------------------------------------------
+
+
+class _ImpureCountingReadout(_CountingReadout):
+    pure = False
+
+
+class _CountingCopy(CopyPayloadAdversary):
+    """The copy adversary, counting its evaluations."""
+
+    def __init__(self):
+        super().__init__("M", "OUT")
+        self.calls = 0
+
+    def transform(self, tag, state, ctx):
+        self.calls += 1
+        return super().transform(tag, state, ctx)
+
+
+class _ImpureCountingCopy(_CountingCopy):
+    pure = False
+
+
+class _PureCoinGatedReadout(_CoinGatedReadout):
+    pure = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+class _ImpureCoinGatedReadout(_PureCoinGatedReadout):
+    pure = False
+
+
+def _ind(dist):
+    return run_ind(PrfSymmetricScheme(2, 1, setup_rng=Stream(11)), EntangledMessage(), dist,
+                   None, GameConfig(trials=300, seed=11))
+
+
+def _ind_coin_gated(dist):
+    return run_ind(PrfSymmetricScheme(2, 1, setup_rng=Stream(11)), BasisMessage("1"), dist,
+                   None, GameConfig(trials=300, seed=11))
+
+
+def _sem3(adversary):
+    pair = GeneratorFunctionPair(BasisMessageWithTarget("1"), identity_function(1))
+    return run_sem3(PrfSymmetricScheme(2, 1, setup_rng=Stream(11)), pair, adversary,
+                    reduction_ind_to_sem(adversary), None, GameConfig(trials=300, seed=11))
+
+
+@pytest.mark.parametrize("play, pure_role, impure_role", [
+    (_ind, lambda: _CountingReadout("1"), lambda: _ImpureCountingReadout("1")),
+    (_sem3, _CountingCopy, _ImpureCountingCopy),
+    (_ind_coin_gated, _PureCoinGatedReadout, _ImpureCoinGatedReadout),
+], ids=["ind-bell-readout", "sem3-transcript-sim", "ind-private-coin"])
+def test_replayed_trials_match_full_plays(play, pure_role, impure_role, built_streams):
+    # The same game with a library role (replayed from the branch memo) and
+    # with a subclass declaring `pure = False` (every trial played in full).
+    replayed_role = pure_role()
+    replayed = play(replayed_role)
+    replayed_paths = sorted(built_streams)
+    del built_streams[:]
+    full_role = impure_role()
+    full = play(full_role)
+    assert replayed == full
+    assert replayed_paths == sorted(built_streams)
+    assert full_role.calls == 600  # 300 trials per arm
+    assert 0 < replayed_role.calls < full_role.calls
+
+
+class _PureOracleProbingReadout(_OracleProbingReadout):
+    pure = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+def test_an_oracle_calling_role_is_evaluated_in_every_trial():
+    dist = _PureOracleProbingReadout()
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    est = run_ind(scheme, BasisMessage("1"), dist, OraclePolicy.cpa(),
+                  GameConfig(trials=200, seed=7))
+    assert dist.calls == 400
+    full = run_ind(scheme, BasisMessage("1"), _OracleProbingReadout(), OraclePolicy.cpa(),
+                   GameConfig(trials=200, seed=7))
+    assert est == full
+
+
+class _ListCoinReadout(Distinguisher):
+    """Reads M for 1 or for 0 on a private coin whose value is a list."""
+
+    pure = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        p = measurement_distribution(state, "M")["1"]
+        return sum(w * (p if read[0] else 1 - p) for w, read in ctx.coin(
+            "read", lambda: ((Fraction(1, 2), [1]), (Fraction(1, 2), [0])),
+            lambda r: [r.integer(2)]))
+
+
+def test_a_trial_drawing_an_unhashable_value_is_evaluated_in_every_trial():
+    dist = _ListCoinReadout()
+    est = _ind_coin_gated(dist)
+    assert dist.calls == 600
+    full = _ListCoinReadout()
+    full.pure = False
+    assert est == _ind_coin_gated(full)
+
+
+def test_sampled_pke_towp_records_nothing(monkeypatch):
+    # Each trial draws a fresh key from a space without a `size`, so the
+    # first trial marks the memo's root, and no branch is kept.
+    memos = []
+    init = games._BranchMemo.__init__
+
+    def keeping(self, branches, replays):
+        init(self, branches, replays)
+        memos.append((replays, self))
+
+    monkeypatch.setattr(games._BranchMemo, "__init__", keeping)
+    run_ind(PermutationPublicScheme(4, 1), BasisMessage("1"), MeasureEqualsDistinguisher("1"),
+            None, GameConfig(trials=50, seed=7))
+    assert len(memos) == 2
+    assert all(replays and memo._root is games._UNRECORDED for replays, memo in memos)
+
+
+def test_trials_sharing_a_memo_across_threads_match_a_sequential_run():
+    # Every outcome is a function of its trial's stream alone, so trials that
+    # race on one memo must give the outcomes of one thread playing them in turn.
+    def branches(play):
+        for wk, key in games.space_coin(play, "key", bitstring_space(3)):
+            for wb, bit in fair_bit(play, "bit"):
+                yield wk * wb, (int(key, 2) + bit) / 9
+
+    trials = [Stream(3).child(f"t{t}") for t in range(2000)]
+    arm = game_arm(branches, ())
+    expected = [arm.sample(rng) for rng in trials]
+    shared = game_arm(branches, ())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            chunks = [pool.submit(lambda part: [shared.sample(rng) for rng in part],
+                                  trials[i::4]) for i in range(4)]
+            outcomes = [chunk.result(timeout=60) for chunk in chunks]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(outcomes[i] == expected[i::4] for i in range(4))

@@ -247,8 +247,9 @@ class _EncryptingReadout(Distinguisher):
 
 
 def test_prf_construction_with_oracle_calls_is_pinned():
-    # Pins the simulated handles' streams (`mgen/handles/tag<k>` and
-    # `dist/post/tag<k>`) across commits.
+    # Pins the simulated handles' streams across commits: `handles/tag<k>` and
+    # `post/tag<k>`, built directly under the trial's stream (the `mgen` and
+    # `dist` contexts hold only the roles' private coins).
     construction = reduction_cca1_to_prf(_EncryptingMessage(), _EncryptingReadout(), qubits=1)
     oracle = lambda tag: tag[::-1]
     bits = "".join(str(construction(oracle, Stream(9).child(f"t{t}"))) for t in range(64))

@@ -163,6 +163,17 @@ def test_ske_malformed_key_rejected(key, prf):
         scheme.decrypt(key, ct)
 
 
+@pytest.mark.parametrize("prf", ["ggm", "constant"])
+def test_refused_ske_keys_leave_no_encryption_space(prf):
+    scheme = _ske(n=2, qubits=1) if prf == "ggm" else PrfSymmetricScheme(
+        2, 1, prf=ConstantPrf(2, 2, 2))
+    scheme.encrypt("01", basis_state("1"), Stream(15))
+    for key in ("011", "0", "111", "0a", ["0", "1"]):
+        with pytest.raises(MalformedKeyError):
+            scheme.encrypt(key, basis_state("1"), Stream(16))
+    assert sorted(scheme._spaces) == ["01"]
+
+
 def test_ske_choi_round_trip_channel():
     scheme = _ske(n=2, qubits=1, seed=102)
     identity = lambda m: m
