@@ -52,10 +52,11 @@ a miss it plays the arm in full, taking back the values it already drew
 (`roles.Trial`), and records its coins.  Each trial still builds and
 draws exactly the streams of a full play, and `GameArm.sample` still
 draws its `bernoulli` coin, so every report byte is that of a full play.
-A trial that calls an encryption oracle, draws from a space without a
-`size` or draws an unhashable value is not recorded; from the point
-where its coins so far make that certain, the trie says so, and a trial
-that reaches that point is played in full, without recording.  The memo
+A trial that calls an encryption oracle or draws from a space without a
+`size` is not recorded.  Every trial with the coins it had drawn by then
+does the same, so the trie marks that point (`_UNRECORDED`), and a trial
+reaching the mark is played in full, without recording.  A trial that
+draws an unhashable value is played in full and leaves no mark.  The memo
 holds at most one leaf per distinct recorded branch, so it is bounded by
 the trials and by the product of the recorded spaces' sizes, and it
 lives only as long as its game.  Trials running side by side each build
