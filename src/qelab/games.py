@@ -308,16 +308,16 @@ class _BranchMemo:
             parent.after[coins[depth - 1][2]] = end
 
 
-def game_arm(branches, roles=None) -> GameArm:
+def game_arm(branches, roles: tuple) -> GameArm:
     """Build an arm from its one definition: `branches(play)` yields
     (weight, probability) pairs, looping over `play.coin(...)` at every coin.
 
     Exact mode plays it with `EXACT`; sampling mode plays it with a
     `SamplingPlay` of the trial's stream and unpacks the single branch.
-    When `roles`, the roles `branches` calls, are given and all declare
-    `pure`, sampled trials replay through a branch memo (`_BranchMemo`).
+    `roles` are the roles `branches` calls; when all of them declare `pure`,
+    sampled trials replay through a branch memo (`_BranchMemo`).
     """
-    replays = roles is not None and all(getattr(role, "pure", False) for role in roles)
+    replays = all(getattr(role, "pure", False) for role in roles)
     return GameArm(lambda: branches(EXACT), _BranchMemo(branches, replays))
 
 
@@ -724,7 +724,7 @@ def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
             raise RoleError("this game needs a generator that declares its transcript")
         return _compare_out(out_state, fn.evaluate(ctx.pk, mcase.transcript))
 
-    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (fn,), (), ("M", "F"),
+    arms = _sem_arms(scheme, mgen, adversary, simulator, success, (), (), ("M", "F"),
                      policy, config)
     return _play(*arms, config, "sem3")
 

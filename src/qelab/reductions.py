@@ -87,8 +87,11 @@ class ZeroEncryptionSimulator(Channel):
 
     def __init__(self, adversary: Channel):
         self.adversary = adversary
-        self.pure = adversary.pure
         self._zeros = {}
+
+    @property
+    def pure(self):
+        return self.adversary.pure
 
     def _zero(self, qubits: int, exact: bool) -> DensityMatrix:
         """The zero plaintext, built once per (qubits, mode), so its padded forms
@@ -297,7 +300,7 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
             for w, accept in construction.branches(partial(scheme.prf.evaluate, kp.ek), play):
                 yield (wk * w, accept)
 
-    accept = game_arm(keyed).exact_probability()
+    accept = game_arm(keyed, (mgen, dist)).exact_probability()
     game = run_ind_prime(scheme, mgen, dist, OraclePolicy.cca1(), config)
     return {
         "acceptance_with_keyed_oracle": float(accept),
@@ -375,7 +378,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
                 for w, accept in construction.branches(expand(y), play.context("run")):
                     yield (wy * w, accept)
 
-        return game_arm(branches)
+        return game_arm(branches, (dist, prg))
 
     return _play(arm("seed", prg.seed_len, prg.expand), arm("y", prg.out_len, lambda y: y),
                  config, "prg-pad")

@@ -16,7 +16,9 @@ and neither interpreter draws for it.  Only oracle interaction through
 `Distinguisher.reads_tag` is.  `True` promises that the role's outputs
 depend only on its arguments, its `ctx` fields and the values of its
 `ctx.coin` draws, and that it draws only through `ctx.coin`; a subclass
-inherits its base's declaration, and a wrapper declares what it wraps.  A
+inherits its base's declaration, and a wrapper reads it from what it
+wraps through a property, which a subclass's own `pure = False` overrides.
+A `ClassicalFunction` is deterministic and needs no declaration.  A
 sampled arm whose roles are all pure replays each distinct branch from a
 memo (`games.game_arm`).  The default `False` is always safe: such an
 arm's trials are played in full.  Even under pure roles a trial is played
@@ -353,7 +355,10 @@ class CoinMessageGenerator(MessageGenerator):
         self.base = base
         self.include_f = include_f
         self.include_transcript = include_transcript
-        self.pure = base.pure
+
+    @property
+    def pure(self):
+        return self.base.pure
 
     def cases(self, pk, ctx):
         out = []
@@ -502,7 +507,10 @@ class NegatedDistinguisher(Distinguisher):
         self.base = base
         self.measured = base.measured
         self.reads_tag = base.reads_tag
-        self.pure = base.pure
+
+    @property
+    def pure(self):
+        return self.base.pure
 
     def pre_map(self, tag, state, ctx):
         return self.base.pre_map(tag, state, ctx)
@@ -600,7 +608,10 @@ class BitChannelAdversary(Channel):
     def __init__(self, dist: Distinguisher, out: str = "OUT"):
         self.dist = dist
         self.out = out
-        self.pure = dist.pure
+
+    @property
+    def pure(self):
+        return self.dist.pure
 
     def transform(self, tag, state, ctx):
         mapped = self.dist.pre_map(tag, state, ctx)
@@ -624,7 +635,10 @@ class ChannelThenDistinguisher(Distinguisher):
         self.channel = channel
         self.dist = dist
         self.measured = dist.measured
-        self.pure = channel.pure and dist.pure
+
+    @property
+    def pure(self):
+        return self.channel.pure and self.dist.pure
 
     def prob_one(self, tag, state, ctx):
         return sum(
@@ -645,13 +659,12 @@ class ChannelThenDistinguisher(Distinguisher):
 class ClassicalFunction:
     """A public classical circuit applied to the generator's transcript.
 
-    `pure` declares, as for a role, that `fn` depends only on its arguments.
+    `fn` is deterministic: it depends only on its arguments.
     """
 
     fn: Callable[[object, str], str]
     in_len: Optional[int] = None
     out_len: int = 1
-    pure: bool = False
 
     def evaluate(self, pk, x: str) -> str:
         if self.in_len is not None and len(x) != self.in_len:
@@ -665,12 +678,12 @@ class ClassicalFunction:
 
 
 def constant_function(value: str, in_len: Optional[int] = None) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: value, in_len=in_len, out_len=len(value), pure=True)
+    return ClassicalFunction(lambda pk, x: value, in_len=in_len, out_len=len(value))
 
 
 def identity_function(length: int) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: x, in_len=length, out_len=length, pure=True)
+    return ClassicalFunction(lambda pk, x: x, in_len=length, out_len=length)
 
 
 def last_bit_function(in_len: Optional[int] = None) -> ClassicalFunction:
-    return ClassicalFunction(lambda pk, x: x[-1], in_len=in_len, out_len=1, pure=True)
+    return ClassicalFunction(lambda pk, x: x[-1], in_len=in_len, out_len=1)

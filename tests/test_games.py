@@ -1169,6 +1169,23 @@ def test_replayed_trials_match_full_plays(play, pure_role, impure_role, built_st
     assert 0 < replayed_role.calls < full_role.calls
 
 
+def test_a_wrappers_subclass_declaring_impure_is_evaluated_in_every_trial():
+    # A wrapper reads `pure` from what it wraps, but a subclass's own
+    # declaration takes precedence over that.
+    from qelab.roles import NegatedDistinguisher
+
+    class ImpureNegated(NegatedDistinguisher):
+        pure = False
+
+    wrapped = _CountingReadout("1")
+    full = _ind(ImpureNegated(wrapped))
+    assert wrapped.calls == 600
+    replayed_wrapped = _CountingReadout("1")
+    assert NegatedDistinguisher(replayed_wrapped).pure is True
+    assert _ind(NegatedDistinguisher(replayed_wrapped)) == full
+    assert 0 < replayed_wrapped.calls < 600
+
+
 class _PureOracleProbingReadout(_OracleProbingReadout):
     pure = True
 
