@@ -15,7 +15,6 @@ from .estimate import AdvantageEstimate, GameArm, estimate, wilson_halfwidth
 from .games import (
     GAME_NAMES,
     GameConfig,
-    GeneratorFunctionPair,
     OraclePolicy,
     ind_prime_ind_identity_check,
     run_ind,

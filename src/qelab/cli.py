@@ -25,7 +25,6 @@ from .games import (
     GAME_NAMES,
     GAMES,
     GameConfig,
-    GeneratorFunctionPair,
     OraclePolicy,
     run_ind,
     run_ind_prime,
@@ -110,19 +109,14 @@ def _copy_vs(simulator):
     return roles
 
 
-def _with_comparison(roles):
-    """`run_sem`'s roles: `roles` plus a distinguisher comparing OUT with F."""
-    return lambda qubits: (*roles(qubits), CompareRegistersDistinguisher("OUT", "F"))
+def _judged_by(judge, roles):
+    """`roles` followed by the game's judging role `judge(qubits)`: `run_sem`'s
+    distinguisher or `run_sem3`'s classical function."""
+    return lambda qubits: (*roles(qubits), judge(qubits))
 
 
-def _with_identity(roles):
-    """`run_sem3`'s roles: the message generator paired with the identity function."""
-
-    def pair(qubits: int):
-        mgen, adversary, simulator = roles(qubits)
-        return GeneratorFunctionPair(mgen, identity_function(qubits)), adversary, simulator
-
-    return pair
+def _comparison(qubits):
+    return CompareRegistersDistinguisher("OUT", "F")
 
 
 def _zero_output(qubits, adversary):
@@ -146,16 +140,16 @@ BUNDLES = {
     run_ind: _IND_ROLES,
     run_ind_prime: _IND_ROLES,
     run_sem: {
-        "copy-vs-zero": _with_comparison(_copy_vs(_zero_output)),
-        "copy-vs-sim": _with_comparison(_copy_vs(_built_simulator)),
+        "copy-vs-zero": _judged_by(_comparison, _copy_vs(_zero_output)),
+        "copy-vs-sim": _judged_by(_comparison, _copy_vs(_built_simulator)),
     },
     run_sem2: {
         "copy-vs-uniform": _copy_vs(lambda qubits, adversary: UniformOutputChannel(qubits)),
         "copy-vs-sim": _copy_vs(_built_simulator),
     },
     run_sem3: {
-        "transcript-copy": _with_identity(_copy_vs(_zero_output)),
-        "transcript-sim": _with_identity(_copy_vs(_built_simulator)),
+        "transcript-copy": _judged_by(identity_function, _copy_vs(_zero_output)),
+        "transcript-sim": _judged_by(identity_function, _copy_vs(_built_simulator)),
     },
 }
 

@@ -101,6 +101,7 @@ from .quantum import (
 from .rng import Stream
 from .roles import (
     EXACT,
+    ClassicalFunction,
     Distinguisher,
     MessageCase,
     MessageGenerator,
@@ -668,13 +669,9 @@ def _compare_out(out_state: DensityMatrix, target: str):
     A missing or wrongly sized output register counts as failure, matching
     the defined comparison for classical targets.
     """
-    zero = Fraction(0) if out_state.exact else 0.0
-    if not out_state.has_register("OUT"):
-        return zero
-    if out_state.register("OUT").qubits != len(target):
-        return zero
-    dist = measurement_distribution(out_state, "OUT")
-    return dist.get(target, zero)
+    if not out_state.has_register("OUT") or out_state.register("OUT").qubits != len(target):
+        return 0
+    return measurement_distribution(out_state, "OUT").get(target, 0)
 
 
 def run_sem2(scheme, mgen, adversary, simulator,
@@ -698,26 +695,21 @@ def run_sem2(scheme, mgen, adversary, simulator,
     return _play(*arms, config, "sem2")
 
 
-@dataclass(frozen=True)
-class GeneratorFunctionPair:
-    """A message generator together with the public circuit applied to its transcript."""
-
-    mgen: MessageGenerator
-    fn: object  # ClassicalFunction
-
-
-def run_sem3(scheme, pair: GeneratorFunctionPair, adversary, simulator,
+def run_sem3(scheme, mgen, adversary, simulator, fn: ClassicalFunction,
              policy: Optional[OraclePolicy] = None,
              config: Optional[GameConfig] = None) -> AdvantageEstimate:
     """Transcript-function semantic security.
 
-    The generator declares the transcript x of its measurements; both the
-    adversary's and the simulator's measured outputs are compared against
-    fn(pk, x).  The function's declared arity must match the transcript.
+    The generator `mgen` declares the transcript x of its measurements;
+    both the adversary's and the simulator's measured outputs are compared
+    against the public classical function `fn(pk, x)`, passed last as the
+    game's judging role, as `run_sem`'s distinguisher is.  The function's
+    declared arity must match the transcript.  A `ClassicalFunction` is
+    deterministic, so it declares no `pure` and does not stop a sampled
+    arm from replaying its branches.
     """
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
-    mgen, fn = pair.mgen, pair.fn
 
     def success(out_state, mcase, ctx):
         if mcase.transcript is None:

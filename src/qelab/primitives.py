@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EnumerationCapError, MalformedKeyError, QelabError
+from .errors import (DimensionMismatchError, EnumerationCapError, MalformedKeyError,
+                     ParameterError, QelabError)
 from .rng import Stream, is_bitstring
 
 EXHAUSTIVE_DOMAIN_CAP = 1 << 20
@@ -472,7 +473,7 @@ def prf_distinguisher_advantage(distinguisher, prf, trials: int, rng: Stream):
     from .estimate import AdvantageEstimate, wilson_halfwidth
 
     if trials < 1:
-        raise DimensionMismatchError("trials must be at least 1")
+        raise ParameterError("trials must be at least 1")
     real_hits = 0
     ideal_hits = 0
     for t in range(trials):

@@ -363,7 +363,9 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
     on the expansion of a uniform seed, the uniform arm on a uniform
     string.  In exact mode the uniform arm's success probability is
     exactly 1/2, because averaging the pad over all strings sends the A
-    register to the maximally mixed state in both cases.
+    register to the maximally mixed state in both cases.  The generator is
+    a deterministic function of its seed, as a `ClassicalFunction` is, not
+    a role: only `dist` decides whether sampled trials replay.
     """
     config = config or GameConfig()
     if config.exact:
@@ -378,7 +380,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
                 for w, accept in construction.branches(expand(y), play.context("run")):
                     yield (wy * w, accept)
 
-        return game_arm(branches, (dist, prg))
+        return game_arm(branches, (dist,))
 
     return _play(arm("seed", prg.seed_len, prg.expand), arm("y", prg.out_len, lambda y: y),
                  config, "prg-pad")

@@ -12,15 +12,21 @@ modes.  A coin passed without a `draw` is certain: it declares one case,
 and neither interpreter draws for it.  Only oracle interaction through
 `ctx.oracles` is limited to sampling mode.
 
+A role returns a probability in its state's own numbers, or as an int or a
+Fraction (`self.bit`, `Fraction(1, 2)`, `1 - p`); only the interpreter's
+`prob` picks the scalar: `ExactPlay` keeps ints and Fractions and refuses
+floats, `SamplingPlay` returns a float.
+
 `pure` is a contract a role class declares, not an option, as
-`Distinguisher.reads_tag` is.  `True` promises that the role's outputs
-depend only on its arguments, its `ctx` fields and the values of its
-`ctx.coin` draws, and that it draws only through `ctx.coin`; a subclass
-inherits its base's declaration, and a wrapper reads it from what it
-wraps through a property, which a subclass's own `pure = False` overrides.
-A `ClassicalFunction` is deterministic and needs no declaration.  A
-sampled arm whose roles are all pure replays each distinct branch from a
-memo (`games.game_arm`).  The default `False` is always safe: such an
+`Distinguisher.reads_tag` and `measured` are.  `True` promises that the
+role's outputs depend only on its arguments, its `ctx` fields and the
+values of its `ctx.coin` draws, and that it draws only through
+`ctx.coin`.  A subclass inherits its base's declarations; a wrapper reads
+each contract through from what it wraps, by a property, and a subclass's
+own class-level declaration wins.  A `ClassicalFunction` or a generator is
+a deterministic function of its input and declares nothing.  A sampled
+arm whose roles are all pure replays each distinct branch from a memo
+(`games.game_arm`).  The default `False` is always safe: such an
 arm's trials are played in full.  Even under pure roles a trial is played
 in full, and not recorded, when it calls an encryption oracle (whose coins
 are drawn outside `ctx.coin`), when it draws from a `CoinSpace` without a
@@ -128,7 +134,7 @@ class ExactPlay:
         """Nothing to do: exact mode keeps no trials."""
 
     def prob(self, value):
-        if not isinstance(value, Fraction):
+        if not isinstance(value, (int, Fraction)):
             raise EnumerationCapError(
                 f"role returned a non-exact probability {value!r} in exact mode"
             )
@@ -384,11 +390,12 @@ class Distinguisher:
     """Binary-output role: measure declared registers, decide classically.
 
     `prob_one` is the single entry point the games use; for the shipped
-    measurement-based roles it is computed exactly from the state's
-    diagonal blocks (Fractions in exact mode).
+    measurement-based roles it is summed from the state's diagonal blocks,
+    in the state's own numbers.
 
-    `reads_tag` is a contract the role class declares, not an option:
-    `False` promises that `prob_one(tag, state, ctx)` depends only on
+    `reads_tag` and `measured` are contracts the role class declares, not
+    options.  `measured` names the registers `decide` reads.  `reads_tag =
+    False` promises that `prob_one(tag, state, ctx)` depends only on
     `state` and `ctx`.  Exact IND enumeration then measures each distinct
     pad once per game, challenge state and `ctx.pk`, with the first tag that
     has the pad, and reuses that value for every tag with the same pad.  The
@@ -410,11 +417,7 @@ class Distinguisher:
     def prob_one(self, tag, state: DensityMatrix, ctx):
         mapped = self.pre_map(tag, state, ctx)
         dist = measurement_distribution(mapped, self.measured)
-        zero = Fraction(0) if mapped.exact else 0.0
-        return sum(
-            (p for outcome, p in dist.items() if self.decide(tag, outcome, ctx) == 1),
-            zero,
-        )
+        return sum(p for outcome, p in dist.items() if self.decide(tag, outcome, ctx) == 1)
 
 
 class ConstantDistinguisher(Distinguisher):
@@ -425,7 +428,7 @@ class ConstantDistinguisher(Distinguisher):
         self.bit = 1 if bit else 0
 
     def prob_one(self, tag, state, ctx):
-        return Fraction(self.bit) if state.exact else float(self.bit)
+        return self.bit
 
     def decide(self, tag, outcome, ctx):
         return self.bit
@@ -438,7 +441,7 @@ class CoinDistinguisher(Distinguisher):
     pure = True
 
     def prob_one(self, tag, state, ctx):
-        return Fraction(1, 2) if state.exact else 0.5
+        return Fraction(1, 2)
 
     def decide(self, tag, outcome, ctx):  # pragma: no cover - sampling helper
         raise RoleError("a coin flip has no deterministic decision")
@@ -487,13 +490,9 @@ class CompareRegistersDistinguisher(Distinguisher):
         mapped = self.pre_map(tag, state, ctx)
         width = mapped.register(self.first).qubits
         if mapped.register(self.second).qubits != width:
-            return Fraction(0) if mapped.exact else 0.0
+            return 0
         dist = measurement_distribution(mapped, self.measured)
-        zero = Fraction(0) if mapped.exact else 0.0
-        return sum(
-            (p for outcome, p in dist.items() if outcome[:width] == outcome[width:]),
-            zero,
-        )
+        return sum(p for outcome, p in dist.items() if outcome[:width] == outcome[width:])
 
     def decide(self, tag, outcome, ctx):
         half = len(outcome) // 2
@@ -501,12 +500,18 @@ class CompareRegistersDistinguisher(Distinguisher):
 
 
 class NegatedDistinguisher(Distinguisher):
-    """The same strategy with the output bit flipped."""
+    """The same strategy with the output bit flipped; contracts read through."""
 
     def __init__(self, base: Distinguisher):
         self.base = base
-        self.measured = base.measured
-        self.reads_tag = base.reads_tag
+
+    @property
+    def measured(self):
+        return self.base.measured
+
+    @property
+    def reads_tag(self):
+        return self.base.reads_tag
 
     @property
     def pure(self):
@@ -519,8 +524,7 @@ class NegatedDistinguisher(Distinguisher):
         return 1 - self.base.decide(tag, outcome, ctx)
 
     def prob_one(self, tag, state, ctx):
-        p = self.base.prob_one(tag, state, ctx)
-        return (Fraction(1) - p) if isinstance(p, Fraction) else 1.0 - p
+        return 1 - self.base.prob_one(tag, state, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +633,19 @@ class BitChannelAdversary(Channel):
 
 
 class ChannelThenDistinguisher(Distinguisher):
-    """Compose a channel with a distinguisher into one distinguisher."""
+    """Compose a channel with a distinguisher into one distinguisher.
+
+    `measured` and `pure` read through; the tag goes to the channel, which
+    declares no `reads_tag`, so the composite keeps the default `True`.
+    """
 
     def __init__(self, channel: Channel, dist: Distinguisher):
         self.channel = channel
         self.dist = dist
-        self.measured = dist.measured
+
+    @property
+    def measured(self):
+        return self.dist.measured
 
     @property
     def pure(self):

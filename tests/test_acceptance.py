@@ -10,7 +10,6 @@ from fractions import Fraction
 from qelab.cli import _state_battery, main
 from qelab.games import (
     GameConfig,
-    GeneratorFunctionPair,
     OraclePolicy,
     ind_prime_ind_identity_check,
     run_ind,
@@ -238,7 +237,6 @@ def test_criterion_7_true_randomness_gives_exactly_zero():
     results = []
     for scheme in (RandomPadSymmetricScheme(1, 1), UniformPadPublicScheme(1, 1)):
         simulator = reduction_ind_to_sem(adversary)
-        pair = GeneratorFunctionPair(mgen_target, identity_function(1))
         advantages = {
             "ind": run_ind(scheme, mgen, dist, OraclePolicy.plain(), exact),
             "ind-prime": run_ind_prime(scheme, mgen, dist, OraclePolicy.plain(), exact),
@@ -246,7 +244,8 @@ def test_criterion_7_true_randomness_gives_exactly_zero():
             "ind-cca1": run_ind(scheme, mgen, dist, OraclePolicy.cca1(), exact),
             "sem": run_sem(scheme, mgen_target, adversary, simulator, compare, None, exact),
             "sem2": run_sem2(scheme, mgen_target, adversary, simulator, None, exact),
-            "sem3": run_sem3(scheme, pair, adversary, simulator, None, exact),
+            "sem3": run_sem3(scheme, mgen_target, adversary, simulator, identity_function(1),
+                             None, exact),
         }
         for game, est in advantages.items():
             results.append((scheme.name, game, est.advantage_exact))

@@ -15,7 +15,6 @@ from qelab.errors import EnumerationCapError, OraclePolicyError, ParameterError,
 from qelab.estimate import GameArm, estimate, wilson_halfwidth
 from qelab.games import (
     GameConfig,
-    GeneratorFunctionPair,
     OraclePolicy,
     fair_bit,
     game_arm,
@@ -39,8 +38,11 @@ from qelab.rationals import QRat
 from qelab.reductions import reduction_cca1_to_prf, reduction_ind_to_sem
 from qelab.rng import Stream
 from qelab.roles import (
+    EXACT as EXACT_PLAY,
     BasisMessage,
     BasisMessageWithTarget,
+    BitChannelAdversary,
+    ChannelThenDistinguisher,
     CoinDistinguisher,
     CoinMessageGenerator,
     CompareRegistersDistinguisher,
@@ -53,6 +55,7 @@ from qelab.roles import (
     MessageCase,
     MessageGenerator,
     MeasureEqualsDistinguisher,
+    NegatedDistinguisher,
     SamplingPlay,
     UniformOutputChannel,
     constant_function,
@@ -333,6 +336,91 @@ def test_tag_reading_role_is_evaluated_on_every_branch():
     assert dist.calls == 2 * 4 * 4  # arms x keys x tags
     # The check has teeth: sharing one value per pad would change the result.
     assert _brute_force_ind(scheme, message, p_one, first_tag_per_pad=True) != [real, ideal]
+
+
+class _TagParityNegated(NegatedDistinguisher):
+    """Negates its tag-blind base on tags of odd parity only, so it reads the
+    tag, and its class says so."""
+
+    reads_tag = True
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        if tag.count("1") % 2:
+            return super().prob_one(tag, state, ctx)
+        return self.base.prob_one(tag, state, ctx)
+
+
+def test_a_wrappers_subclass_declaring_it_reads_the_tag_is_evaluated_on_every_branch():
+    # A wrapper reads `reads_tag` through from its base, but a subclass's own
+    # class-level declaration wins, so its values are never shared by pad.
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7).child("s"))
+    base = MeasureEqualsDistinguisher("1", "M")
+    dist = _TagParityNegated(base)
+    assert (base.reads_tag, NegatedDistinguisher(base).reads_tag, dist.reads_tag) == (
+        False, False, True)
+
+    def p_one(tag, padded):
+        p = measurement_distribution(padded, "M")["1"]
+        return 1 - p if tag.count("1") % 2 else p
+
+    message = basis_state("1", "M", True)
+    real, ideal = _brute_force_ind(scheme, message, p_one)
+    est = run_ind(scheme, BasisMessage("1"), dist, None, EXACT)
+    assert (est.p_real_exact, est.p_ideal_exact) == (real, ideal)
+    assert dist.calls == 2 * 4 * 4  # arms x keys x tags
+    assert _brute_force_ind(scheme, message, p_one, first_tag_per_pad=True) != [real, ideal]
+
+
+def test_a_wrappers_subclass_declaring_its_registers_is_measured_on_them():
+    class ReadsE(NegatedDistinguisher):
+        measured = ("E",)
+
+    base = MeasureEqualsDistinguisher("1", "M")
+    assert NegatedDistinguisher(base).measured == ("M",)
+    assert ChannelThenDistinguisher(CopyPayloadAdversary(), base).measured == ("M",)
+    dist = ReadsE(base)
+    assert dist.measured == ("E",)
+    # E reads 0, which the negated readout turns into 1; M would read 1 and give 0.
+    state = tensor(basis_state("1", "M", True), basis_state("0", "E", True))
+    out = BitChannelAdversary(dist).transform(None, state, EXACT_PLAY)
+    assert measurement_distribution(out, "OUT") == {"0": 0, "1": 1}
+
+
+# ---------------------------------------------------------------------------
+# Probabilities: roles return numbers, the interpreter picks the scalar
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5)], ids=["float", "float64"])
+def test_exact_play_refuses_a_float_probability(value):
+    with pytest.raises(EnumerationCapError, match="non-exact probability"):
+        ExactPlay().prob(value)
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(1, 3)])
+def test_exact_play_keeps_an_int_or_fraction_probability(value):
+    assert ExactPlay().prob(value) is value
+
+
+@pytest.mark.parametrize("value", [0, 1, Fraction(1, 2), 0.25])
+def test_sampling_play_returns_a_float_probability(value):
+    p = SamplingPlay(Stream(1)).prob(value)
+    assert type(p) is float and p == value
+
+
+class _FloatReadout(MeasureEqualsDistinguisher):
+    def prob_one(self, tag, state, ctx):
+        return float(super().prob_one(tag, state, ctx))
+
+
+def test_exact_ind_refuses_a_role_returning_a_float():
+    with pytest.raises(EnumerationCapError, match="non-exact probability"):
+        run_ind(IdentityScheme(1, 1), BasisMessage("1"), _FloatReadout("1"), None, EXACT)
 
 
 class _CountingReadout(MeasureEqualsDistinguisher):
@@ -678,12 +766,12 @@ def test_sem2_rejects_non_classical_target():
 
 
 def test_sem3_constant_function_trivially_simulated():
-    pair = GeneratorFunctionPair(BasisMessageWithTarget("1"), constant_function("0", in_len=1))
     est = run_sem3(
         IdentityScheme(1, 1),
-        pair,
+        BasisMessageWithTarget("1"),
         ConstantOutputChannel("0"),
         ConstantOutputChannel("0"),
+        constant_function("0", in_len=1),
         None,
         EXACT,
     )
@@ -691,12 +779,12 @@ def test_sem3_constant_function_trivially_simulated():
 
 
 def test_sem3_broken_scheme_detected():
-    pair = GeneratorFunctionPair(BasisMessageWithTarget("1"), identity_function(1))
     est = run_sem3(
         IdentityScheme(1, 1),
-        pair,
+        BasisMessageWithTarget("1"),
         CopyPayloadAdversary("M", "OUT"),
         ConstantOutputChannel("0"),
+        identity_function(1),
         None,
         EXACT,
     )
@@ -708,13 +796,13 @@ def test_sem3_coin_construction_simulator_capped_at_half():
     from qelab.roles import CoinMessageGenerator
 
     mgen = CoinMessageGenerator(BasisMessage("1"), include_f=False, include_transcript=True)
-    pair = GeneratorFunctionPair(mgen, last_bit_function())
     for sim_bits in ("0", "1"):
         est = run_sem3(
             IdentityScheme(1, 1),
-            pair,
+            mgen,
             ConstantOutputChannel("0"),
             ConstantOutputChannel(sim_bits),
+            last_bit_function(),
             None,
             EXACT,
         )
@@ -722,26 +810,26 @@ def test_sem3_coin_construction_simulator_capped_at_half():
 
 
 def test_sem3_arity_mismatch_rejected():
-    pair = GeneratorFunctionPair(BasisMessageWithTarget("1"), constant_function("0", in_len=3))
     with pytest.raises(RoleError):
         run_sem3(
             IdentityScheme(1, 1),
-            pair,
+            BasisMessageWithTarget("1"),
             CopyPayloadAdversary("M", "OUT"),
             ConstantOutputChannel("0"),
+            constant_function("0", in_len=3),
             None,
             EXACT,
         )
 
 
 def test_sem3_requires_transcript():
-    pair = GeneratorFunctionPair(BasisMessage("1"), constant_function("0"))
     with pytest.raises(RoleError):
         run_sem3(
             IdentityScheme(1, 1),
-            pair,
+            BasisMessage("1"),
             CopyPayloadAdversary("M", "OUT"),
             ConstantOutputChannel("0"),
+            constant_function("0"),
             None,
             EXACT,
         )
@@ -817,9 +905,8 @@ def test_sampled_sem3_with_a_two_case_message_generator_is_pinned():
     adversary = CopyPayloadAdversary("M", "OUT")
     mgen = CoinMessageGenerator(BasisMessageWithTarget("1"), include_f=False,
                                 include_transcript=True)  # `mpick` draws
-    est = run_sem3(scheme, GeneratorFunctionPair(mgen, last_bit_function(2)), adversary,
-                   reduction_ind_to_sem(adversary), None,
-                   GameConfig(trials=500, seed=7))
+    est = run_sem3(scheme, mgen, adversary, reduction_ind_to_sem(adversary),
+                   last_bit_function(2), None, GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.784, 0.488)
 
 
@@ -1144,9 +1231,9 @@ def _ind_coin_gated(dist):
 
 
 def _sem3(adversary):
-    pair = GeneratorFunctionPair(BasisMessageWithTarget("1"), identity_function(1))
-    return run_sem3(PrfSymmetricScheme(2, 1, setup_rng=Stream(11)), pair, adversary,
-                    reduction_ind_to_sem(adversary), None, GameConfig(trials=300, seed=11))
+    return run_sem3(PrfSymmetricScheme(2, 1, setup_rng=Stream(11)), BasisMessageWithTarget("1"),
+                    adversary, reduction_ind_to_sem(adversary), identity_function(1), None,
+                    GameConfig(trials=300, seed=11))
 
 
 @pytest.mark.parametrize("play, pure_role, impure_role", [

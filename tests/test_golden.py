@@ -206,8 +206,8 @@ def test_every_golden_file_has_a_command():
 
 
 def test_every_golden_names_its_versions():
-    paths = [*GOLDEN_DIR.glob("*.json"), *PINNED_DIR.glob("*.json")]
-    assert len(paths) == len(GOLDEN) + 3
+    paths = [*GOLDEN_DIR.glob("*.json"), *PINNED_DIR.glob("**/*.json")]
+    assert len(paths) == len(GOLDEN) + 6
     for path in paths:
         doc = json.loads(path.read_bytes())
         assert (doc["qelab_version"], doc["stream_version"]) == (__version__, STREAM_VERSION)

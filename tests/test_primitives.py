@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qelab import primitives
-from qelab.errors import EnumerationCapError, MalformedKeyError
+from qelab.errors import EnumerationCapError, MalformedKeyError, ParameterError
 from qelab.primitives import (
     ConstantPrf,
     ConstantPrg,
@@ -473,6 +473,14 @@ def test_constant_distinguisher_has_zero_advantage():
     est = prf_distinguisher_advantage(lambda oracle, rng: 1, prf, 200, Stream(23))
     assert est.advantage == 0.0
     assert est.p_real == est.p_ideal == 1.0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_prf_experiment_refuses_a_trial_count_below_one(trials):
+    # A trial count is a run parameter, refused as `GameConfig` refuses one.
+    with pytest.raises(ParameterError, match="trials must be at least 1"):
+        prf_distinguisher_advantage(lambda oracle, rng: 1, ConstantPrf(4, 4, 4), trials,
+                                    Stream(23))
 
 
 def test_collision_distinguisher_breaks_constant_prf():

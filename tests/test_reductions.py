@@ -333,6 +333,32 @@ def test_second_case_keeps_b_marginal():
     assert trace_distance(partial_trace(second, "A"), maximally_mixed(1, "B")) < 1e-12
 
 
+class _CountingUnpad(UnpadThenMeasureDistinguisher):
+    def __init__(self):
+        super().__init__("11", "1", "A")
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+class _ImpureCountingUnpad(_CountingUnpad):
+    pure = False
+
+
+def test_sampled_pad_reduction_replays_branches_of_a_pure_distinguisher():
+    # The generator is a function of its seed, not a role: the library
+    # distinguisher alone lets each arm replay its branches, and a subclass
+    # declaring `pure = False` is evaluated in every trial, to the same estimate.
+    replayed, full = _CountingUnpad(), _ImpureCountingUnpad()
+    config = GameConfig(trials=300, seed=11)
+    assert (run_prg_pad_reduction(ConstantPrg(1, "11"), replayed, _pair(), config)
+            == run_prg_pad_reduction(ConstantPrg(1, "11"), full, _pair(), config))
+    assert full.calls == 600  # 300 trials per arm
+    assert 0 < replayed.calls < full.calls
+
+
 def test_sampled_reduction_matches_exact():
     dist = UnpadThenMeasureDistinguisher("11", "1", "A")
     sampled = run_prg_pad_reduction(
@@ -351,13 +377,11 @@ def _sem3_roles_from_hidden_bit(ind_mgen, ind_dist):
     """Transcript-game roles built from a hidden-bit adversary: the coin
     generator appends the hidden bit to its transcript, the target function
     reads that bit back, and the adversary is the distinguisher's bit."""
-    from qelab.games import GeneratorFunctionPair
     from qelab.roles import BitChannelAdversary, CoinMessageGenerator, last_bit_function
 
     mgen = CoinMessageGenerator(ind_mgen, include_f=False, include_transcript=True)
-    pair = GeneratorFunctionPair(mgen, last_bit_function())
     adversary = BitChannelAdversary(ind_dist)
-    return pair, adversary
+    return mgen, adversary, last_bit_function()
 
 
 def test_transcript_game_detection_matches_hidden_bit_game():
@@ -369,8 +393,8 @@ def test_transcript_game_detection_matches_hidden_bit_game():
     mgen = BasisMessage("1")
     dist = MeasureEqualsDistinguisher("1", "M")
     for scheme, broken in ((IdentityScheme(1, 1), True), (QotpScheme(1, 1), False)):
-        pair, adversary = _sem3_roles_from_hidden_bit(mgen, dist)
-        sem3 = run_sem3(scheme, pair, adversary, ConstantOutputChannel("0"), None, EXACT)
+        sem3_mgen, adversary, fn = _sem3_roles_from_hidden_bit(mgen, dist)
+        sem3 = run_sem3(scheme, sem3_mgen, adversary, ConstantOutputChannel("0"), fn, None, EXACT)
         guess = run_ind_prime(scheme, mgen, dist, None, EXACT)
         assert sem3.p_real_exact == guess.p_real_exact
         assert sem3.p_ideal_exact == Fraction(1, 2)
