@@ -131,6 +131,12 @@ GOLDEN = {
         "reduce", "--reduction", "ind-to-sem", "--scheme", "ske-prf", "--n", "2",
         "--qubits", "1", "--exact", "--seed", "7",
     ],
+    # Its combined distinguisher at two qubits, where a tag-blind channel
+    # lets exact ind measure each distinct pad once.
+    "reduce-ind-to-sem-ske-prf-q2-exact": [
+        "reduce", "--reduction", "ind-to-sem", "--scheme", "ske-prf", "--n", "2",
+        "--qubits", "2", "--exact", "--seed", "7",
+    ],
     # The zero-encryption simulator's public-key route, in each mode.
     "game-sem-pke-towp-n4-copy-vs-sim-exact": [
         "game", "--game", "sem", "--scheme", "pke-towp", "--adversary", "copy-vs-sim",
