@@ -34,8 +34,6 @@ from .primitives import (
     TowpIndex,
     TowpTrapdoor,
     embed_seed,
-    ggm_prf,
-    hardcore_eval,
     prf_distinguisher_advantage,
     prg_iterated,
 )
@@ -93,5 +91,4 @@ from .schemes import (
     UniformPadPublicScheme,
     build_ggm_prf,
     build_scheme,
-    ciphertext_as_state,
 )

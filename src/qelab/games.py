@@ -13,7 +13,7 @@ message coin, then the game's view of the challenge, which loops over
 its own coins (hidden bit, encryption coins, a role's private coins) and
 yields (weight, probability) pairs.  The games differ only in that view,
 and every game ends through `_play`.  Each coin is `play.coin(label,
-cases, draw)`.  The exact interpreter `EXACT` returns each coin's
+cases, draw)`.  The exact interpreter `ExactPlay` returns each coin's
 declared cases, so the arm multiplies out key space x encryption coins x
 role cases and sums Fraction-exact probabilities; it refuses oracle
 calls.  The sampling interpreter `SamplingPlay` returns one case per
@@ -22,13 +22,14 @@ the game reports Wilson intervals.  Both live in `roles`.  A role's
 context is `play.context(...)`, an interpreter of the same kind rooted
 at the role's own coins, so the role draws them from the same tree; it
 carries the game's public key, scheme and oracle handles (`Oracles`,
-which refuse every call in exact mode).  In exact mode a game builds its
-key and encryption cases once for both its arms, in one `shared` dict.
-For a distinguisher that declares `reads_tag = False` it also counts
-each key's cases by pad once, and measures each distinct pad once per
-game and challenge state (`_challenge_probs`).  Every branch is still
-yielded: a pad's cases come as a run of one shared branch tuple, which
-`GameArm.exact_probability` tallies once.
+which refuse every call in exact mode).  Each game plays both its arms
+with one `ExactPlay`, whose memo (`keep`) its role contexts share, so the
+game lists its key and encryption cases once, a simulator's own key and
+encryption cases included.  For a distinguisher that declares `reads_tag
+= False` it also counts each key's cases by pad once, and measures each
+distinct pad once per game and challenge state (`_challenge_probs`).
+Every branch is still yielded: a pad's cases come as a run of one shared
+branch tuple, which `GameArm.exact_probability` tallies once.
 
 Individual trials are independent: each owns its stream, oracle handles
 and role state, and aggregation is a pure fold over outcomes, so callers
@@ -100,9 +101,9 @@ from .quantum import (
 )
 from .rng import Stream
 from .roles import (
-    EXACT,
     ClassicalFunction,
     Distinguisher,
+    ExactPlay,
     MessageCase,
     MessageGenerator,
     NegatedDistinguisher,
@@ -112,8 +113,6 @@ from .roles import (
     sample_case,
 )
 from .schemes import CoinSpace, PauliTagScheme
-
-ORACLE_BUDGET = 64  # oracle calls one role may make in one phase, by default
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,6 @@ class GameConfig:
     trials: int = 1000
     seed: int = 0
     exact: bool = False
-    oracle_budget: int = ORACLE_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:
@@ -309,17 +307,18 @@ class _BranchMemo:
             parent.after[coins[depth - 1][2]] = end
 
 
-def game_arm(branches, roles: tuple) -> GameArm:
+def game_arm(branches, roles: tuple, exact: ExactPlay) -> GameArm:
     """Build an arm from its one definition: `branches(play)` yields
     (weight, probability) pairs, looping over `play.coin(...)` at every coin.
 
-    Exact mode plays it with `EXACT`; sampling mode plays it with a
-    `SamplingPlay` of the trial's stream and unpacks the single branch.
-    `roles` are the roles `branches` calls; when all of them declare `pure`,
-    sampled trials replay through a branch memo (`_BranchMemo`).
+    Exact mode plays it with `exact`, the game's interpreter; sampling mode
+    plays it with a `SamplingPlay` of the trial's stream and unpacks the
+    single branch.  `roles` are the roles `branches` calls; when all of them
+    declare `pure`, sampled trials replay through a branch memo
+    (`_BranchMemo`).
     """
     replays = all(getattr(role, "pure", False) for role in roles)
-    return GameArm(lambda: branches(EXACT), _BranchMemo(branches, replays))
+    return GameArm(lambda: branches(exact), _BranchMemo(branches, replays))
 
 
 def fair_bit(play, label: str):
@@ -332,41 +331,29 @@ def biased_bit(play, label: str, p):
     return play.coin(label, lambda: ((p, 1), (1 - p, 0)), lambda r: 1 if r.bernoulli(p) else 0)
 
 
-def _shared(shared: Optional[dict], key, build):
-    """`build()`, run once per `key` when `shared` (a dict scoped to one game) is given.
-
-    A game's arms play the same key and encryption coins, so exact mode
-    enumerates them once per game.  The dict lives as long as the game,
-    never as long as the scheme.  Sampling never asks for the cases.
-    """
-    if shared is None:
-        return build()
-    if key not in shared:
-        shared[key] = build()
-    return shared[key]
-
-
-def space_coin(play, label: str, space: CoinSpace, shared: Optional[dict] = None, key=None):
-    """`space` played as the coin `label`: its cases sharing one weight, built
-    once per `key` when `shared` is given, or one `space.draw`.  A draw from a
-    space without a `size` is not recorded in a branch memo."""
+def space_coin(play, label: str, space: CoinSpace, key=None):
+    """`space` played as the coin `label`: its cases sharing one weight, listed
+    once per game under `key` (the space itself unless given), or one
+    `space.draw`.  A draw from a space without a `size` is not recorded in a
+    branch memo."""
     if space.size is None:
         play.unrecorded()
-    listed = lambda: _shared(shared, key, lambda: uniform_cases(space.cases()))
+    listed = lambda: play.keep(space if key is None else key,
+                               lambda: uniform_cases(space.cases()))
     return play.coin(label, listed, space.draw)
 
 
-def _keys(play, scheme: PauliTagScheme, config: GameConfig, shared: Optional[dict] = None):
+def _keys(play, scheme: PauliTagScheme, config: GameConfig):
     if scheme.key_space().size is None:
         play.unrecorded()
     return play.coin(
         "key",
-        lambda: _shared(shared, "key", lambda: _exact_keypairs(scheme, config)),
+        lambda: play.keep("key", lambda: _exact_keypairs(scheme, config)),
         scheme.keygen,
     )
 
 
-def _context(play, scheme, keypair, grants, config: GameConfig, label: str):
+def _context(play, scheme, keypair, grants, label: str):
     """The `label` role's context: its coins under `<label>-coins`, and oracle
     call k's encryption coins under `<label>-oracle/enc<k>`.  Without grants
     the context gets the shared handles that refuse every call."""
@@ -374,7 +361,7 @@ def _context(play, scheme, keypair, grants, config: GameConfig, label: str):
     if grants:
         oracles = lambda parent: Oracles(partial(scheme.encrypt, keypair.ek),
                                          partial(scheme.decrypt, keypair.dk), grants, parent,
-                                         f"{label}-oracle", config.oracle_budget)
+                                         f"{label}-oracle")
     return play.context(
         f"{label}-coins",
         oracles,
@@ -399,9 +386,8 @@ def _messages(play, scheme, mgen: MessageGenerator, ctx):
         yield w, case
 
 
-def _encryptions(play, scheme: PauliTagScheme, ek, label: str,
-                 shared: Optional[dict] = None):
-    return space_coin(play, label, scheme.encryption_space(ek), shared, (label, ek))
+def _encryptions(play, scheme: PauliTagScheme, ek, label: str):
+    return space_coin(play, label, scheme.encryption_space(ek), (label, ek))
 
 
 def _pad_groups(encryptions):
@@ -424,8 +410,7 @@ def _pad_groups(encryptions):
 
 
 def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, scheme: PauliTagScheme,
-                     ek, ctx, scope_weight, shared: Optional[dict],
-                     complement: bool = False):
+                     ek, ctx, scope_weight, complement: bool = False):
     """(branch weight, probability) for each encryption case of one challenge state.
 
     The probability is Pr[dist outputs 1], or its complement with
@@ -435,8 +420,8 @@ def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, scheme: Pa
 
     A distinguisher that declares `reads_tag = False` sees only the padded
     state.  In exact mode its cases are grouped by pad, once per key and
-    game (`_pad_groups`, kept in `shared` next to the cases), and each
-    distinct pad is measured once per game: the value is kept in `shared`
+    game (`_pad_groups`, kept by `play` next to the cases), and each
+    distinct pad is measured once per game: the value is kept by `play`
     under the challenge-state object, the pad and `ctx.pk`, and the role
     is given the first tag with that pad.  Each pad's cases are then
     yielded as a run of one `(weight, probability)` tuple, which
@@ -444,18 +429,18 @@ def _challenge_probs(play, dist: Distinguisher, state: DensityMatrix, scheme: Pa
     reads the tag, cases with more than one weight object and sampling
     mode (one case per scope) are evaluated case by case.
     """
-    encryptions = _encryptions(play, scheme, ek, "enc", shared)
+    encryptions = _encryptions(play, scheme, ek, "enc")
     grouped = None
     if play.exact and not dist.reads_tag:
-        grouped = _shared(shared, ("pads", "enc", ek), lambda: _pad_groups(encryptions))
+        grouped = play.keep(("pads", "enc", ek), lambda: _pad_groups(encryptions))
     if grouped is None:
         return _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement)
     we, groups = grouped
     weight = scope_weight * we
     runs = []
     for pad, (tag, count) in groups.items():
-        p1 = _shared(shared, ("prob", state, pad, ctx.pk),
-                     lambda: play.prob(dist.prob_one(tag, _pad_message(state, pad), ctx)))
+        p1 = play.keep(("prob", state, pad, ctx.pk),
+                       lambda: play.prob(dist.prob_one(tag, _pad_message(state, pad), ctx)))
         runs.append(repeat((weight, 1 - p1 if complement else p1), count))
     return chain.from_iterable(runs)
 
@@ -475,21 +460,22 @@ def _case_probs(play, dist, state, encryptions, ctx, scope_weight, complement):
 # ---------------------------------------------------------------------------
 
 
-def _arm(scheme, mgen, policy, config, role: str, view, shared: dict, roles: tuple) -> GameArm:
+def _arm(scheme, mgen, policy, config, role: str, view, exact: ExactPlay,
+         roles: tuple) -> GameArm:
     """One arm of any game: the key coin, the `mgen` and `<role>` contexts and the
     message coin, then `view(play, keypair, mcase, ctx, weight)` yields the
     branches of the challenge, with `ctx` the role's context and `weight` the
     key times the message weight; `roles` are the roles `view` calls.  Both
-    arms of a game share `shared`."""
+    arms of a game share its exact interpreter `exact`."""
 
     def branches(play):
-        for wk, keypair in _keys(play, scheme, config, shared):
-            ctx_pre = _context(play, scheme, keypair, policy.pre, config, "mgen")
-            ctx = _context(play, scheme, keypair, policy.post, config, role)
+        for wk, keypair in _keys(play, scheme, config):
+            ctx_pre = _context(play, scheme, keypair, policy.pre, "mgen")
+            ctx = _context(play, scheme, keypair, policy.post, role)
             for wm, mcase in _messages(play, scheme, mgen, ctx_pre):
                 yield from view(play, keypair, mcase, ctx, wk * wm)
 
-    return game_arm(branches, (mgen, *roles))
+    return game_arm(branches, (mgen, *roles), exact)
 
 
 def _play(real: GameArm, ideal: Optional[GameArm], config: GameConfig,
@@ -509,14 +495,14 @@ def run_ind(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     """Two-arm distinguishing: genuine message versus zeroed message."""
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
-    shared = {}
+    exact = ExactPlay()
 
     def arm(zeroed: bool) -> GameArm:
         def challenge(play, keypair, mcase, ctx, weight):
             state = replace_with_zero_state(mcase.state, "M") if zeroed else mcase.state
-            return _challenge_probs(play, dist, state, scheme, keypair.ek, ctx, weight, shared)
+            return _challenge_probs(play, dist, state, scheme, keypair.ek, ctx, weight)
 
-        return _arm(scheme, mgen, policy, config, "dist", challenge, shared, (dist,))
+        return _arm(scheme, mgen, policy, config, "dist", challenge, exact, (dist,))
 
     return _play(arm(False), arm(True), config, "ind")
 
@@ -530,16 +516,15 @@ def run_ind_prime(scheme, mgen, dist, policy: Optional[OraclePolicy] = None,
     """
     policy = policy or OraclePolicy.plain()
     config = config or GameConfig()
-    shared = {}
 
     def guess(play, keypair, mcase, ctx, weight):
         for wb, hidden_bit in fair_bit(play, "bit"):
             state = mcase.state if hidden_bit == 1 else replace_with_zero_state(mcase.state, "M")
             # Bit 0 is guessed right when the distinguisher outputs 0.
             yield from _challenge_probs(play, dist, state, scheme, keypair.ek, ctx,
-                                        weight * wb, shared, complement=hidden_bit == 0)
+                                        weight * wb, complement=hidden_bit == 0)
 
-    return _play(_arm(scheme, mgen, policy, config, "dist", guess, shared, (dist,)), None,
+    return _play(_arm(scheme, mgen, policy, config, "dist", guess, ExactPlay(), (dist,)), None,
                  config, "ind-prime")
 
 
@@ -597,11 +582,11 @@ def _sem_arms(scheme, mgen, adversary, simulator, success_fn, judges, hide, drop
     out.  success_fn(out_state, mcase, ctx) -> probability of the event;
     `judges` are the roles it calls.
     """
-    shared = {}
+    exact = ExactPlay()
 
     def real(play, keypair, mcase, ctx, weight):
         seen = _without(mcase.state, hide)
-        for we, ecase in _encryptions(play, scheme, keypair.ek, "enc", shared):
+        for we, ecase in _encryptions(play, scheme, keypair.ek, "enc"):
             padded = _pad_message(seen, ecase.pad)
             for wa, out in adversary.outputs(ecase.tag, padded, ctx):
                 yield weight * we * wa, play.prob(success_fn(out, mcase, ctx))
@@ -610,8 +595,8 @@ def _sem_arms(scheme, mgen, adversary, simulator, success_fn, judges, hide, drop
         for ws, out in simulator.outputs(None, _without(mcase.state, drop), ctx):
             yield weight * ws, play.prob(success_fn(out, mcase, ctx))
 
-    return (_arm(scheme, mgen, policy, config, "adv", real, shared, (adversary, *judges)),
-            _arm(scheme, mgen, policy, config, "sim", ideal, shared, (simulator, *judges)))
+    return (_arm(scheme, mgen, policy, config, "adv", real, exact, (adversary, *judges)),
+            _arm(scheme, mgen, policy, config, "sim", ideal, exact, (simulator, *judges)))
 
 
 def run_sem(scheme, mgen, adversary, simulator, dist,

@@ -26,8 +26,6 @@ from .rng import Stream, is_bitstring
 EXHAUSTIVE_DOMAIN_CAP = 1 << 20
 MAX_SECURITY = 12
 
-_INDEX_FIELD_BITS = 24  # fixed-width wire fields for index/trapdoor codecs
-
 
 class DomainError(QelabError, ValueError):
     """An element lies outside the permutation's domain."""
@@ -79,19 +77,6 @@ class TowpIndex:
     def element_width(self) -> int:
         return self.modulus.bit_length()
 
-    def to_bits(self) -> str:
-        return "".join(
-            format(v, f"0{_INDEX_FIELD_BITS}b")
-            for v in (self.modulus, self.exponent, self.mask)
-        )
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "TowpIndex":
-        if len(bits) != 3 * _INDEX_FIELD_BITS or not is_bitstring(bits):
-            raise MalformedKeyError(f"bad index encoding of length {len(bits)}")
-        w = _INDEX_FIELD_BITS
-        return cls(int(bits[:w], 2), int(bits[w : 2 * w], 2), int(bits[2 * w :], 2))
-
 
 @dataclass(frozen=True)
 class TowpTrapdoor:
@@ -99,19 +84,6 @@ class TowpTrapdoor:
 
     modulus: int
     inverse_exponent: int
-
-    def to_bits(self) -> str:
-        return "".join(
-            format(v, f"0{_INDEX_FIELD_BITS}b")
-            for v in (self.modulus, self.inverse_exponent)
-        )
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "TowpTrapdoor":
-        if len(bits) != 2 * _INDEX_FIELD_BITS or not is_bitstring(bits):
-            raise MalformedKeyError(f"bad trapdoor encoding of length {len(bits)}")
-        w = _INDEX_FIELD_BITS
-        return cls(int(bits[:w], 2), int(bits[w:], 2))
 
 
 class ToyRsaPermutationFamily:
@@ -203,20 +175,14 @@ class InnerProductPredicate:
     """Parity of the preimage bits selected by the index's mask.
 
     The formula is total (the all-zero input has empty parity 0); domain
-    membership is the caller's concern and is enforced by `hardcore_eval`.
+    membership is the caller's concern, which `prg_iterated` checks for its
+    seed.
     """
 
     def evaluate(self, index: TowpIndex, x: int) -> int:
         if x < 0:
             raise DomainError("predicate inputs are nonnegative integers")
         return (x & index.mask).bit_count() & 1
-
-
-def hardcore_eval(hc: InnerProductPredicate, index: TowpIndex, x: int) -> int:
-    """Predicate value for a domain element; rejects non-domain inputs."""
-    if not (1 <= x < index.modulus and math.gcd(x, index.modulus) == 1):
-        raise DomainError(f"{x} is not a unit mod {index.modulus}")
-    return hc.evaluate(index, x)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +227,16 @@ def embed_seed(index: TowpIndex, bits: str) -> int:
 
 
 class IteratedPermutationPrg:
-    """seed_len -> out_len expansion via `prg_iterated`, with seed embedding.
+    """seed_len -> out_len expansion via `prg_iterated` with the inner-product
+    predicate, with seed embedding.
 
     Tree constructions hand around arbitrary bitstrings, so the seed is
     first embedded into the permutation domain deterministically.
     Expansions are cached per instance, keyed by the seed: the output is
-    a fixed function of the seed once the family, index, predicate and
-    lengths are set, and a tree walk expands the same few seeds over and
-    over.  Only validated seeds are cached, so the cache holds at most
-    2^seed_len entries.
+    a fixed function of the seed once the family, index and lengths are
+    set, and a tree walk expands the same few seeds over and over.  Only
+    validated seeds are cached, so the cache holds at most 2^seed_len
+    entries.
     """
 
     def __init__(
@@ -278,7 +245,6 @@ class IteratedPermutationPrg:
         index: TowpIndex,
         seed_len: int,
         out_len: int,
-        hc: InnerProductPredicate | None = None,
     ):
         if seed_len < 1 or out_len < 1:
             raise DimensionMismatchError("seed_len and out_len must be positive")
@@ -286,7 +252,7 @@ class IteratedPermutationPrg:
         self.index = index
         self.seed_len = seed_len
         self.out_len = out_len
-        self.hc = hc or InnerProductPredicate()
+        self.hc = InnerProductPredicate()
         self._memo: dict[str, str] = {}
 
     def expand(self, seed: str) -> str:
@@ -389,17 +355,6 @@ class GgmPrf:
         return acc[: self.out_len]
 
 
-def ggm_prf(prg, key: str, x: str, out_len: int | None = None) -> str:
-    """One-shot tree-PRF evaluation over a length-doubling generator.
-
-    Walks the bits of `x` from the key through the generator's halves and
-    returns the final state, truncated or stretched to `out_len` (default:
-    one seed length).
-    """
-    prf = GgmPrf(prg, in_len=len(x), out_len=prg.seed_len if out_len is None else out_len)
-    return prf.evaluate(key, x)
-
-
 class ConstantPrf:
     """All-outputs-equal function; the canonical broken PRF."""
 
@@ -455,8 +410,6 @@ class RandomFunctionOracle:
             hit = self._rng.child(f"x{x}").bits(self.out_len)
             self._memo[x] = hit
         return hit
-
-    __call__ = query
 
 
 # ---------------------------------------------------------------------------

@@ -345,13 +345,12 @@ def random_pure_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatri
     return DensityMatrix(np.outer(vec, vec.conj()), layout, validate=False)
 
 
-def random_mixed_state(
-    qubits: int, rng: Stream, name: str = "M", components: int = 3
-) -> DensityMatrix:
+def random_mixed_state(qubits: int, rng: Stream, name: str = "M") -> DensityMatrix:
+    """A mixture of three random pure states with random weights."""
     layout = _normalize_layout([(name, qubits)])
     gen = rng.numpy()
     dim = 2**qubits
-    weights = gen.random(components)
+    weights = gen.random(3)
     weights /= weights.sum()
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for w in weights:
@@ -492,14 +491,12 @@ def _apply_pauli(key: str, state: DensityMatrix, target: str | None) -> DensityM
     return state._map(lambda part: conjugate_by_masks(part, x, z))
 
 
-def qotp_average(
-    state: DensityMatrix, max_qubits: int = MAX_EXHAUSTIVE_QUBITS
-) -> DensityMatrix:
+def qotp_average(state: DensityMatrix) -> DensityMatrix:
     """Average the state over every pad key; equals the maximally mixed state."""
     n = state.qubits
-    if n > max_qubits:
+    if n > MAX_EXHAUSTIVE_QUBITS:
         raise DimensionMismatchError(
-            f"exhaustive pad average covers at most {max_qubits} qubits, got {n}"
+            f"exhaustive pad average covers at most {MAX_EXHAUSTIVE_QUBITS} qubits, got {n}"
         )
     count = 2 ** (2 * n)
     masks = [pad_masks(format(k, f"0{2 * n}b")) for k in range(count)]

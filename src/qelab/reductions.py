@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import RoleError
 from .estimate import AdvantageEstimate
 from .games import (
-    ORACLE_BUDGET,
     GameConfig,
     OraclePolicy,
     _check_exact_qubits,
@@ -61,6 +60,7 @@ from .roles import (
     CoinMessageGenerator,
     ConstantOutputChannel,
     Distinguisher,
+    ExactPlay,
     MessageGenerator,
     NegatedDistinguisher,
     Oracles,
@@ -82,8 +82,11 @@ class ZeroEncryptionSimulator(Channel):
     public-key encryption, otherwise a key of its own from the `sim-key`
     coin; the encryption coins are the `sim-enc` coin.  Both are coins of
     the arm's tree, so exact mode enumerates key cases x encryption cases
-    and sampling mode draws one of each.
+    and sampling mode draws one of each.  It passes the adversary the tag of
+    its own encryption, never the one it is given.
     """
+
+    reads_tag = False
 
     def __init__(self, adversary: Channel):
         self.adversary = adversary
@@ -226,8 +229,8 @@ class Construction:
 
     `branches(x, play)` yields (weight, accept) pairs for input `x`;
     calling the construction as `(x, rng) -> bit` plays that tree with the
-    sampling interpreter, and an exact check plays the same tree with
-    `EXACT`.
+    sampling interpreter, and an exact check plays the same tree with an
+    `ExactPlay`.
     """
 
     def __init__(self, branches):
@@ -238,8 +241,8 @@ class Construction:
         return bit
 
 
-def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: int,
-                          budget: int = ORACLE_BUDGET) -> Construction:
+def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher,
+                          qubits: int) -> Construction:
     """Turn a pre-challenge-decryption attack into a PRF distinguisher.
 
     The construction plays `(oracle, rng) -> bit`: it simulates the
@@ -263,9 +266,9 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher, qubits: i
             return apply_pauli(oracle(ct.tag), ct.payload)
 
         ctx_pre = play.context("mgen", lambda parent: Oracles(
-            encrypt, decrypt, grants.pre, parent, "handles", budget, "tag"))
+            encrypt, decrypt, grants.pre, parent, "handles", "tag"))
         ctx_post = play.context("dist", lambda parent: Oracles(
-            encrypt, decrypt, grants.post, parent, "post", budget, "tag"))
+            encrypt, decrypt, grants.post, parent, "post", "tag"))
         for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")
@@ -300,7 +303,7 @@ def cca1_to_prf_exact_check(mgen: MessageGenerator, dist: Distinguisher,
             for w, accept in construction.branches(partial(scheme.prf.evaluate, kp.ek), play):
                 yield (wk * w, accept)
 
-    accept = game_arm(keyed, (mgen, dist)).exact_probability()
+    accept = game_arm(keyed, (mgen, dist), ExactPlay()).exact_probability()
     game = run_ind_prime(scheme, mgen, dist, OraclePolicy.cca1(), config)
     return {
         "acceptance_with_keyed_oracle": float(accept),
@@ -373,6 +376,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
         if not pair.joint.exact:
             pair = PaddedStatePair(pair.joint.to_exact(), pair.product_a.to_exact())
     construction = reduction_qotp_to_prg(dist, pair)
+    exact = ExactPlay()
 
     def arm(label: str, length: int, expand):
         def branches(play):
@@ -380,7 +384,7 @@ def run_prg_pad_reduction(prg, dist: Distinguisher, pair: PaddedStatePair,
                 for w, accept in construction.branches(expand(y), play.context("run")):
                     yield (wy * w, accept)
 
-        return game_arm(branches, (dist,))
+        return game_arm(branches, (dist,), exact)
 
     return _play(arm("seed", prg.seed_len, prg.expand), arm("y", prg.out_len, lambda y: y),
                  config, "prg-pad")

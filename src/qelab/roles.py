@@ -4,8 +4,9 @@ Roles expose their randomness as coins of the arm's coin tree, which is
 what lets the enumeration-mode games compute probabilities as exact
 Fractions.  A role's context `ctx` is the interpreter of its arm
 (`ExactPlay` or `SamplingPlay`), rooted at the role's own coins and
-carrying the game's `pk`, `scheme` and `oracles`.  A role that wants
-private coins draws them with `ctx.coin(label, cases, draw)`: the exact
+carrying the game's `pk`, `scheme` and `oracles`; an exact context shares
+its game's memo (`ExactPlay.keep`).  A role that wants private coins
+draws them with `ctx.coin(label, cases, draw)`: the exact
 interpreter yields every declared case, the sampling interpreter one case
 drawn from the role's own stream, so the role is written once for both
 modes.  A coin passed without a `draw` is certain: it declares one case,
@@ -18,7 +19,7 @@ Fraction (`self.bit`, `Fraction(1, 2)`, `1 - p`); only the interpreter's
 floats, `SamplingPlay` returns a float.
 
 `pure` is a contract a role class declares, not an option, as
-`Distinguisher.reads_tag` and `measured` are.  `True` promises that the
+`reads_tag` and a distinguisher's `measured` are.  `True` promises that the
 role's outputs depend only on its arguments, its `ctx` fields and the
 values of its `ctx.coin` draws, and that it draws only through
 `ctx.coin`.  A subclass inherits its base's declarations; a wrapper reads
@@ -53,13 +54,15 @@ from .quantum import (
 )
 from .rng import Stream, is_bitstring
 
+ORACLE_BUDGET = 64  # oracle calls one role may make in one phase
+
 
 class Oracles:
     """Budgeted encryption and decryption handles for one role in one phase.
 
     `encrypt(rho, rng)` and `decrypt(ct)` are the scheme's algorithms under
     the game's key, or a simulation of them.  Each granted call counts
-    against `budget`.  Encryption call k draws its coins from
+    against `ORACLE_BUDGET`.  Encryption call k draws its coins from
     `play.rng.child(label).child(f"{prefix}{k}")`, where `play` is the
     interpreter that built the role's context; the `label` stream is
     derived on the first encryption, so a role that never encrypts derives
@@ -69,12 +72,11 @@ class Oracles:
     """
 
     def __init__(self, encrypt=None, decrypt=None, grants=frozenset(), play=None, label=None,
-                 budget=0, prefix="enc", where="under this policy"):
+                 prefix="enc", where="under this policy"):
         self._encrypt, self._decrypt = encrypt, decrypt
         self.grants = frozenset(grants)
         self._play, self._label, self._prefix = play, label, prefix
         self._rng = None
-        self._budget = budget
         self._where = where
         self._calls = 0
 
@@ -82,8 +84,8 @@ class Oracles:
         if kind not in self.grants:
             raise OraclePolicyError(f"{kind!r} oracle not granted {self._where}")
         self._calls += 1
-        if self._calls > self._budget:
-            raise OraclePolicyError(f"oracle budget of {self._budget} calls exhausted")
+        if self._calls > ORACLE_BUDGET:
+            raise OraclePolicyError(f"oracle budget of {ORACLE_BUDGET} calls exhausted")
 
     def encrypt(self, rho: DensityMatrix):
         self._tick("enc")
@@ -109,15 +111,27 @@ _UNGRANTED = Oracles()
 class ExactPlay:
     """Exact interpreter: every coin yields all of its declared cases.
 
-    As a role's context it carries `pk` and `scheme`, and oracles that
-    refuse every call: exact mode plays only declared coins.
+    A game builds one for both its arms, and every role context it hands
+    out shares its memo (`keep`), so what the game enumerates once, such
+    as a key's encryption cases, serves every arm and role of that game
+    and lives no longer than it.  As a role's context it carries `pk` and
+    `scheme`, and oracles that refuse every call: exact mode plays only
+    declared coins.
     """
 
     exact = True
     oracles = Oracles(where="in exact mode")
 
-    def __init__(self, pk=None, scheme=None):
+    def __init__(self, pk=None, scheme=None, memo=None):
         self.pk, self.scheme = pk, scheme
+        self._memo = {} if memo is None else memo
+
+    def keep(self, key, build):
+        """`build()`, run once per `key` in this game."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def coin(self, label: str, cases, draw=None):
         """A coin: (weight, value) pairs from `cases()`, or one `draw(rng)` when sampled.
@@ -127,8 +141,9 @@ class ExactPlay:
         return cases()
 
     def context(self, coins: str, oracles=None, pk=None, scheme=None) -> "ExactPlay":
-        """A role's context: its private coins are enumerated, and it gets no oracles."""
-        return ExactPlay(pk, scheme)
+        """A role's context: its private coins are enumerated, it shares the
+        game's memo, and it gets no oracles."""
+        return ExactPlay(pk, scheme, self._memo)
 
     def unrecorded(self) -> None:
         """Nothing to do: exact mode keeps no trials."""
@@ -249,9 +264,6 @@ class SamplingPlay:
 
     def prob(self, value) -> float:
         return float(value)
-
-
-EXACT = ExactPlay()
 
 
 @dataclass(frozen=True)
@@ -394,7 +406,8 @@ class Distinguisher:
     in the state's own numbers.
 
     `reads_tag` and `measured` are contracts the role class declares, not
-    options.  `measured` names the registers `decide` reads.  `reads_tag =
+    options.  `measured` names the registers `decide` reads; a readout reads
+    it from its register arguments, by a property.  `reads_tag =
     False` promises that `prob_one(tag, state, ctx)` depends only on
     `state` and `ctx`.  Exact IND enumeration then measures each distinct
     pad once per game, challenge state and `ctx.pk`, with the first tag that
@@ -456,7 +469,10 @@ class MeasureEqualsDistinguisher(Distinguisher):
     def __init__(self, value: str, register: str = "M"):
         self.value = value
         self.register = register
-        self.measured = (register,)
+
+    @property
+    def measured(self):
+        return (self.register,)
 
     def decide(self, tag, outcome, ctx):
         return 1 if outcome == self.value else 0
@@ -484,7 +500,10 @@ class CompareRegistersDistinguisher(Distinguisher):
     def __init__(self, first: str = "OUT", second: str = "F"):
         self.first = first
         self.second = second
-        self.measured = (first, second)
+
+    @property
+    def measured(self):
+        return (self.first, self.second)
 
     def prob_one(self, tag, state, ctx):
         mapped = self.pre_map(tag, state, ctx)
@@ -539,10 +558,13 @@ class Channel:
     role's private coins, which it draws with `ctx.coin`.  A deterministic
     role defines only `transform` and is a single branch of weight 1.
     Every output must act as the identity on any register the role does
-    not own (in particular the target register F).  `pure` is declared as
-    the module docstring says.
+    not own (in particular the target register F).  `reads_tag = False`
+    promises, as a distinguisher's does, that `outputs(tag, state, ctx)`
+    depends only on `state` and `ctx`; the default `True` is always safe.
+    `pure` is declared as the module docstring says.
     """
 
+    reads_tag: bool = True
     pure: bool = False
 
     def outputs(self, tag, state: DensityMatrix, ctx):
@@ -555,6 +577,7 @@ class Channel:
 class CopyPayloadAdversary(Channel):
     """Forward the ciphertext payload register as the output, drop the rest."""
 
+    reads_tag = False
     pure = True
 
     def __init__(self, source: str = "M", out: str = "OUT"):
@@ -572,6 +595,7 @@ class CopyPayloadAdversary(Channel):
 class ConstantOutputChannel(Channel):
     """Ignore the input; emit a fixed basis string (a trivial simulator)."""
 
+    reads_tag = False
     pure = True
 
     def __init__(self, bits: str, out: str = "OUT"):
@@ -587,6 +611,7 @@ class ConstantOutputChannel(Channel):
 class UniformOutputChannel(Channel):
     """Ignore the input; emit a uniformly random string (maximally mixed)."""
 
+    reads_tag = False
     pure = True
 
     def __init__(self, qubits: int, out: str = "OUT"):
@@ -614,6 +639,10 @@ class BitChannelAdversary(Channel):
         self.out = out
 
     @property
+    def reads_tag(self):
+        return self.dist.reads_tag
+
+    @property
     def pure(self):
         return self.dist.pure
 
@@ -635,8 +664,8 @@ class BitChannelAdversary(Channel):
 class ChannelThenDistinguisher(Distinguisher):
     """Compose a channel with a distinguisher into one distinguisher.
 
-    `measured` and `pure` read through; the tag goes to the channel, which
-    declares no `reads_tag`, so the composite keeps the default `True`.
+    `measured` reads through from the distinguisher, `reads_tag` from the
+    channel, which alone sees the tag, and `pure` from both.
     """
 
     def __init__(self, channel: Channel, dist: Distinguisher):
@@ -646,6 +675,10 @@ class ChannelThenDistinguisher(Distinguisher):
     @property
     def measured(self):
         return self.dist.measured
+
+    @property
+    def reads_tag(self):
+        return self.channel.reads_tag
 
     @property
     def pure(self):

@@ -55,10 +55,8 @@ from .primitives import (
 from .quantum import (
     DensityMatrix,
     apply_pauli,
-    basis_state,
     conjugate_by_masks,
     pad_masks,
-    tensor,
 )
 from .rng import Stream, is_bitstring
 
@@ -617,13 +615,6 @@ class UniformPadPublicScheme(PermutationPublicScheme):
 
     def decrypt_pads(self, dk, tags):
         raise QelabError("the uniform-pad variant discards the pad; decryption is undefined")
-
-
-def ciphertext_as_state(ct: Ciphertext, tag_register: str = "T") -> DensityMatrix:
-    """Embed the classical tag as a basis-state register next to the payload."""
-    if not ct.tag:
-        return ct.payload
-    return tensor(basis_state(ct.tag, tag_register, ct.payload.exact), ct.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from qelab.games import (
 )
 from qelab.primitives import GgmPrf
 from qelab.quantum import (
+    DensityMatrix,
     apply_pauli,
     basis_state,
     maximally_mixed,
@@ -38,10 +39,11 @@ from qelab.rationals import QRat
 from qelab.reductions import reduction_cca1_to_prf, reduction_ind_to_sem
 from qelab.rng import Stream
 from qelab.roles import (
-    EXACT as EXACT_PLAY,
+    ORACLE_BUDGET,
     BasisMessage,
     BasisMessageWithTarget,
     BitChannelAdversary,
+    Channel,
     ChannelThenDistinguisher,
     CoinDistinguisher,
     CoinMessageGenerator,
@@ -221,15 +223,15 @@ def test_post_challenge_decryption_aborts():
 
 class _GreedyEncrypting(MessageGenerator):
     def cases(self, pk, ctx):
-        for i in range(100):
+        for i in range(ORACLE_BUDGET + 1):
             ctx.oracles.encrypt(basis_state("0"))
         return [MessageCase(Fraction(1), basis_state("1", "M"))]
 
 
 def test_oracle_budget_enforced():
     scheme = PrfSymmetricScheme(1, 1, setup_rng=Stream(9).child("s"))
-    config = GameConfig(trials=1, seed=10, oracle_budget=16)
-    with pytest.raises(OraclePolicyError):
+    config = GameConfig(trials=1, seed=10)
+    with pytest.raises(OraclePolicyError, match=f"budget of {ORACLE_BUDGET} calls exhausted"):
         run_ind(scheme, _GreedyEncrypting(), ConstantDistinguisher(1),
                 OraclePolicy.cpa(), config)
 
@@ -387,8 +389,71 @@ def test_a_wrappers_subclass_declaring_its_registers_is_measured_on_them():
     assert dist.measured == ("E",)
     # E reads 0, which the negated readout turns into 1; M would read 1 and give 0.
     state = tensor(basis_state("1", "M", True), basis_state("0", "E", True))
-    out = BitChannelAdversary(dist).transform(None, state, EXACT_PLAY)
+    out = BitChannelAdversary(dist).transform(None, state, ExactPlay())
     assert measurement_distribution(out, "OUT") == {"0": 0, "1": 1}
+
+
+def test_a_readouts_subclass_declaring_its_registers_is_measured_on_them():
+    # A readout reads `measured` from its register arguments, so a subclass's
+    # own class-level declaration wins.
+    class ReadsE(MeasureEqualsDistinguisher):
+        measured = ("E",)
+
+    class ComparesEF(CompareRegistersDistinguisher):
+        measured = ("E", "F")
+
+    assert MeasureEqualsDistinguisher("1", "M").measured == ("M",)
+    assert ReadsE("1", "M").measured == ("E",)
+    assert CompareRegistersDistinguisher("OUT", "F").measured == ("OUT", "F")
+    assert ComparesEF("OUT", "F").measured == ("E", "F")
+    state = tensor(basis_state("0", "M", True), basis_state("1", "E", True))
+    assert ReadsE("1", "M").prob_one(None, state, ExactPlay()) == 1
+    assert MeasureEqualsDistinguisher("1", "M").prob_one(None, state, ExactPlay()) == 0
+
+
+class _CountingComposite(ChannelThenDistinguisher):
+    def __init__(self, channel, dist):
+        super().__init__(channel, dist)
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        return super().prob_one(tag, state, ctx)
+
+
+class _TagReadingComposite(_CountingComposite):
+    reads_tag = True
+
+
+def test_channels_declare_whether_they_read_the_tag():
+    tag_blind = MeasureEqualsDistinguisher("1")
+    assert Channel.reads_tag is True
+    assert (CopyPayloadAdversary().reads_tag, ConstantOutputChannel("0").reads_tag,
+            UniformOutputChannel(1).reads_tag) == (False, False, False)
+    assert reduction_ind_to_sem(_TagReadingChannel()).reads_tag is False
+    assert BitChannelAdversary(tag_blind).reads_tag is False
+    assert BitChannelAdversary(_TagParityDistinguisher()).reads_tag is True
+    assert ChannelThenDistinguisher(CopyPayloadAdversary(), tag_blind).reads_tag is False
+    assert ChannelThenDistinguisher(_TagReadingChannel(), tag_blind).reads_tag is True
+
+
+class _TagReadingChannel(CopyPayloadAdversary):
+    reads_tag = True
+
+
+def test_a_composite_of_a_tag_blind_channel_is_measured_once_per_distinct_pad():
+    # The combined distinguisher of `reduce ind-to-sem --exact` at two qubits:
+    # 4 keys x 16 tags per arm, with 3 distinct pads in all.  A subclass that
+    # declares it reads the tag is evaluated on every branch, to equal values.
+    scheme = build_scheme("ske-prf", 2, 2, Stream(7))
+    config = GameConfig(exact=True, seed=7)
+    roles = (CopyPayloadAdversary(), CompareRegistersDistinguisher())
+    grouped, per_case = _CountingComposite(*roles), _TagReadingComposite(*roles)
+    est = run_ind(scheme, BasisMessageWithTarget("11"), grouped, None, config)
+    full = run_ind(scheme, BasisMessageWithTarget("11"), per_case, None, config)
+    assert (est.p_real_exact, est.p_ideal_exact) == (Fraction(0), Fraction(19, 32))
+    assert (full.p_real_exact, full.p_ideal_exact) == (Fraction(0), Fraction(19, 32))
+    assert (grouped.calls, per_case.calls) == (6, 2 * 4 * 16)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +811,22 @@ def test_sem2_length_mismatch_counts_as_failure():
     assert est.p_real_exact == 0 and est.p_ideal_exact == 0
 
 
+def test_sem2_rejects_a_target_correlated_with_the_message():
+    # F reads 0 but for a 1e-12 share, inside the classical tolerance, and is
+    # entangled with M, which the product check sees.
+    class _NearlyClassicalTarget(MessageGenerator):
+        def cases(self, pk, ctx):
+            vec = np.zeros(4)
+            vec[0b10], vec[0b01] = sqrt(1 - 1e-12), sqrt(1e-12)  # M F: |10> and |01>
+            return [MessageCase(Fraction(1), DensityMatrix(np.outer(vec, vec),
+                                                           [("M", 1), ("F", 1)]))]
+
+    with pytest.raises(RoleError, match="correlated with the message state"):
+        run_sem2(IdentityScheme(1, 1), _NearlyClassicalTarget(),
+                 CopyPayloadAdversary("M", "OUT"), ConstantOutputChannel("0"), None,
+                 GameConfig(trials=10, seed=7))
+
+
 def test_sem2_rejects_non_classical_target():
     class _EntangledTarget(MessageGenerator):
         def cases(self, pk, ctx):
@@ -872,6 +953,29 @@ class _OracleProbingReadout(Distinguisher):
             return p
         q = measurement_distribution(ct.payload, "M")["1"]
         return p * q + (1 - p) * (1 - q)
+
+
+class _DecryptingMessage(MessageGenerator):
+    """Before the challenge: encrypts |1> and sends the oracle's decryption of it."""
+
+    def __init__(self):
+        self.plaintexts = []
+
+    def cases(self, pk, ctx):
+        plaintext = ctx.oracles.decrypt(ctx.oracles.encrypt(basis_state("1", "M")))
+        self.plaintexts.append(plaintext)
+        return [MessageCase(Fraction(1), plaintext)]
+
+
+def test_a_granted_decryption_returns_the_plaintext():
+    scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
+    mgen = _DecryptingMessage()
+    config = GameConfig(trials=100, seed=7)
+    est = run_ind(scheme, mgen, MeasureEqualsDistinguisher("1"), OraclePolicy.cca1(), config)
+    assert len(mgen.plaintexts) == 200
+    assert all(measurement_distribution(p, "M").get("1") == 1 for p in mgen.plaintexts)
+    assert est == run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1"),
+                          OraclePolicy.cca1(), config)
 
 
 def test_sampled_cpa_estimate_with_oracle_calls_on_both_sides_is_pinned():
@@ -1320,6 +1424,54 @@ def test_a_trial_drawing_an_unhashable_value_is_evaluated_in_every_trial():
     assert est == _ind_coin_gated(full)
 
 
+class _SometimesListCoinReadout(_ListCoinReadout):
+    """Reads M for 1 on a private coin of 1, for 0 on a coin of [0]: the coin's
+    value can be hashed in some trials only."""
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        p = measurement_distribution(state, "M")["1"]
+        return sum(w * (p if read == 1 else 1 - p) for w, read in ctx.coin(
+            "read", lambda: ((Fraction(1, 2), 1), (Fraction(1, 2), [0])),
+            lambda r: r.integer(2) or [0]))
+
+
+def test_a_replayed_trial_drawing_an_unhashable_value_at_a_recorded_coin_is_played_in_full():
+    # Trials that draw 1 are recorded and replayed; a trial that walks to that
+    # recorded coin and draws [0] is played in full.
+    dist = _SometimesListCoinReadout()
+    est = _ind_coin_gated(dist)
+    assert 300 < dist.calls < 600
+    full = _SometimesListCoinReadout()
+    full.pure = False
+    assert est == _ind_coin_gated(full)
+    assert full.calls == 600
+
+
+class _DriftingCoinReadout(Distinguisher):
+    """Declares `pure`, but names its private coin after how often it has run."""
+
+    pure = True
+
+    def __init__(self):
+        self.calls = 0
+
+    def prob_one(self, tag, state, ctx):
+        self.calls += 1
+        p = measurement_distribution(state, "M")["1"]
+        return sum(w * p for w, _ in ctx.coin(
+            f"read{self.calls}", lambda: games.uniform_cases(list(range(1000))),
+            lambda r: r.integer(1000)))
+
+
+def test_a_role_declaring_pure_that_draws_another_coin_on_replay_is_refused():
+    # The second trial replays the recorded key and encryption coins, misses
+    # at the role's coin, and its full play then draws a coin of another name.
+    with pytest.raises(RoleError, match="declares pure = True but is not"):
+        run_ind(IdentityScheme(1, 1), BasisMessage("1"), _DriftingCoinReadout(), None,
+                GameConfig(trials=20, seed=7))
+
+
 def test_sampled_pke_towp_records_nothing(monkeypatch):
     # Each trial draws a fresh key from a space without a `size`, so the
     # first trial marks the memo's root, and no branch is kept.
@@ -1346,9 +1498,9 @@ def test_trials_sharing_a_memo_across_threads_match_a_sequential_run():
                 yield wk * wb, (int(key, 2) + bit) / 9
 
     trials = [Stream(3).child(f"t{t}") for t in range(2000)]
-    arm = game_arm(branches, ())
+    arm = game_arm(branches, (), ExactPlay())
     expected = [arm.sample(rng) for rng in trials]
-    shared = game_arm(branches, ())
+    shared = game_arm(branches, (), ExactPlay())
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -19,7 +19,6 @@ from qelab.primitives import (
     TowpIndex,
     TowpTrapdoor,
     embed_seed,
-    hardcore_eval,
     prf_distinguisher_advantage,
     prg_iterated,
 )
@@ -111,8 +110,6 @@ def test_element_and_key_codecs():
     assert fam.decode_element(index, bits) == x
     with pytest.raises(MalformedKeyError):
         fam.decode_element(index, "01")
-    assert TowpIndex.from_bits(index.to_bits()) == index
-    assert TowpTrapdoor.from_bits(trapdoor.to_bits()) == trapdoor
 
 
 def test_regression_vectors_towp():
@@ -142,16 +139,6 @@ def test_predicate_all_ones_mask_is_parity():
     index = TowpIndex(253, 3, 0b11111111)
     for x in (1, 3, 7, 100, 252):
         assert hc.evaluate(index, x) == bin(x).count("1") % 2
-
-
-def test_hardcore_eval_enforces_domain():
-    fam = ToyRsaPermutationFamily(4)
-    index, _ = fam.generate(Stream(7).child("g"))
-    hc = InnerProductPredicate()
-    x = fam.sample(index, Stream(8))
-    assert hardcore_eval(hc, index, x) == hc.evaluate(index, x)
-    with pytest.raises(DomainError):
-        hardcore_eval(hc, index, 0)
 
 
 def test_predicate_regression_at_n6():
@@ -504,13 +491,3 @@ def test_keyed_tree_prf_is_deterministic_per_key():
         lambda oracle, rng: 1 if oracle("0000")[0] == "1" else 0, prf, 50, Stream(25)
     )
     assert 0.0 <= est.p_real <= 1.0 and 0.0 <= est.p_ideal <= 1.0
-
-
-def test_one_shot_tree_evaluation_matches_class():
-    prf, prg = _tree_prf(in_len=3)
-    from qelab.primitives import ggm_prf
-
-    for v in range(8):
-        x = format(v, "03b")
-        assert ggm_prf(prg, "0110", x) == prf.evaluate("0110", x)[:4]
-    assert ggm_prf(prg, "0110", "") == "0110"

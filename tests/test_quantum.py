@@ -171,9 +171,6 @@ def test_average_on_bell_matches_independent_enumeration():
 def test_average_exhaustive_cap():
     with pytest.raises(DimensionMismatchError):
         qotp_average(maximally_mixed(4))
-    # but the cap is configurable
-    out = qotp_average(maximally_mixed(4), max_qubits=4)
-    assert trace_distance(out, maximally_mixed(4)) < TOL_ALGEBRA
 
 
 def test_a_state_above_the_size_cap_is_refused_before_its_matrix(monkeypatch):

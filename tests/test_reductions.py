@@ -26,8 +26,8 @@ from qelab.reductions import (
     sem_to_ind_identity_check,
 )
 from qelab.rng import Stream
-from qelab.roles import EXACT as EXACT_PLAY
 from qelab.roles import (
+    ORACLE_BUDGET,
     BasisMessage,
     BasisMessageWithTarget,
     CoinDistinguisher,
@@ -36,6 +36,7 @@ from qelab.roles import (
     ConstantOutputChannel,
     CopyPayloadAdversary,
     Distinguisher,
+    ExactPlay,
     MeasureEqualsDistinguisher,
     MessageCase,
     MessageGenerator,
@@ -73,7 +74,7 @@ def test_simulator_output_equals_zero_arm_exactly():
     scheme = QotpScheme(1, 1)
     adversary = CopyPayloadAdversary("M", "OUT")
     simulator = reduction_ind_to_sem(adversary)
-    ctx = EXACT_PLAY.context("sim-coins", scheme=scheme)
+    ctx = ExactPlay().context("sim-coins", scheme=scheme)
 
     state_ef = basis_state("1", "F", exact=True)
     total = None
@@ -199,8 +200,8 @@ def test_prf_exact_identity_plays_the_construction(monkeypatch):
     applies makes the identity fail."""
     build = reductions.reduction_cca1_to_prf
 
-    def padless(mgen, dist, qubits, budget=64):
-        construction = build(mgen, dist, qubits, budget)
+    def padless(mgen, dist, qubits):
+        construction = build(mgen, dist, qubits)
         keyed = construction.branches
         construction.branches = lambda oracle, play: keyed(lambda tag: "0" * 2 * qubits, play)
         return construction
@@ -277,10 +278,32 @@ class _DecryptingAfterChallenge(Distinguisher):
 
 
 def test_prf_construction_refuses_calls_past_its_budget():
-    construction = reduction_cca1_to_prf(_EncryptingPastBudget(3), MeasureEqualsDistinguisher("1"),
-                                         qubits=1, budget=3)
-    with pytest.raises(OraclePolicyError, match="budget of 3 calls exhausted"):
+    construction = reduction_cca1_to_prf(_EncryptingPastBudget(ORACLE_BUDGET),
+                                         MeasureEqualsDistinguisher("1"), qubits=1)
+    with pytest.raises(OraclePolicyError, match=f"budget of {ORACLE_BUDGET} calls exhausted"):
         construction(lambda tag: tag, Stream(9))
+
+
+class _DecryptingMessage(MessageGenerator):
+    """Before the challenge: encrypts |1> and sends the simulated scheme's decryption."""
+
+    def __init__(self):
+        self.plaintexts = []
+
+    def cases(self, pk, ctx):
+        plaintext = ctx.oracles.decrypt(ctx.oracles.encrypt(basis_state("1", "M")))
+        self.plaintexts.append(plaintext)
+        return [MessageCase(Fraction(1), plaintext)]
+
+
+def test_prf_construction_decrypts_through_the_function_oracle():
+    # The oracle's pad flips the qubit, so a decryption that skipped it would read 0.
+    mgen = _DecryptingMessage()
+    construction = reduction_cca1_to_prf(mgen, MeasureEqualsDistinguisher("1"), qubits=1)
+    for t in range(8):
+        construction(lambda tag: "11", Stream(9).child(f"t{t}"))
+    assert len(mgen.plaintexts) == 8
+    assert all(measurement_distribution(p, "M").get("1") == 1 for p in mgen.plaintexts)
 
 
 def test_prf_construction_refuses_decryption_after_the_challenge():

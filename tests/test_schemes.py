@@ -41,7 +41,6 @@ from qelab.schemes import (
     SkeCiphertext,
     UniformPadPublicScheme,
     build_scheme,
-    ciphertext_as_state,
 )
 
 
@@ -460,17 +459,6 @@ def test_qotp_and_identity_schemes():
     ct2 = ident.encrypt(kp2.ek, rho, Stream(58))
     assert trace_distance(ct2.payload, rho) == 0.0
     assert trace_distance(ident.decrypt(kp2.dk, ct2), rho) == 0.0
-
-
-def test_ciphertext_as_state_embedding():
-    scheme = _ske(qubits=1, n=2, seed=104)
-    kp = scheme.keygen(Stream(60).child("kg"))
-    ct = scheme.encrypt(kp.ek, basis_state("1"), Stream(61))
-    joint = ciphertext_as_state(ct)
-    assert joint.names == ("T", "M")
-    from qelab.quantum import measurement_distribution
-
-    assert measurement_distribution(joint, "T")[ct.tag] == 1.0
 
 
 def test_registry_builds_all_schemes():
