@@ -978,6 +978,28 @@ def test_a_granted_decryption_returns_the_plaintext():
                           OraclePolicy.cca1(), config)
 
 
+class _EncryptingReadout(Distinguisher):
+    """After the challenge: encrypts |1> and outputs 1 iff the challenge's and the
+    oracle ciphertext's M readouts agree."""
+
+    def prob_one(self, tag, state, ctx):
+        ct = ctx.oracles.encrypt(basis_state("1", "M"))
+        p = measurement_distribution(state, "M").get("1", 0)
+        q = measurement_distribution(ct.payload, "M").get("1", 0)
+        return p * q + (1 - p) * (1 - q)
+
+
+def test_sampled_cca1_estimate_on_a_public_key_scheme_is_pinned():
+    # The public-key handles: the generator's encryption and decryption under
+    # the drawn key pair, and every draw of the readout's encryption.
+    mgen = _DecryptingMessage()
+    est = run_ind(PermutationPublicScheme(4, 1), mgen, _EncryptingReadout(),
+                  OraclePolicy.cca1(), GameConfig(trials=500, seed=7))
+    assert len(mgen.plaintexts) == 1000
+    assert all(measurement_distribution(p, "M").get("1") == 1 for p in mgen.plaintexts)
+    assert (est.p_real, est.p_ideal) == (0.486, 0.488)
+
+
 def test_sampled_cpa_estimate_with_oracle_calls_on_both_sides_is_pinned():
     # The values pin the oracle streams' paths (`<role>-oracle/enc<k>`) and
     # every draw the roles' oracle calls make, across commits.

@@ -213,7 +213,7 @@ def test_every_golden_file_has_a_command():
 
 def test_every_golden_names_its_versions():
     paths = [*GOLDEN_DIR.glob("*.json"), *PINNED_DIR.glob("**/*.json")]
-    assert len(paths) == len(GOLDEN) + 6
+    assert len(paths) == len(GOLDEN) + 7
     for path in paths:
         doc = json.loads(path.read_bytes())
         assert (doc["qelab_version"], doc["stream_version"]) == (__version__, STREAM_VERSION)
