@@ -27,13 +27,13 @@ from .primitives import (
     ConstantPrf,
     ConstantPrg,
     GgmPrf,
-    InnerProductPredicate,
     IteratedPermutationPrg,
     RandomFunctionOracle,
     ToyRsaPermutationFamily,
     TowpIndex,
     TowpTrapdoor,
     embed_seed,
+    hardcore_bit,
     prf_distinguisher_advantage,
     prg_iterated,
 )

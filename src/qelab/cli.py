@@ -103,7 +103,7 @@ def _copy_vs(simulator):
     copies the padded payload to OUT, and `simulator(qubits, adversary)`."""
 
     def roles(qubits: int):
-        adversary = CopyPayloadAdversary("M", "OUT")
+        adversary = CopyPayloadAdversary()
         return BasisMessageWithTarget("1" * qubits), adversary, simulator(qubits, adversary)
 
     return roles
@@ -116,7 +116,7 @@ def _judged_by(judge, roles):
 
 
 def _comparison(qubits):
-    return CompareRegistersDistinguisher("OUT", "F")
+    return CompareRegistersDistinguisher()
 
 
 def _zero_output(qubits, adversary):
@@ -296,8 +296,8 @@ def _reduce_cca1_to_prf(args, rng: Stream, config: GameConfig):
 def _reduce_ind_to_sem(args, rng: Stream, config: GameConfig):
     scheme = build_scheme(args.scheme, args.n, args.qubits, rng)
     mgen = BasisMessageWithTarget("1" * args.qubits)
-    adversary = CopyPayloadAdversary("M", "OUT")
-    dist = CompareRegistersDistinguisher("OUT", "F")
+    adversary = CopyPayloadAdversary()
+    dist = CompareRegistersDistinguisher()
     out = ind_to_sem_pipeline(scheme, mgen, adversary, dist, OraclePolicy.plain(), config)
     sem, ind = out["sem"], out["ind"]
     if args.exact:

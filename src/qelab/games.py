@@ -80,7 +80,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 from typing import Optional
 
@@ -359,9 +358,7 @@ def _context(play, scheme, keypair, grants, label: str):
     the context gets the shared handles that refuse every call."""
     oracles = None
     if grants:
-        oracles = lambda parent: Oracles(partial(scheme.encrypt, keypair.ek),
-                                         partial(scheme.decrypt, keypair.dk), grants, parent,
-                                         f"{label}-oracle")
+        oracles = lambda parent: Oracles(scheme, keypair, grants, parent, f"{label}-oracle")
     return play.context(
         f"{label}-coins",
         oracles,
@@ -377,7 +374,7 @@ def message_coin(play, cases: list[MessageCase]):
 
 
 def _messages(play, scheme, mgen: MessageGenerator, ctx):
-    for w, case in message_coin(play, mgen.cases(ctx.pk, ctx)):
+    for w, case in message_coin(play, mgen.cases(ctx)):
         qubits = case.state.register("M").qubits
         if qubits != scheme.qubits:
             raise RoleError(

@@ -1,9 +1,10 @@
 """Classical building blocks at desk-scale parameters.
 
 A trapdoor permutation family (textbook RSA over Z_N^* with small safe
-primes), an inner-product hard-core predicate, the iterated-permutation
-pseudorandom generator that emits hard-core bits, a GGM tree PRF on top
-of it, and a lazily sampled truly-random function oracle.
+primes), its inner-product hard-core bit (`hardcore_bit`), the
+iterated-permutation pseudorandom generator that emits hard-core bits, a
+GGM tree PRF on top of it, and a lazily sampled truly-random function
+oracle.
 
 None of this is cryptographically strong: moduli fit in ~8-20 bits so
 that permutation and inversion properties can be checked exhaustively.
@@ -171,18 +172,16 @@ class ToyRsaPermutationFamily:
 # ---------------------------------------------------------------------------
 
 
-class InnerProductPredicate:
-    """Parity of the preimage bits selected by the index's mask.
+def hardcore_bit(index: TowpIndex, x: int) -> int:
+    """The inner-product hard-core bit: parity of the bits of x under the index's mask.
 
     The formula is total (the all-zero input has empty parity 0); domain
     membership is the caller's concern, which `prg_iterated` checks for its
     seed.
     """
-
-    def evaluate(self, index: TowpIndex, x: int) -> int:
-        if x < 0:
-            raise DomainError("predicate inputs are nonnegative integers")
-        return (x & index.mask).bit_count() & 1
+    if x < 0:
+        raise DomainError("predicate inputs are nonnegative integers")
+    return (x & index.mask).bit_count() & 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +191,13 @@ class InnerProductPredicate:
 
 def prg_iterated(
     family: ToyRsaPermutationFamily,
-    hc: InnerProductPredicate,
     index: TowpIndex,
     seed: int,
     out_len: int,
 ) -> str:
     """Emit out_len hard-core bits of the reversed iterate chain.
 
-    Output bit j (1-indexed) is the predicate at the (out_len - j)-th
+    Output bit j (1-indexed) is `hardcore_bit` at the (out_len - j)-th
     iterate of the seed, so the string reads: last iterate's bit first,
     the seed's own bit last.
     """
@@ -210,7 +208,7 @@ def prg_iterated(
     bits = []
     x = seed
     for _ in range(out_len):
-        bits.append(str(hc.evaluate(index, x)))
+        bits.append(str(hardcore_bit(index, x)))
         x = family.evaluate(index, x)
     return "".join(reversed(bits))
 
@@ -227,8 +225,7 @@ def embed_seed(index: TowpIndex, bits: str) -> int:
 
 
 class IteratedPermutationPrg:
-    """seed_len -> out_len expansion via `prg_iterated` with the inner-product
-    predicate, with seed embedding.
+    """seed_len -> out_len expansion via `prg_iterated`, with seed embedding.
 
     Tree constructions hand around arbitrary bitstrings, so the seed is
     first embedded into the permutation domain deterministically.
@@ -252,7 +249,6 @@ class IteratedPermutationPrg:
         self.index = index
         self.seed_len = seed_len
         self.out_len = out_len
-        self.hc = InnerProductPredicate()
         self._memo: dict[str, str] = {}
 
     def expand(self, seed: str) -> str:
@@ -263,7 +259,7 @@ class IteratedPermutationPrg:
                     f"seed must be {self.seed_len} bits of 0/1, got {seed!r}"
                 )
             d = embed_seed(self.index, seed)
-            hit = prg_iterated(self.family, self.hc, self.index, d, self.out_len)
+            hit = prg_iterated(self.family, self.index, d, self.out_len)
             self._memo[seed] = hit
         return hit
 
@@ -388,7 +384,7 @@ class ConstantPrf:
 
 
 class RandomFunctionOracle:
-    """A lazily sampled uniform function {0,1}^m -> {0,1}^l.
+    """A lazily sampled uniform function {0,1}^m -> {0,1}^l, called as one.
 
     Outputs are derived from a named child stream per input, so the
     function is consistent across queries, independent of query order,
@@ -402,7 +398,7 @@ class RandomFunctionOracle:
         self._rng = rng
         self._memo: dict[str, str] = {}
 
-    def query(self, x: str) -> str:
+    def __call__(self, x: str) -> str:
         if len(x) != self.in_len or not is_bitstring(x):
             raise MalformedKeyError(f"query must be {self.in_len} bits, got {x!r}")
         hit = self._memo.get(x)
@@ -437,7 +433,7 @@ def prf_distinguisher_advantage(distinguisher, prf, trials: int, rng: Stream):
 
         i = rng.child(f"ideal{t}")
         g = RandomFunctionOracle(prf.in_len, prf.out_len, i.child("fn"))
-        ideal_hits += 1 if distinguisher(g.query, i.child("run")) == 1 else 0
+        ideal_hits += 1 if distinguisher(g, i.child("run")) == 1 else 0
 
     p_real = real_hits / trials
     p_ideal = ideal_hits / trials

@@ -11,8 +11,9 @@ roles for another, the way the corresponding proof does:
   distinguisher-as-channel (and its negation), and an output/target
   comparison test;
 * ``reduction_cca1_to_prf``: from an attack on the PRF-padded symmetric
-  scheme, a PRF distinguisher that simulates the whole game through its
-  function oracle and accepts iff the attack succeeds;
+  scheme, a PRF distinguisher that plays the whole game against the
+  scheme with its PRF replaced by the function oracle and accepts iff the
+  attack succeeds;
 * ``reduction_qotp_to_prg``: from a distinguisher of two pad-encrypted
   states, a generator distinguisher that pads one of the pair with its
   input string and accepts iff the case is identified.
@@ -66,7 +67,13 @@ from .roles import (
     Oracles,
     SamplingPlay,
 )
-from .schemes import PauliTagScheme, PrfSymmetricScheme, SkeCiphertext, bitstring_space
+from .schemes import (
+    KeyPair,
+    PauliTagScheme,
+    PrfSymmetricScheme,
+    RandomPadSymmetricScheme,
+    bitstring_space,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +182,7 @@ def reduction_sem_to_ind(ind_mgen: MessageGenerator, ind_dist: Distinguisher) ->
     mgen = CoinMessageGenerator(ind_mgen, include_f=True)
     adversary = BitChannelAdversary(ind_dist)
     adversary_flipped = BitChannelAdversary(NegatedDistinguisher(ind_dist))
-    dist = CompareRegistersDistinguisher("OUT", "F")
+    dist = CompareRegistersDistinguisher()
     return SemRolesFromInd(mgen, adversary, adversary_flipped, dist)
 
 
@@ -245,31 +252,26 @@ def reduction_cca1_to_prf(mgen: MessageGenerator, dist: Distinguisher,
                           qubits: int) -> Construction:
     """Turn a pre-challenge-decryption attack into a PRF distinguisher.
 
-    The construction plays `(oracle, rng) -> bit`: it simulates the
-    symmetric scheme's encryption and decryption through the function
-    oracle, granted as in IND-CCA1 (both before the challenge, encryption
-    only after), flips a fair coin between the genuine and the zeroed
-    challenge, runs the attack, and outputs 1 iff the attack's guess
-    matches the coin.
+    The construction plays `(oracle, rng) -> bit`: it runs the PRF scheme
+    with the PRF replaced by the function oracle, a `RandomPadSymmetricScheme`
+    keyed by `KeyPair(oracle, oracle)`, whose handles are granted as in
+    IND-CCA1 (both before the challenge, encryption only after).
+    Encryption call k draws its tag from `<label>/tag<k>`.  It flips a
+    fair coin between the genuine and the zeroed challenge, pads the
+    challenge by the oracle at a drawn tag, runs the attack, and outputs 1
+    iff the attack's guess matches the coin.
     """
+    scheme = RandomPadSymmetricScheme(1, qubits)
     tags = bitstring_space(2 * qubits)
     grants = OraclePolicy.cca1()
 
     def branches(oracle: Callable[[str], str], play):
-        # The simulated scheme: encryption call k draws its tag from
-        # `<label>/tag<k>`, and both algorithms pad through `oracle`.
-        def encrypt(rho: DensityMatrix, rng: Stream) -> SkeCiphertext:
-            tag = rng.bits(2 * qubits)
-            return SkeCiphertext(tag, apply_pauli(oracle(tag), rho))
-
-        def decrypt(ct: SkeCiphertext) -> DensityMatrix:
-            return apply_pauli(oracle(ct.tag), ct.payload)
-
+        keypair = KeyPair(oracle, oracle)
         ctx_pre = play.context("mgen", lambda parent: Oracles(
-            encrypt, decrypt, grants.pre, parent, "handles", "tag"))
+            scheme, keypair, grants.pre, parent, "handles", "tag"))
         ctx_post = play.context("dist", lambda parent: Oracles(
-            encrypt, decrypt, grants.post, parent, "post", "tag"))
-        for wm, mcase in message_coin(play, mgen.cases(None, ctx_pre)):
+            scheme, keypair, grants.post, parent, "post", "tag"))
+        for wm, mcase in message_coin(play, mgen.cases(ctx_pre)):
             if mcase.state.register("M").qubits != qubits:
                 raise RoleError("attack emits a message of the wrong size")
             for wc, coin in fair_bit(play, "coin"):

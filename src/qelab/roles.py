@@ -4,8 +4,9 @@ Roles expose their randomness as coins of the arm's coin tree, which is
 what lets the enumeration-mode games compute probabilities as exact
 Fractions.  A role's context `ctx` is the interpreter of its arm
 (`ExactPlay` or `SamplingPlay`), rooted at the role's own coins and
-carrying the game's `pk`, `scheme` and `oracles`; an exact context shares
-its game's memo (`ExactPlay.keep`).  A role that wants private coins
+carrying the game's `pk` (None for a symmetric scheme), `scheme` and
+`oracles`, the handles that run the scheme under the game's key; an
+exact context shares its game's memo (`ExactPlay.keep`).  A role that wants private coins
 draws them with `ctx.coin(label, cases, draw)`: the exact
 interpreter yields every declared case, the sampling interpreter one case
 drawn from the role's own stream, so the role is written once for both
@@ -60,20 +61,22 @@ ORACLE_BUDGET = 64  # oracle calls one role may make in one phase
 class Oracles:
     """Budgeted encryption and decryption handles for one role in one phase.
 
-    `encrypt(rho, rng)` and `decrypt(ct)` are the scheme's algorithms under
-    the game's key, or a simulation of them.  Each granted call counts
-    against `ORACLE_BUDGET`.  Encryption call k draws its coins from
-    `play.rng.child(label).child(f"{prefix}{k}")`, where `play` is the
-    interpreter that built the role's context; the `label` stream is
-    derived on the first encryption, so a role that never encrypts derives
-    none.  That first encryption also tells `play` that the trial is not
-    recorded (`unrecorded`): its coins are not coins of the arm's tree.  A
-    kind outside `grants` is refused as not granted `where`.
+    `encrypt(rho)` runs `scheme.encrypt(keypair.ek, rho, rng)` and
+    `decrypt(ct)` runs `scheme.decrypt(keypair.dk, ct)`: the game's scheme
+    under its key, or a reduction's scheme under a key it holds.  Each
+    granted call counts against `ORACLE_BUDGET`.  Encryption call k draws
+    its coins from `play.rng.child(label).child(f"{prefix}{k}")`, where
+    `play` is the interpreter that built the role's context; the `label`
+    stream is derived on the first encryption, so a role that never
+    encrypts derives none.  That first encryption also tells `play` that
+    the trial is not recorded (`unrecorded`): its coins are not coins of
+    the arm's tree.  A kind outside `grants` is refused as not granted
+    `where`.
     """
 
-    def __init__(self, encrypt=None, decrypt=None, grants=frozenset(), play=None, label=None,
+    def __init__(self, scheme=None, keypair=None, grants=frozenset(), play=None, label=None,
                  prefix="enc", where="under this policy"):
-        self._encrypt, self._decrypt = encrypt, decrypt
+        self._scheme, self._keypair = scheme, keypair
         self.grants = frozenset(grants)
         self._play, self._label, self._prefix = play, label, prefix
         self._rng = None
@@ -92,11 +95,12 @@ class Oracles:
         if self._rng is None:
             self._play.unrecorded()
             self._rng = self._play.rng.child(self._label)
-        return self._encrypt(rho, self._rng.child(f"{self._prefix}{self._calls}"))
+        return self._scheme.encrypt(self._keypair.ek, rho,
+                                    self._rng.child(f"{self._prefix}{self._calls}"))
 
     def decrypt(self, ct) -> DensityMatrix:
         self._tick("dec")
-        return self._decrypt(ct)
+        return self._scheme.decrypt(self._keypair.dk, ct)
 
 
 # Handles that grant nothing keep no state, so each is shared.
@@ -299,7 +303,7 @@ class MessageGenerator:
 
     pure: bool = False
 
-    def cases(self, pk, ctx) -> list[MessageCase]:
+    def cases(self, ctx) -> list[MessageCase]:
         raise NotImplementedError
 
 
@@ -319,7 +323,7 @@ class _FixedMessage(MessageGenerator):
     def _case(self, exact: bool) -> MessageCase:
         raise NotImplementedError
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         exact = ctx.exact
         case = self._by_mode.get(exact)
         if case is None:
@@ -378,9 +382,9 @@ class CoinMessageGenerator(MessageGenerator):
     def pure(self):
         return self.base.pure
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         out = []
-        for case in self.base.cases(pk, ctx):
+        for case in self.base.cases(ctx):
             half = case.weight / 2
             genuine = case.state
             zeroed = replace_with_zero_state(case.state, "M")
@@ -407,7 +411,7 @@ class Distinguisher:
 
     `reads_tag` and `measured` are contracts the role class declares, not
     options.  `measured` names the registers `decide` reads; a readout reads
-    it from its register arguments, by a property.  `reads_tag =
+    it from its register argument, by a property.  `reads_tag =
     False` promises that `prob_one(tag, state, ctx)` depends only on
     `state` and `ctx`.  Exact IND enumeration then measures each distinct
     pad once per game, challenge state and `ctx.pk`, with the first tag that
@@ -492,23 +496,21 @@ class UnpadThenMeasureDistinguisher(MeasureEqualsDistinguisher):
 
 
 class CompareRegistersDistinguisher(Distinguisher):
-    """Measure two registers jointly; output 1 iff their outcomes agree."""
+    """Measure two registers jointly; output 1 iff their outcomes agree.
 
+    It compares a channel's output OUT with the target F, the registers
+    every semantic game judges; a subclass may declare other `measured`.
+    """
+
+    measured = ("OUT", "F")
     reads_tag = False
     pure = True
 
-    def __init__(self, first: str = "OUT", second: str = "F"):
-        self.first = first
-        self.second = second
-
-    @property
-    def measured(self):
-        return (self.first, self.second)
-
     def prob_one(self, tag, state, ctx):
         mapped = self.pre_map(tag, state, ctx)
-        width = mapped.register(self.first).qubits
-        if mapped.register(self.second).qubits != width:
+        first, second = self.measured
+        width = mapped.register(first).qubits
+        if mapped.register(second).qubits != width:
             return 0
         dist = measurement_distribution(mapped, self.measured)
         return sum(p for outcome, p in dist.items() if outcome[:width] == outcome[width:])
@@ -558,7 +560,8 @@ class Channel:
     role's private coins, which it draws with `ctx.coin`.  A deterministic
     role defines only `transform` and is a single branch of weight 1.
     Every output must act as the identity on any register the role does
-    not own (in particular the target register F).  `reads_tag = False`
+    not own (in particular the target register F).  A channel's output is
+    the register OUT, which every semantic game judges.  `reads_tag = False`
     promises, as a distinguisher's does, that `outputs(tag, state, ctx)`
     depends only on `state` and `ctx`; the default `True` is always safe.
     `pure` is declared as the module docstring says.
@@ -575,18 +578,14 @@ class Channel:
 
 
 class CopyPayloadAdversary(Channel):
-    """Forward the ciphertext payload register as the output, drop the rest."""
+    """Forward the ciphertext payload M as the output OUT, drop the rest but F."""
 
     reads_tag = False
     pure = True
 
-    def __init__(self, source: str = "M", out: str = "OUT"):
-        self.source = source
-        self.out = out
-
     def transform(self, tag, state, ctx):
-        result = rename_register(state, self.source, self.out)
-        extras = [r for r in result.names if r not in (self.out, "F")]
+        result = rename_register(state, "M", "OUT")
+        extras = [r for r in result.names if r not in ("OUT", "F")]
         if extras:
             result = partial_trace(result, extras)
         return result
@@ -598,14 +597,13 @@ class ConstantOutputChannel(Channel):
     reads_tag = False
     pure = True
 
-    def __init__(self, bits: str, out: str = "OUT"):
+    def __init__(self, bits: str):
         self.bits = bits
-        self.out = out
 
     def transform(self, tag, state, ctx):
         drop = [r for r in state.names if r != "F"]
         rest = partial_trace(state, drop) if drop else state
-        return tensor(basis_state(self.bits, self.out, state.exact), rest)
+        return tensor(basis_state(self.bits, "OUT", state.exact), rest)
 
 
 class UniformOutputChannel(Channel):
@@ -614,16 +612,15 @@ class UniformOutputChannel(Channel):
     reads_tag = False
     pure = True
 
-    def __init__(self, qubits: int, out: str = "OUT"):
+    def __init__(self, qubits: int):
         self.qubits = qubits
-        self.out = out
 
     def transform(self, tag, state, ctx):
         from .quantum import maximally_mixed
 
         drop = [r for r in state.names if r != "F"]
         rest = partial_trace(state, drop) if drop else state
-        return tensor(maximally_mixed(self.qubits, self.out, state.exact), rest)
+        return tensor(maximally_mixed(self.qubits, "OUT", state.exact), rest)
 
 
 class BitChannelAdversary(Channel):
@@ -634,9 +631,8 @@ class BitChannelAdversary(Channel):
     untouched F register survive.  Everything else is discarded.
     """
 
-    def __init__(self, dist: Distinguisher, out: str = "OUT"):
+    def __init__(self, dist: Distinguisher):
         self.dist = dist
-        self.out = out
 
     @property
     def reads_tag(self):
@@ -654,8 +650,8 @@ class BitChannelAdversary(Channel):
                 f"distinguisher measures {self.dist.measured} but the state has {mapped.names}"
             )
         fn = lambda outcome: str(self.dist.decide(tag, outcome, ctx))
-        result = measure_registers_into(mapped, targets, fn, self.out, 1)
-        extras = [r for r in result.names if r not in (self.out, "F")]
+        result = measure_registers_into(mapped, targets, fn, "OUT", 1)
+        extras = [r for r in result.names if r not in ("OUT", "F")]
         if extras:
             result = partial_trace(result, extras)
         return result

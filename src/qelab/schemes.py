@@ -44,12 +44,12 @@ from .errors import (
 )
 from .primitives import (
     GgmPrf,
-    InnerProductPredicate,
     IteratedPermutationPrg,
     RandomFunctionOracle,
     ToyRsaPermutationFamily,
     TowpIndex,
     TowpTrapdoor,
+    hardcore_bit,
     prg_iterated,
 )
 from .quantum import (
@@ -345,9 +345,12 @@ class PadSkippingDecryptScheme(PrfSymmetricScheme):
 class RandomPadSymmetricScheme(PauliTagScheme):
     """Idealized variant: pads come from a truly random function of the tag.
 
-    Key material is a lazily sampled random-function oracle, so encrypt and
-    decrypt stay consistent.  In an oracle-free game the challenge tag is the
-    only query ever made, so exact games enumerate one stand-in key,
+    A key is the function itself, a lazily sampled `RandomFunctionOracle`,
+    so encrypt and decrypt stay consistent: encryption pads by `ek(tag)` and
+    decryption unpads by `dk(tag)`.  Any function from `2 * qubits` to
+    `2 * qubits` bits keys it, which is how a reduction runs the scheme
+    through a function oracle.  In an oracle-free game the challenge tag is
+    the only query ever made, so exact games enumerate one stand-in key,
     `KeyPair(None, None)`, whose cases are uniform independent (tag, pad) pairs.
     """
 
@@ -363,7 +366,7 @@ class RandomPadSymmetricScheme(PauliTagScheme):
 
     def encryption_space(self, ek):
         if ek is not None:
-            return _tagged_pads(2 * self.qubits, ek.query)
+            return _tagged_pads(2 * self.qubits, ek)
         strings = bitstring_space(2 * self.qubits)  # the stand-in: tag, then pad
         return CoinSpace(
             None, None, lambda: _encryption_cases(product(strings.cases(), repeat=2)),
@@ -373,7 +376,7 @@ class RandomPadSymmetricScheme(PauliTagScheme):
     def decrypt_pad(self, dk, tag: str) -> str:
         if dk is None:
             raise QelabError("the enumeration-mode stand-in key cannot decrypt")
-        return dk.query(tag)
+        return dk(tag)
 
     def make_ciphertext(self, tag, payload):
         return SkeCiphertext(tag, payload)
@@ -440,7 +443,6 @@ class PermutationPublicScheme(PauliTagScheme):
             raise DimensionMismatchError(
                 f"{self.family.modulus_bits}-bit modulus too small for {qubits} qubits"
             )
-        self.hc = InnerProductPredicate()
         self._keys = CoinSpace(None, None, None, self._generate)
 
     def key_space(self):
@@ -452,7 +454,7 @@ class PermutationPublicScheme(PauliTagScheme):
         return KeyPair(index, PkeSecret(index, trapdoor))
 
     def _pad_from_seed(self, index: TowpIndex, d: int) -> str:
-        return prg_iterated(self.family, self.hc, index, d, 2 * self.qubits)
+        return prg_iterated(self.family, index, d, 2 * self.qubits)
 
     def _tag_from_seed(self, index: TowpIndex, d: int) -> str:
         image = self.family.iterate(index, d, 2 * self.qubits)
@@ -488,7 +490,7 @@ class PermutationPublicScheme(PauliTagScheme):
         bits = []
         for _ in range(2 * self.qubits):
             x = self.family.invert(x, trapdoor)
-            bits.append(str(self.hc.evaluate(index, x)))
+            bits.append(str(hardcore_bit(index, x)))
         return "".join(bits)
 
     def decrypt_pads(self, dk: PkeSecret, tags: list[str]) -> list[str]:

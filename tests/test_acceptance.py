@@ -22,9 +22,9 @@ from qelab.primitives import (
     ConstantPrf,
     ConstantPrg,
     GgmPrf,
-    InnerProductPredicate,
     IteratedPermutationPrg,
     ToyRsaPermutationFamily,
+    hardcore_bit,
     prf_distinguisher_advantage,
     prg_iterated,
 )
@@ -37,7 +37,6 @@ from qelab.quantum import (
 )
 from qelab.reductions import (
     PaddedStatePair,
-    cca1_to_prf_exact_check,
     ind_to_sem_pipeline,
     reduction_cca1_to_prf,
     reduction_ind_to_sem,
@@ -138,15 +137,14 @@ def test_criterion_4_primitive_oracle_equivalence():
     start = time.monotonic()
     fam = ToyRsaPermutationFamily(6)
     index, _ = fam.generate(Stream(9).child("gen"))  # seed 9: modest modulus
-    hc = InnerProductPredicate()
 
     prg_mismatches = 0
     for d in fam.domain(index):
         iterates = [d]
         for _ in range(11):
             iterates.append(fam.evaluate(index, iterates[-1]))
-        expected = "".join(str(hc.evaluate(index, v)) for v in reversed(iterates))
-        if prg_iterated(fam, hc, index, d, 12) != expected:
+        expected = "".join(str(hardcore_bit(index, v)) for v in reversed(iterates))
+        if prg_iterated(fam, index, d, 12) != expected:
             prg_mismatches += 1
 
     prg = IteratedPermutationPrg(fam, index, seed_len=6, out_len=12)
@@ -232,8 +230,8 @@ def test_criterion_7_true_randomness_gives_exactly_zero():
     mgen = BasisMessage("1")
     mgen_target = BasisMessageWithTarget("1")
     dist = MeasureEqualsDistinguisher("1", "M")
-    adversary = CopyPayloadAdversary("M", "OUT")
-    compare = CompareRegistersDistinguisher("OUT", "F")
+    adversary = CopyPayloadAdversary()
+    compare = CompareRegistersDistinguisher()
     results = []
     for scheme in (RandomPadSymmetricScheme(1, 1), UniformPadPublicScheme(1, 1)):
         simulator = reduction_ind_to_sem(adversary)
@@ -274,8 +272,8 @@ def test_criterion_8_reduction_pipelines():
     pipe = ind_to_sem_pipeline(
         scheme,
         BasisMessageWithTarget("1"),
-        CopyPayloadAdversary("M", "OUT"),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CopyPayloadAdversary(),
+        CompareRegistersDistinguisher(),
         None,
         config,
     )

@@ -222,7 +222,7 @@ def test_post_challenge_decryption_aborts():
 
 
 class _GreedyEncrypting(MessageGenerator):
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         for i in range(ORACLE_BUDGET + 1):
             ctx.oracles.encrypt(basis_state("0"))
         return [MessageCase(Fraction(1), basis_state("1", "M"))]
@@ -248,9 +248,9 @@ class _CountingMessage(BasisMessage):
         super().__init__(bits)
         self.calls = 0
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         self.calls += 1
-        return super().cases(pk, ctx)
+        return super().cases(ctx)
 
 
 @pytest.mark.parametrize("game", [run_ind, run_ind_prime])
@@ -394,8 +394,8 @@ def test_a_wrappers_subclass_declaring_its_registers_is_measured_on_them():
 
 
 def test_a_readouts_subclass_declaring_its_registers_is_measured_on_them():
-    # A readout reads `measured` from its register arguments, so a subclass's
-    # own class-level declaration wins.
+    # A readout reads `measured` from its register argument and a comparison
+    # declares it at class level, so a subclass's own declaration wins.
     class ReadsE(MeasureEqualsDistinguisher):
         measured = ("E",)
 
@@ -404,11 +404,14 @@ def test_a_readouts_subclass_declaring_its_registers_is_measured_on_them():
 
     assert MeasureEqualsDistinguisher("1", "M").measured == ("M",)
     assert ReadsE("1", "M").measured == ("E",)
-    assert CompareRegistersDistinguisher("OUT", "F").measured == ("OUT", "F")
-    assert ComparesEF("OUT", "F").measured == ("E", "F")
+    assert CompareRegistersDistinguisher().measured == ("OUT", "F")
+    assert ComparesEF().measured == ("E", "F")
     state = tensor(basis_state("0", "M", True), basis_state("1", "E", True))
     assert ReadsE("1", "M").prob_one(None, state, ExactPlay()) == 1
     assert MeasureEqualsDistinguisher("1", "M").prob_one(None, state, ExactPlay()) == 0
+    # E equals F and there is no OUT register.
+    agreeing = tensor(state, basis_state("1", "F", True))
+    assert ComparesEF().prob_one(None, agreeing, ExactPlay()) == 1
 
 
 class _CountingComposite(ChannelThenDistinguisher):
@@ -748,9 +751,9 @@ def test_sem_broken_scheme_detected():
     est = run_sem(
         IdentityScheme(1, 1),
         BasisMessageWithTarget("1"),
-        CopyPayloadAdversary("M", "OUT"),
+        CopyPayloadAdversary(),
         ConstantOutputChannel("0"),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         None,
         EXACT,
     )
@@ -765,7 +768,7 @@ def test_sem_matching_channels_no_advantage():
         BasisMessageWithTarget("1"),
         ConstantOutputChannel("1"),
         ConstantOutputChannel("1"),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         None,
         EXACT,
     )
@@ -773,13 +776,13 @@ def test_sem_matching_channels_no_advantage():
 
 
 def test_sem_secure_scheme_with_built_simulator():
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     est = run_sem(
         QotpScheme(1, 1),
         BasisMessageWithTarget("1"),
         adversary,
         reduction_ind_to_sem(adversary),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         None,
         EXACT,
     )
@@ -790,7 +793,7 @@ def test_sem2_uniform_simulator_baseline():
     est = run_sem2(
         IdentityScheme(1, 1),
         BasisMessageWithTarget("1"),
-        CopyPayloadAdversary("M", "OUT"),
+        CopyPayloadAdversary(),
         UniformOutputChannel(1),
         None,
         EXACT,
@@ -815,7 +818,7 @@ def test_sem2_rejects_a_target_correlated_with_the_message():
     # F reads 0 but for a 1e-12 share, inside the classical tolerance, and is
     # entangled with M, which the product check sees.
     class _NearlyClassicalTarget(MessageGenerator):
-        def cases(self, pk, ctx):
+        def cases(self, ctx):
             vec = np.zeros(4)
             vec[0b10], vec[0b01] = sqrt(1 - 1e-12), sqrt(1e-12)  # M F: |10> and |01>
             return [MessageCase(Fraction(1), DensityMatrix(np.outer(vec, vec),
@@ -823,13 +826,13 @@ def test_sem2_rejects_a_target_correlated_with_the_message():
 
     with pytest.raises(RoleError, match="correlated with the message state"):
         run_sem2(IdentityScheme(1, 1), _NearlyClassicalTarget(),
-                 CopyPayloadAdversary("M", "OUT"), ConstantOutputChannel("0"), None,
+                 CopyPayloadAdversary(), ConstantOutputChannel("0"), None,
                  GameConfig(trials=10, seed=7))
 
 
 def test_sem2_rejects_non_classical_target():
     class _EntangledTarget(MessageGenerator):
-        def cases(self, pk, ctx):
+        def cases(self, ctx):
             from qelab.quantum import bell_state
 
             state = tensor(bell_state("M", "F", ctx.exact), basis_state("0", "E", ctx.exact))
@@ -839,7 +842,7 @@ def test_sem2_rejects_non_classical_target():
         run_sem2(
             IdentityScheme(1, 1),
             _EntangledTarget(),
-            CopyPayloadAdversary("M", "OUT"),
+            CopyPayloadAdversary(),
             ConstantOutputChannel("0"),
             None,
             EXACT,
@@ -863,7 +866,7 @@ def test_sem3_broken_scheme_detected():
     est = run_sem3(
         IdentityScheme(1, 1),
         BasisMessageWithTarget("1"),
-        CopyPayloadAdversary("M", "OUT"),
+        CopyPayloadAdversary(),
         ConstantOutputChannel("0"),
         identity_function(1),
         None,
@@ -895,7 +898,7 @@ def test_sem3_arity_mismatch_rejected():
         run_sem3(
             IdentityScheme(1, 1),
             BasisMessageWithTarget("1"),
-            CopyPayloadAdversary("M", "OUT"),
+            CopyPayloadAdversary(),
             ConstantOutputChannel("0"),
             constant_function("0", in_len=3),
             None,
@@ -908,7 +911,7 @@ def test_sem3_requires_transcript():
         run_sem3(
             IdentityScheme(1, 1),
             BasisMessage("1"),
-            CopyPayloadAdversary("M", "OUT"),
+            CopyPayloadAdversary(),
             ConstantOutputChannel("0"),
             constant_function("0"),
             None,
@@ -935,7 +938,7 @@ def test_cpa_readout_breaks_constant_prf_scheme():
 class _OracleProbingMessage(MessageGenerator):
     """Before the challenge: encrypts |0> twice and sends the parity of the two tags."""
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         first = ctx.oracles.encrypt(basis_state("0"))
         second = ctx.oracles.encrypt(basis_state("0"))
         bit = str((first.tag + second.tag).count("1") % 2)
@@ -961,7 +964,7 @@ class _DecryptingMessage(MessageGenerator):
     def __init__(self):
         self.plaintexts = []
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         plaintext = ctx.oracles.decrypt(ctx.oracles.encrypt(basis_state("1", "M")))
         self.plaintexts.append(plaintext)
         return [MessageCase(Fraction(1), plaintext)]
@@ -1028,7 +1031,7 @@ class _CoinGatedReadout(Distinguisher):
 # kind of drawing coin.
 def test_sampled_sem3_with_a_two_case_message_generator_is_pinned():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     mgen = CoinMessageGenerator(BasisMessageWithTarget("1"), include_f=False,
                                 include_transcript=True)  # `mpick` draws
     est = run_sem3(scheme, mgen, adversary, reduction_ind_to_sem(adversary),
@@ -1045,9 +1048,9 @@ def test_sampled_ind_with_a_private_distinguisher_coin_is_pinned():
 
 def test_sampled_cpa_sem_with_the_simulator_encrypting_through_the_oracle_is_pinned():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(7))
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     est = run_sem(scheme, BasisMessageWithTarget("1"), adversary,
-                  reduction_ind_to_sem(adversary), CompareRegistersDistinguisher("OUT", "F"),
+                  reduction_ind_to_sem(adversary), CompareRegistersDistinguisher(),
                   OraclePolicy.cpa(), GameConfig(trials=500, seed=7))
     assert (est.p_real, est.p_ideal) == (0.766, 0.29)
 
@@ -1148,12 +1151,12 @@ def test_each_sampled_game_builds_its_pinned_streams(game, scheme, bundle, built
 
 def test_all_games_null_on_random_pad_scheme():
     scheme = RandomPadSymmetricScheme(1, 1)
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     simulator = reduction_ind_to_sem(adversary)
     est = run_ind(scheme, BasisMessage("1"), MeasureEqualsDistinguisher("1", "M"), None, EXACT)
     assert est.advantage_exact == 0
     est = run_sem(scheme, BasisMessageWithTarget("1"), adversary, simulator,
-                  CompareRegistersDistinguisher("OUT", "F"), None, EXACT)
+                  CompareRegistersDistinguisher(), None, EXACT)
     assert est.advantage_exact == 0
 
 
@@ -1161,8 +1164,8 @@ def test_public_scheme_hands_pk_to_roles():
     seen = {}
 
     class _Probe(MessageGenerator):
-        def cases(self, pk, ctx):
-            seen["pk"] = pk
+        def cases(self, ctx):
+            seen["pk"] = ctx.pk
             return [MessageCase(Fraction(1), basis_state("1", "M", ctx.exact))]
 
     scheme = UniformPadPublicScheme(1, 1)
@@ -1214,7 +1217,7 @@ def test_identity_check_across_deterministic_distinguishers():
 
 def test_sem2_accepts_target_register_in_any_position():
     class _TargetFirst(MessageGenerator):
-        def cases(self, pk, ctx):
+        def cases(self, ctx):
             state = tensor(
                 basis_state("1", "F", ctx.exact), basis_state("1", "M", ctx.exact)
             )
@@ -1223,7 +1226,7 @@ def test_sem2_accepts_target_register_in_any_position():
     est = run_sem2(
         IdentityScheme(1, 1),
         _TargetFirst(),
-        CopyPayloadAdversary("M", "OUT"),
+        CopyPayloadAdversary(),
         ConstantOutputChannel("0"),
         None,
         EXACT,
@@ -1240,10 +1243,10 @@ def test_sem2_accepts_target_register_in_any_position():
                                   EntangledMessage()])
 def test_fixed_generators_hand_out_one_case_per_mode(mgen):
     float_ctx, exact_ctx = SamplingPlay(Stream(1)), ExactPlay()
-    (first,) = mgen.cases(None, float_ctx)
-    assert mgen.cases(None, float_ctx)[0] is first
-    (exact,) = mgen.cases(None, exact_ctx)
-    assert mgen.cases(None, exact_ctx)[0] is exact
+    (first,) = mgen.cases(float_ctx)
+    assert mgen.cases(float_ctx)[0] is first
+    (exact,) = mgen.cases(exact_ctx)
+    assert mgen.cases(exact_ctx)[0] is exact
     assert exact.state.exact and not first.state.exact
 
 
@@ -1255,7 +1258,7 @@ class _AlternatingMessage(MessageGenerator):
         self.calls = 0
         self.last = None
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         bit = str(self.calls % 2)
         self.calls += 1
         self.last = tensor(basis_state("1", "M", ctx.exact), basis_state(bit, self.side, ctx.exact))
@@ -1301,7 +1304,7 @@ def test_zeroed_state_memo_follows_each_prf_experiment_trial():
 def test_sem2_target_memo_follows_each_trials_message():
     # Targets alternate 0, 1, ...: the copied message 1 matches the ones and
     # the constant simulator 0 the zeros, each exactly half the trials.
-    est = run_sem2(IdentityScheme(1, 1), _AlternatingMessage("F"), CopyPayloadAdversary("M", "OUT"),
+    est = run_sem2(IdentityScheme(1, 1), _AlternatingMessage("F"), CopyPayloadAdversary(),
                    ConstantOutputChannel("0"), None, GameConfig(trials=40, seed=3))
     assert (est.p_real, est.p_ideal) == (0.5, 0.5)
 
@@ -1319,7 +1322,6 @@ class _CountingCopy(CopyPayloadAdversary):
     """The copy adversary, counting its evaluations."""
 
     def __init__(self):
-        super().__init__("M", "OUT")
         self.calls = 0
 
     def transform(self, tag, state, ctx):

@@ -12,13 +12,13 @@ from qelab.primitives import (
     ConstantPrg,
     DomainError,
     GgmPrf,
-    InnerProductPredicate,
     IteratedPermutationPrg,
     RandomFunctionOracle,
     ToyRsaPermutationFamily,
     TowpIndex,
     TowpTrapdoor,
     embed_seed,
+    hardcore_bit,
     prf_distinguisher_advantage,
     prg_iterated,
 )
@@ -128,29 +128,26 @@ def test_regression_vectors_towp():
 
 
 def test_predicate_empty_parity_is_zero():
-    hc = InnerProductPredicate()
     index = TowpIndex(253, 3, 0b10100)
-    assert hc.evaluate(index, 0) == 0  # no selected bits
-    assert hc.evaluate(index, 0b01011) == 0  # no overlap with the mask
+    assert hardcore_bit(index, 0) == 0  # no selected bits
+    assert hardcore_bit(index, 0b01011) == 0  # no overlap with the mask
 
 
 def test_predicate_all_ones_mask_is_parity():
-    hc = InnerProductPredicate()
     index = TowpIndex(253, 3, 0b11111111)
     for x in (1, 3, 7, 100, 252):
-        assert hc.evaluate(index, x) == bin(x).count("1") % 2
+        assert hardcore_bit(index, x) == bin(x).count("1") % 2
 
 
 def test_predicate_regression_at_n6():
     fam = ToyRsaPermutationFamily(6)
     index, _ = fam.generate(Stream(9).child("g"))
-    hc = InnerProductPredicate()
     rng = Stream(10)
     for i in range(20):
         x = fam.sample(index, rng.child(f"x{i}"))
         # independent parity computation
         expected = sum((x >> b) & (index.mask >> b) & 1 for b in range(x.bit_length())) % 2
-        assert hc.evaluate(index, x) == expected
+        assert hardcore_bit(index, x) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -161,52 +158,47 @@ def test_predicate_regression_at_n6():
 def test_prg_length_one_is_seed_bit():
     fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(11).child("g"))
-    hc = InnerProductPredicate()
     d = fam.sample(index, Stream(12))
-    assert prg_iterated(fam, hc, index, d, 1) == str(hc.evaluate(index, d))
+    assert prg_iterated(fam, index, d, 1) == str(hardcore_bit(index, d))
 
 
 def test_prg_length_two_ordering():
     # first output bit belongs to the image, second to the seed itself
     fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(13).child("g"))
-    hc = InnerProductPredicate()
     d = fam.sample(index, Stream(14))
-    expected = str(hc.evaluate(index, fam.evaluate(index, d))) + str(hc.evaluate(index, d))
-    assert prg_iterated(fam, hc, index, d, 2) == expected
+    expected = str(hardcore_bit(index, fam.evaluate(index, d))) + str(hardcore_bit(index, d))
+    assert prg_iterated(fam, index, d, 2) == expected
 
 
 def test_prg_matches_iterate_then_map_oracle_exhaustively():
     fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(15).child("g"))
-    hc = InnerProductPredicate()
     for d in fam.domain(index):
         length = 9
         iterates = [d]
         for _ in range(length - 1):
             iterates.append(fam.evaluate(index, iterates[-1]))
-        expected = "".join(str(hc.evaluate(index, v)) for v in reversed(iterates))
-        assert prg_iterated(fam, hc, index, d, length) == expected
+        expected = "".join(str(hardcore_bit(index, v)) for v in reversed(iterates))
+        assert prg_iterated(fam, index, d, length) == expected
 
 
 def test_prg_rejects_bad_inputs():
     fam = ToyRsaPermutationFamily(4)
     index, _ = fam.generate(Stream(16).child("g"))
-    hc = InnerProductPredicate()
     with pytest.raises(DomainError):
-        prg_iterated(fam, hc, index, 0, 4)
+        prg_iterated(fam, index, 0, 4)
     d = fam.sample(index, Stream(17))
     with pytest.raises(Exception):
-        prg_iterated(fam, hc, index, d, 0)
+        prg_iterated(fam, index, d, 0)
 
 
 def test_prg_regression_vectors():
     fam = ToyRsaPermutationFamily(6)
-    hc = InnerProductPredicate()
     for entry in VECTORS["prg"]:
         index = TowpIndex(entry["modulus"], entry["exponent"], entry["mask"])
         for d, length, expected in entry["outputs"]:
-            assert prg_iterated(fam, hc, index, d, length) == expected
+            assert prg_iterated(fam, index, d, length) == expected
 
 
 def test_embed_seed_deterministic_and_in_domain():
@@ -250,7 +242,7 @@ def test_expand_matches_direct_generator_per_instance():
     for label in ("a", "b"):  # two indices: caches must not be shared
         index, _ = fam.generate(Stream(24).child(label))
         prg = IteratedPermutationPrg(fam, index, seed_len=4, out_len=8)
-        direct = [prg_iterated(fam, prg.hc, index, embed_seed(index, s), 8) for s in seeds]
+        direct = [prg_iterated(fam, index, embed_seed(index, s), 8) for s in seeds]
         assert [prg.expand(s) for s in seeds] == direct  # first calls: computed
         assert [prg.expand(s) for s in seeds] == direct  # repeated calls: cached
         outputs.append(direct)
@@ -261,7 +253,7 @@ def test_ske_prf_expands_each_seed_once(monkeypatch):
     calls = []
 
     def counting(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return prg_iterated(*args)
 
     prf = build_scheme("ske-prf", 2, 3, Stream(7)).prf
@@ -436,17 +428,17 @@ def test_oracle_consistency_and_seed_determinism():
     b = RandomFunctionOracle(4, 4, Stream(21).child("fn"))
     for v in range(16):
         x = format(v, "04b")
-        y = a.query(x)
-        assert a.query(x) == y  # repeat queries agree
-        assert b.query(x) == y  # same stream, same function
+        y = a(x)
+        assert a(x) == y  # repeat queries agree
+        assert b(x) == y  # same stream, same function
     with pytest.raises(MalformedKeyError):
-        a.query("10")
+        a("10")
 
 
 def test_oracle_outputs_balanced():
     oracle = RandomFunctionOracle(16, 1, Stream(22).child("fn"))
     samples = 10_000
-    ones = sum(oracle.query(format(v, "016b")) == "1" for v in range(samples))
+    ones = sum(oracle(format(v, "016b")) == "1" for v in range(samples))
     assert 0.48 <= ones / samples <= 0.52
 
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qelab import reductions
-from qelab.errors import OraclePolicyError, ParameterError
-from qelab.games import GameConfig, OraclePolicy, run_ind, run_sem
+from qelab.errors import DimensionMismatchError, OraclePolicyError, ParameterError
+from qelab.games import GameConfig, OraclePolicy, run_sem
 from qelab.primitives import ConstantPrf, ConstantPrg, prf_distinguisher_advantage
 from qelab.quantum import (
     basis_state,
@@ -20,7 +20,6 @@ from qelab.reductions import (
     ind_to_sem_pipeline,
     reduction_cca1_to_prf,
     reduction_ind_to_sem,
-    reduction_qotp_to_prg,
     reduction_sem_to_ind,
     run_prg_pad_reduction,
     sem_to_ind_identity_check,
@@ -61,7 +60,7 @@ def test_simulator_matches_adversary_on_zero_encryption():
         BasisMessageWithTarget("1"),
         adversary,
         simulator,
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         None,
         EXACT,
     )
@@ -72,7 +71,7 @@ def test_simulator_output_equals_zero_arm_exactly():
     # The simulator's arm must reproduce, branch for branch, the adversary
     # run on an encryption of the zero plaintext.
     scheme = QotpScheme(1, 1)
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     simulator = reduction_ind_to_sem(adversary)
     ctx = ExactPlay().context("sim-coins", scheme=scheme)
 
@@ -97,7 +96,7 @@ def test_simulator_output_equals_zero_arm_exactly():
 
 def test_simulator_uses_encryption_oracle_when_granted():
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(1).child("s"))
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     simulator = reduction_ind_to_sem(adversary)
     config = GameConfig(trials=50, seed=2)
     est = run_sem(
@@ -105,7 +104,7 @@ def test_simulator_uses_encryption_oracle_when_granted():
         BasisMessageWithTarget("1"),
         adversary,
         simulator,
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         OraclePolicy.cpa(),
         config,
     )
@@ -116,13 +115,13 @@ def test_simulator_uses_encryption_oracle_when_granted():
 def test_simulator_oracle_route_is_pinned(policy):
     # One oracle call per trial; these values pin the route's draws.
     scheme = PrfSymmetricScheme(2, 1, setup_rng=Stream(1).child("s"))
-    adversary = CopyPayloadAdversary("M", "OUT")
+    adversary = CopyPayloadAdversary()
     est = run_sem(
         scheme,
         BasisMessageWithTarget("1"),
         adversary,
         reduction_ind_to_sem(adversary),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CompareRegistersDistinguisher(),
         policy,
         GameConfig(trials=200, seed=2),
     )
@@ -135,8 +134,8 @@ def test_pipeline_bound_on_prf_scheme():
     out = ind_to_sem_pipeline(
         scheme,
         BasisMessageWithTarget("1"),
-        CopyPayloadAdversary("M", "OUT"),
-        CompareRegistersDistinguisher("OUT", "F"),
+        CopyPayloadAdversary(),
+        CompareRegistersDistinguisher(),
         None,
         config,
     )
@@ -234,7 +233,7 @@ def test_prf_reduction_breaks_constant_prf():
 class _EncryptingMessage(MessageGenerator):
     """Before the challenge: encrypts |0> twice and sends the parity of the two tags."""
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         tags = ctx.oracles.encrypt(basis_state("0")).tag + ctx.oracles.encrypt(basis_state("0")).tag
         return [MessageCase(Fraction(1), basis_state(str(tags.count("1") % 2), "M"))]
 
@@ -263,7 +262,7 @@ class _EncryptingPastBudget(MessageGenerator):
     def __init__(self, budget: int):
         self.budget = budget
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         for _ in range(self.budget + 1):
             ctx.oracles.encrypt(basis_state("0"))
         return [MessageCase(Fraction(1), basis_state("1", "M"))]
@@ -290,7 +289,7 @@ class _DecryptingMessage(MessageGenerator):
     def __init__(self):
         self.plaintexts = []
 
-    def cases(self, pk, ctx):
+    def cases(self, ctx):
         plaintext = ctx.oracles.decrypt(ctx.oracles.encrypt(basis_state("1", "M")))
         self.plaintexts.append(plaintext)
         return [MessageCase(Fraction(1), plaintext)]
@@ -304,6 +303,22 @@ def test_prf_construction_decrypts_through_the_function_oracle():
         construction(lambda tag: "11", Stream(9).child(f"t{t}"))
     assert len(mgen.plaintexts) == 8
     assert all(measurement_distribution(p, "M").get("1") == 1 for p in mgen.plaintexts)
+
+
+class _EncryptingTwoQubits(MessageGenerator):
+    """Before the challenge: encrypts a two-qubit plaintext."""
+
+    def cases(self, ctx):
+        ctx.oracles.encrypt(basis_state("11", "M"))
+        return [MessageCase(Fraction(1), basis_state("1", "M"))]
+
+
+def test_prf_construction_refuses_a_plaintext_of_the_wrong_size():
+    # The handles run the scheme, which checks the plaintext before it pads.
+    construction = reduction_cca1_to_prf(_EncryptingTwoQubits(), MeasureEqualsDistinguisher("1"),
+                                         qubits=1)
+    with pytest.raises(DimensionMismatchError, match="plaintext has 2 qubits, scheme expects 1"):
+        construction(lambda tag: tag, Stream(9))
 
 
 def test_prf_construction_refuses_decryption_after_the_challenge():

@@ -13,11 +13,10 @@ from qelab.errors import (
     QelabError,
 )
 from qelab.games import uniform_cases
-from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, MAX_SECURITY, ConstantPrf
+from qelab.primitives import EXHAUSTIVE_DOMAIN_CAP, MAX_SECURITY, ConstantPrf, hardcore_bit
 from qelab.quantum import (
     TOL_ALGEBRA,
     basis_state,
-    bell_state,
     channel_choi_distance,
     conjugate_by_masks,
     maximally_mixed,
@@ -254,12 +253,12 @@ def test_pke_tampered_tag_shifts_pad():
     pad_shifted = scheme.decrypt_pad(kp.dk, shifted)
     # one extra inversion per bit: the shifted pad is the original advanced
     # by one iterate: its bits are the hard-core bits of one step later
-    hc, index = scheme.hc, kp.ek
+    index = kp.ek
     x = fam.decode_element(kp.ek, shifted)
     expected = []
     for _ in range(2):
         x = fam.invert(x, kp.dk.trapdoor)
-        expected.append(str(hc.evaluate(index, x)))
+        expected.append(str(hardcore_bit(index, x)))
     assert pad_shifted == "".join(expected)
     if pad_shifted != pad:
         rho = basis_state("1")
@@ -278,14 +277,14 @@ def test_pke_invalid_tag_rejected():
 
 
 def _pads_one_by_one(scheme, dk, tags):
-    """Decryption pads from `family.invert` and `hc.evaluate`, one tag at a time."""
+    """Decryption pads from `family.invert` and `hardcore_bit`, one tag at a time."""
     index, trapdoor = dk
     pads = []
     for tag in tags:
         x, bits = int(tag, 2), []
         for _ in range(2 * scheme.qubits):
             x = scheme.family.invert(x, trapdoor)
-            bits.append(str(scheme.hc.evaluate(index, x)))
+            bits.append(str(hardcore_bit(index, x)))
         pads.append("".join(bits))
     return pads
 
@@ -610,7 +609,7 @@ def test_random_pad_scheme_roundtrip_channel_reads_oracle():
     kp = scheme.keygen(Stream(64).child("kg"))
     cases = scheme.encryption_space(kp.ek).cases()
     assert [(c.tag, c.pad) for c in cases] == [
-        (tag, kp.ek.query(tag)) for tag in ("00", "01", "10", "11")
+        (tag, kp.ek(tag)) for tag in ("00", "01", "10", "11")
     ]
     assert channel_choi_distance(scheme.roundtrip_map(kp), lambda m: m, 1) < TOL_ALGEBRA
 

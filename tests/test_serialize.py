@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qelab.errors import LayoutError, MalformedKeyError
-from qelab.quantum import basis_state, bell_state, random_mixed_state, trace_distance
+from qelab.quantum import basis_state, random_mixed_state, trace_distance
 from qelab.rng import Stream
 from qelab.schemes import PrfSymmetricScheme, SkeCiphertext
 from qelab.serialize import (
