@@ -6,9 +6,9 @@ Fractions.  A role's context `ctx` is the interpreter of its arm
 (`ExactPlay` or `SamplingPlay`), rooted at the role's own coins and
 carrying the game's `pk` (None for a symmetric scheme), `scheme` and
 `oracles`, the handles that run the scheme under the game's key; an
-exact context shares its game's memo (`ExactPlay.keep`).  A role that wants private coins
-draws them with `ctx.coin(label, cases, draw)`: the exact
-interpreter yields every declared case, the sampling interpreter one case
+exact context shares its game's memo (`ExactPlay.keep`).  A role that
+wants private coins draws them with `ctx.coin(label, cases, draw)`: the
+exact interpreter yields every declared case, the sampling interpreter one case
 drawn from the role's own stream, so the role is written once for both
 modes.  A coin passed without a `draw` is certain: it declares one case,
 and neither interpreter draws for it.  Only oracle interaction through
